@@ -20,10 +20,9 @@ from .core import (AgentState, AlgorithmConfig, LocalSolverPool,
                    local_step, q_i_eval, step_size, validate_schedule)
 from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
-from .network_sim import (Graph, Message, MessageStats, RunTrace,
-                          SimulationError, Snapshot, build_graph,
-                          check_trace_invariants, load_trace, message_stats,
-                          run, save_trace)
+from .network_sim import (Graph, MessageStats, RunTrace, SimulationError,
+                          Snapshot, build_graph, check_trace_invariants,
+                          load_trace, message_stats, run, save_trace)
 from .oracle import (BruteForceResult, OracleResult, RelaxedResult,
                      brute_force_oracle, dual_value, restricted_dual_value,
                      solve_centralized, solve_relaxed_centralized, suggest_m)
@@ -45,9 +44,9 @@ __all__ = [
     "AffineMap", "AgentProblem", "AgentState", "AlgorithmConfig",
     "BruteForceResult", "ConstraintCoupledProblem", "Graph", "Hinge",
     "IterationMetrics", "KktResiduals", "LocalSet", "LocalSolverPool",
-    "LocalStepResult", "Message", "MessageStats", "MicrogridConfig",
-    "OracleResult", "PrimalDualSolution", "ProblemFormatError", "QpBatch",
-    "QpError", "QpInfeasibleError", "QpNumericalError", "QpStandardForm",
+    "LocalStepResult", "MessageStats", "MicrogridConfig", "OracleResult",
+    "PrimalDualSolution", "ProblemFormatError", "QpBatch", "QpError",
+    "QpInfeasibleError", "QpNumericalError", "QpStandardForm",
     "RelaxedResult", "RunTrace", "SimulationError", "Snapshot",
     "StepSizeSchedule", "ValidationReport", "brute_force_oracle",
     "build_graph", "build_microgrid_instance", "build_random_instance",

@@ -95,8 +95,7 @@ def _cmd_run(args) -> int:
     config = AlgorithmConfig(
         M=m_price, schedule=harmonic_schedule(args.gamma0, args.exponent),
         max_iters=args.iters - 1,
-        enable_early_stop=not args.no_early_stop,
-        record_messages=args.record_messages)
+        enable_early_stop=not args.no_early_stop)
     try:
         trace = run(problem, graph, config)
     except SimulationError as exc:
@@ -210,7 +209,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--gamma0", type=float, default=1.0)
     p_run.add_argument("--exponent", type=float, default=0.8)
     p_run.add_argument("--iters", type=int, default=1000,
-                       help="artifact rows; the run performs iters-1 updates")
+                       help="artifact rows (fewer if the run stops early); "
+                            "the run performs at most iters-1 updates")
     p_run.add_argument("--seed", type=int, default=None,
                        help="seed (default: RSDD_SEED env var, else 0)")
     p_run.add_argument("--out", default="run.csv", help="artifact path")
@@ -218,7 +218,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--trace", default=None,
                        help="also dump the full trace JSON here")
     p_run.add_argument("--no-early-stop", action="store_true")
-    p_run.add_argument("--record-messages", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="centralized reference solve")

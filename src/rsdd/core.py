@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem_model import AgentProblem, ConstraintCoupledProblem
+from .problem_model import (AgentProblem, ConstraintCoupledProblem,
+                            _coupling_box_max)
 from .qp_solver import QpBatch, QpStandardForm, TAG_COUPLING, lift_hinges, solve_qp
 
 
@@ -144,7 +145,6 @@ class AlgorithmConfig:
     stop_window: int = 100
     enable_early_stop: bool = True
     solver_tol: float = 1e-9
-    record_messages: bool = False
 
     def to_dict(self) -> dict:
         return {"M": self.M, "schedule": self.schedule.to_dict(),
@@ -204,10 +204,7 @@ class _RelaxedLocal:
         self.rho_col = n_l
         self.coupling_idx = self.form.rows_tagged(TAG_COUPLING)
         # Interval bound of g_i over the box, used for safe rho headroom.
-        ls = agent.local_set
-        self.row_hi = np.array(
-            [np.maximum(row * ls.lb, row * ls.ub).sum() for row in agent.coupling.mat]
-        ) + agent.coupling.vec
+        self.row_hi = _coupling_box_max(agent) + agent.coupling.vec
 
     def shape_key(self) -> tuple:
         f = self.form

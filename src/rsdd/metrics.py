@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_sim import RunTrace
+from .network_sim import _CONSISTENCY_TOL, RunTrace, message_stats
 from .oracle import OracleResult
 from .problem_model import problem_from_dict
-
-_CONSISTENCY_TOL = 1e-9
 
 _BASE_COLUMNS = ["t", "max_violation", "sum_rho", "cost", "cost_error_norm",
                  "lambda_consistency", "mu_spread"]
@@ -67,34 +65,25 @@ def compute_metrics(trace: RunTrace,
     if not normalize:
         warnings.warn("optimal cost is zero; reporting absolute cost error",
                       stacklevel=2)
-    neighbors = trace.graph.neighbors
+    graph = trace.graph
     out = []
     for snap in trace.snapshots:
-        g_per_agent = [agent.g(x) for agent, x in zip(problem.agents, snap.x)]
+        g_per_agent = np.array([agent.g(x)
+                                for agent, x in zip(problem.agents, snap.x)])
         total_g = np.sum(g_per_agent, axis=0)
         cost = problem.total_cost(snap.x) + m_price * float(snap.rho.sum())
         err = abs(cost - f_star) / (abs(f_star) if normalize else 1.0)
 
-        net = np.zeros(problem.coupling_dim)
-        for (i, j), v in snap.lam.items():
-            net += v - snap.lam[(j, i)]
-        consistency = float(np.abs(net).max())
+        consistency = float(np.abs(graph.telescoping_sum(snap.lam)).max())
         if consistency > _CONSISTENCY_TOL:
             raise AssertionError(
                 f"iteration {snap.t}: edge-variable consistency "
                 f"{consistency:.3e} exceeds {_CONSISTENCY_TOL:g}")
 
-        tracking = np.zeros(problem.n_agents)
-        for i in range(problem.n_agents):
-            shift = np.zeros(problem.coupling_dim)
-            for j in neighbors[i]:
-                shift += snap.lam[(i, j)] - snap.lam[(j, i)]
-            rest = total_g - g_per_agent[i]
-            tracking[i] = float(np.abs(shift - rest).max())
-
-        spread = 0.0
-        for i, j in trace.graph.edges:
-            spread = max(spread, float(np.abs(snap.mu[i] - snap.mu[j]).max()))
+        rest = total_g - g_per_agent
+        tracking = np.abs(graph.shifts(snap.lam) - rest).max(axis=1)
+        spread = float(np.abs(graph.edge_step(0.0, 1.0, snap.mu)).max(
+            initial=0.0))
 
         out.append(IterationMetrics(
             t=snap.t, max_violation=float(total_g.max()),
@@ -133,11 +122,12 @@ def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
             for m in metrics:
                 writer.writerow([m.t] + [f"{v:.12g}" for v in _row_values(m)])
     elif fmt == "json":
+        stats = message_stats(trace)
         doc = {"format": "rsdd-run-artifact", "version": 1,
                "problem_hash": trace.problem_hash, "status": trace.status,
                "iterations": trace.iterations,
-               "message_count": trace.message_count,
-               "bytes_estimate": trace.bytes_estimate,
+               "message_count": stats.total,
+               "bytes_estimate": stats.bytes_total,
                "columns": cols,
                "rows": [[m.t] + _row_values(m) for m in metrics]}
         with open(path, "w") as fh:

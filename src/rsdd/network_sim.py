@@ -7,10 +7,12 @@ the edge-variable update with the round's step size.  Messages carry only
 lambda and mu vectors (never local variables, costs or constraint data), so
 the simulation exchanges exactly what a real transport would.
 
+Edge variables form one ``(2E, S)`` array with a row per entry of
+``Graph.directed_edges``; only :class:`Graph`'s methods combine its rows.
 The run is recorded in a :class:`RunTrace` holding one snapshot per round
-plus the initial state, message accounting, and any diagnostics; traces
-serialize to JSON and can be re-checked against the method's per-iteration
-invariants long after the run.
+plus the initial state and any diagnostics; traces serialize to JSON and can
+be re-checked against the method's per-iteration invariants long after the
+run.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .core import (AlgorithmConfig, LocalSolverPool, schedule_from_dict,
-                   step_size, validate_schedule)
+from .core import (AlgorithmConfig, LocalSolverPool, lambda_update,
+                   schedule_from_dict, step_size, validate_schedule)
 from .problem_model import (ConstraintCoupledProblem, problem_from_dict,
                             problem_hash, problem_to_dict)
 from .qp_solver import QpError
@@ -62,6 +64,23 @@ class Graph:
         g.add_edges_from(self.edges)
         if self.n_nodes > 1 and not nx.is_connected(g):
             raise ValueError("graph is not connected")
+        # Edge index arrays, built once per graph: row k of an edge array
+        # belongs to directed edge (src[k], dst[k]); its reverse is row
+        # rev[k].  Rows leaving one node are contiguous and sorted by
+        # destination, so slot k of a node is its k-th neighbour.
+        self.directed_edges = sorted(
+            [(i, j) for i, j in self.edges] + [(j, i) for i, j in self.edges])
+        index = {e: k for k, e in enumerate(self.directed_edges)}
+        self._src = np.array([i for i, _ in self.directed_edges], dtype=int)
+        self._dst = np.array([j for _, j in self.directed_edges], dtype=int)
+        self._rev = np.array([index[(j, i)] for i, j in self.directed_edges],
+                             dtype=int)
+        degree = np.bincount(self._src, minlength=self.n_nodes)
+        first = np.cumsum(degree) - degree
+        self._slots = []
+        for k in range(int(degree.max(initial=0))):
+            nodes = np.flatnonzero(degree > k)
+            self._slots.append((nodes, first[nodes] + k))
 
     @property
     def neighbors(self) -> dict[int, list[int]]:
@@ -71,10 +90,32 @@ class Graph:
             out[j].append(i)
         return {i: sorted(v) for i, v in out.items()}
 
-    @property
-    def directed_edges(self) -> list[tuple[int, int]]:
-        return sorted([(i, j) for i, j in self.edges] +
-                      [(j, i) for i, j in self.edges])
+    def shifts(self, lam: np.ndarray) -> np.ndarray:
+        """Each node's aggregate sum_j (lambda_ij - lambda_ji) as an (N, S)
+        array, from edge variables ``lam`` of shape (2E, S).
+
+        Each node sums over its neighbours in ascending order, one
+        vectorized step per neighbour slot; a reordered sum (reduceat, a
+        matmul) would round differently and change the trace.
+        """
+        diff = lam - lam[self._rev]
+        out = np.zeros((self.n_nodes, lam.shape[1]))
+        for nodes, rows in self._slots:
+            out[nodes] += diff[rows]
+        return out
+
+    def telescoping_sum(self, lam: np.ndarray) -> np.ndarray:
+        """sum over directed edges of (lambda_ij - lambda_ji), accumulated
+        in directed-edge order; zero up to rounding for any ``lam``."""
+        diff = lam - lam[self._rev]
+        return np.add.accumulate(np.vstack([np.zeros(lam.shape[1]), diff]))[-1]
+
+    def edge_step(self, lam: np.ndarray, gamma: float,
+                  mu: np.ndarray) -> np.ndarray:
+        """The edge update lambda_ij - gamma * (mu_i - mu_j) on every
+        directed edge, for multipliers ``mu`` of shape (N, S).  With
+        ``lam = 0`` and ``gamma = 1`` it gives -(mu_i - mu_j)."""
+        return lambda_update(lam, gamma, mu[self._src], mu[self._dst])
 
     def to_dict(self) -> dict:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}
@@ -111,26 +152,16 @@ def build_graph(topology: str, n_nodes: int, p: float | None = None,
 
 
 @dataclass
-class Message:
-    """One directed transmission; the payload is a single S-vector."""
-
-    sender: int
-    receiver: int
-    phase: str  # "lambda" or "mu"
-    iteration: int
-    payload: np.ndarray
-
-
-@dataclass
 class Snapshot:
     """Network state at round t: local solutions solved at the edge
-    variables lam, which are the values in force during that solve."""
+    variables lam, which are the values in force during that solve.
+    ``lam`` has one row per entry of the graph's ``directed_edges``."""
 
     t: int
     x: list[np.ndarray]
     rho: np.ndarray
     mu: np.ndarray
-    lam: dict[tuple[int, int], np.ndarray]
+    lam: np.ndarray
 
 
 @dataclass
@@ -142,10 +173,7 @@ class RunTrace:
     snapshots: list[Snapshot]
     status: str  # max-iters | tolerance-met | solver-error
     iterations: int
-    message_count: int
-    bytes_estimate: int
     warnings: list[str] = field(default_factory=list)
-    messages: list[Message] | None = None
 
 
 @dataclass
@@ -163,14 +191,6 @@ class SimulationError(RuntimeError):
     def __init__(self, message: str, trace: RunTrace):
         super().__init__(message)
         self.trace = trace
-
-
-def _coupling_totals(problem: ConstraintCoupledProblem,
-                     xs: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros(problem.coupling_dim)
-    for agent, x in zip(problem.agents, xs):
-        total += agent.g(x)
-    return total
 
 
 def run(problem: ConstraintCoupledProblem, graph: Graph,
@@ -203,24 +223,21 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         raise ValueError(f"invalid step-size schedule: {rejection}")
 
     s_dim = problem.coupling_dim
-    neighbors = graph.neighbors
-    dir_edges = graph.directed_edges
-    lam: dict[tuple[int, int], np.ndarray] = {
-        e: np.zeros(s_dim) for e in dir_edges}
+    lam = np.zeros((len(graph.directed_edges), s_dim))
     if config.lambda_init:
+        index = {e: k for k, e in enumerate(graph.directed_edges)}
         for e, v in config.lambda_init.items():
             e = (int(e[0]), int(e[1]))
-            if e not in lam:
+            if e not in index:
                 raise ValueError(f"lambda_init edge {e} is not in the graph")
             v = np.asarray(v, dtype=float).ravel()
             if v.shape != (s_dim,):
                 raise ValueError(f"lambda_init[{e}] must have {s_dim} entries")
-            lam[e] = v.copy()
+            lam[index[e]] = v
 
     pool = LocalSolverPool(problem, config.M, tol=config.solver_tol)
     snapshots: list[Snapshot] = []
     warnings_log: list[str] = []
-    messages: list[Message] | None = [] if config.record_messages else None
     costs: list[float] = []
     pin_streak = 0
     pin_warned = False
@@ -228,24 +245,15 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
     status = "max-iters"
 
     def make_trace(final_status: str, rounds: int) -> RunTrace:
-        count = 2 * len(dir_edges) * rounds
         return RunTrace(problem=problem_to_dict(problem),
                         problem_hash=problem_hash(problem),
                         graph=graph, config=config.to_dict(),
                         snapshots=snapshots, status=final_status,
-                        iterations=rounds, message_count=count,
-                        bytes_estimate=count * 8 * s_dim,
-                        warnings=warnings_log, messages=messages)
+                        iterations=rounds, warnings=warnings_log)
 
     while True:
-        shifts = []
-        for i in range(graph.n_nodes):
-            sh = np.zeros(s_dim)
-            for j in neighbors[i]:
-                sh += lam[(i, j)] - lam[(j, i)]
-            shifts.append(sh)
         try:
-            results = pool.solve_all(shifts)
+            results = pool.solve_all(graph.shifts(lam))
         except QpError as exc:
             raise SimulationError(
                 f"local solver failed at iteration {t}: {exc}",
@@ -254,8 +262,8 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         xs = [r.x for r in results]
         rho = np.array([r.rho for r in results])
         mu = np.stack([r.mu for r in results])
-        snapshots.append(Snapshot(t=t, x=xs, rho=rho, mu=mu,
-                                  lam={e: v.copy() for e, v in lam.items()}))
+        # edge_step returns a new array, so the snapshot may keep lam itself.
+        snapshots.append(Snapshot(t=t, x=xs, rho=rho, mu=mu, lam=lam))
         costs.append(problem.total_cost(xs) + config.M * float(rho.sum()))
 
         if np.any(mu.sum(axis=1) >= config.M - _M_PIN_TOL):
@@ -273,7 +281,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
             status = "max-iters"
             break
         if config.enable_early_stop and t >= config.stop_window:
-            viol = float(_coupling_totals(problem, xs).max())
+            viol = float(problem.coupling_total(xs).max())
             flat = abs(costs[-1] - costs[-1 - config.stop_window]) \
                 <= config.stop_cost_change * max(1.0, abs(costs[-1]))
             if (max(viol, 0.0) <= config.stop_violation
@@ -281,17 +289,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
                 status = "tolerance-met"
                 break
 
-        gamma = step_size(config.schedule, t)
-        if messages is not None:
-            for i, j in dir_edges:
-                messages.append(Message(sender=i, receiver=j, phase="lambda",
-                                        iteration=t, payload=lam[(i, j)].copy()))
-            for i, j in dir_edges:
-                messages.append(Message(sender=i, receiver=j, phase="mu",
-                                        iteration=t, payload=mu[i].copy()))
-        new_lam = {(i, j): lam[(i, j)] - gamma * (mu[i] - mu[j])
-                   for i, j in dir_edges}
-        lam = new_lam
+        lam = graph.edge_step(lam, step_size(config.schedule, t), mu)
         t += 1
 
     return make_trace(status, t)
@@ -328,6 +326,7 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     """
     findings: list[str] = []
     problem = problem_from_dict(trace.problem)
+    graph = trace.graph
     m_price = float(trace.config["M"])
     s_dim = problem.coupling_dim
     if len(trace.snapshots) != trace.iterations + 1 \
@@ -336,17 +335,17 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
             f"snapshot count {len(trace.snapshots)} does not equal "
             f"iterations+1 = {trace.iterations + 1}")
     spread_cap = 2.0 * m_price * float(np.sqrt(s_dim))
+    # Rows of the directed edges (i, j) with i < j, in graph.edges order.
+    forward = [k for k, (i, j) in enumerate(graph.directed_edges) if i < j]
     for snap in trace.snapshots:
         t = snap.t
-        total = _coupling_totals(problem, snap.x)
+        total = problem.coupling_total(snap.x)
         slack = total - float(snap.rho.sum())
         if slack.max() > _FEAS_SLACK:
             findings.append(
                 f"iteration {t}: aggregate feasibility violated, "
                 f"max_s(sum g - sum rho) = {slack.max():.3e}")
-        net = np.zeros(s_dim)
-        for (i, j), v in snap.lam.items():
-            net += v - snap.lam[(j, i)]
+        net = graph.telescoping_sum(snap.lam)
         if np.abs(net).max() > _CONSISTENCY_TOL:
             findings.append(
                 f"iteration {t}: lambda consistency violated, "
@@ -356,19 +355,17 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
             findings.append(
                 f"iteration {t}: multiplier cap violated, "
                 f"max_i mu_i.1 = {cap:.10e} > M = {m_price:g}")
-        for i, j in trace.graph.edges:
-            d = float(np.linalg.norm(snap.mu[i] - snap.mu[j]))
+        gaps = np.linalg.norm(graph.edge_step(0.0, 1.0, snap.mu)[forward],
+                              axis=1)
+        for (i, j), d in zip(graph.edges, gaps):
             if d > spread_cap + _MU_CAP_SLACK:
                 findings.append(
                     f"iteration {t}: multiplier spread violated on edge "
                     f"({i}, {j}): {d:.6e} > {spread_cap:.6e}")
     schedule = schedule_from_dict(trace.config["schedule"])
     for prev, snap in zip(trace.snapshots, trace.snapshots[1:]):
-        gamma = step_size(schedule, prev.t)
-        worst = 0.0
-        for (i, j), v in snap.lam.items():
-            expect = prev.lam[(i, j)] - gamma * (prev.mu[i] - prev.mu[j])
-            worst = max(worst, float(np.abs(v - expect).max()))
+        expect = graph.edge_step(prev.lam, step_size(schedule, prev.t), prev.mu)
+        worst = float(np.abs(snap.lam - expect).max(initial=0.0))
         if worst > _CONSISTENCY_TOL:
             findings.append(
                 f"iteration {snap.t}: lambda consistency violated, edge "
@@ -376,64 +373,64 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     return findings
 
 
-def _snapshot_to_dict(snap: Snapshot) -> dict:
+def _lambda_keys(graph: Graph) -> list[str]:
+    return [f"{i},{j}" for i, j in graph.directed_edges]
+
+
+def _snapshot_to_dict(snap: Snapshot, keys: list[str]) -> dict:
     return {"t": snap.t,
             "x": [x.tolist() for x in snap.x],
             "rho": snap.rho.tolist(),
             "mu": snap.mu.tolist(),
-            "lambda": {f"{i},{j}": v.tolist()
-                       for (i, j), v in sorted(snap.lam.items())}}
+            "lambda": dict(zip(keys, snap.lam.tolist()))}
 
 
-def _snapshot_from_dict(doc: dict) -> Snapshot:
-    lam = {}
-    for key, v in doc["lambda"].items():
-        i, j = key.split(",")
-        lam[(int(i), int(j))] = np.asarray(v, dtype=float)
-    return Snapshot(t=int(doc["t"]),
+def _snapshot_from_dict(doc: dict, keys: list[str], s_dim: int) -> Snapshot:
+    t = int(doc["t"])
+    given = doc["lambda"]
+    missing = [k for k in keys if k not in given]
+    extra = sorted(set(given) - set(keys))
+    if missing or extra:
+        raise ValueError(
+            f"snapshot {t}: lambda keys do not match the graph's directed "
+            f"edges (missing {missing}, extra {extra})")
+    lam = np.array([given[k] for k in keys], dtype=float)
+    return Snapshot(t=t,
                     x=[np.asarray(v, dtype=float) for v in doc["x"]],
                     rho=np.asarray(doc["rho"], dtype=float),
                     mu=np.asarray(doc["mu"], dtype=float),
-                    lam=lam)
+                    lam=lam.reshape(len(keys), s_dim))
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
-    doc = {"format": "rsdd-trace", "version": 1,
-           "problem": trace.problem, "problem_hash": trace.problem_hash,
-           "graph": trace.graph.to_dict(), "config": trace.config,
-           "status": trace.status, "iterations": trace.iterations,
-           "message_count": trace.message_count,
-           "bytes_estimate": trace.bytes_estimate,
-           "warnings": list(trace.warnings),
-           "snapshots": [_snapshot_to_dict(s) for s in trace.snapshots]}
-    if trace.messages is not None:
-        doc["messages"] = [{"sender": m.sender, "receiver": m.receiver,
-                            "phase": m.phase, "iteration": m.iteration,
-                            "payload": m.payload.tolist()}
-                           for m in trace.messages]
-    return doc
+    stats = message_stats(trace)
+    keys = _lambda_keys(trace.graph)
+    return {"format": "rsdd-trace", "version": 1,
+            "problem": trace.problem, "problem_hash": trace.problem_hash,
+            "graph": trace.graph.to_dict(), "config": trace.config,
+            "status": trace.status, "iterations": trace.iterations,
+            "message_count": stats.total,
+            "bytes_estimate": stats.bytes_total,
+            "warnings": list(trace.warnings),
+            "snapshots": [_snapshot_to_dict(s, keys) for s in trace.snapshots]}
 
 
 def trace_from_dict(doc: dict) -> RunTrace:
+    """Rebuild a trace from its JSON document.  The stored message totals
+    and an optional ``messages`` block (written by older versions) are
+    ignored: both follow from the graph and the round count."""
     if doc.get("format") != "rsdd-trace":
         raise ValueError("not a trace document")
-    messages = None
-    if "messages" in doc:
-        messages = [Message(sender=int(m["sender"]),
-                            receiver=int(m["receiver"]), phase=m["phase"],
-                            iteration=int(m["iteration"]),
-                            payload=np.asarray(m["payload"], dtype=float))
-                    for m in doc["messages"]]
+    graph = Graph(n_nodes=int(doc["graph"]["n_nodes"]),
+                  edges=[tuple(e) for e in doc["graph"]["edges"]])
+    keys = _lambda_keys(graph)
+    s_dim = int(doc["problem"]["coupling_dim"])
     return RunTrace(problem=doc["problem"], problem_hash=doc["problem_hash"],
-                    graph=Graph(n_nodes=int(doc["graph"]["n_nodes"]),
-                                edges=[tuple(e) for e in doc["graph"]["edges"]]),
-                    config=doc["config"], status=doc["status"],
+                    graph=graph, config=doc["config"], status=doc["status"],
                     iterations=int(doc["iterations"]),
-                    message_count=int(doc["message_count"]),
-                    bytes_estimate=int(doc["bytes_estimate"]),
                     warnings=list(doc.get("warnings", [])),
-                    snapshots=[_snapshot_from_dict(s) for s in doc["snapshots"]],
-                    messages=messages)
+                    snapshots=[_snapshot_from_dict(s, keys, s_dim)
+                               for s in doc["snapshots"]])
 
 
 def save_trace(trace: RunTrace, path) -> None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import q_i_eval
-from .problem_model import ConstraintCoupledProblem, problem_hash
+from .problem_model import (ConstraintCoupledProblem, _coupling_box_max,
+                            problem_hash)
 from .qp_solver import QpStandardForm, TAG_COUPLING, lift_hinges, solve_qp
 
 _GRID_CAP = 10_000_000
@@ -140,10 +141,8 @@ def _stacked_form(problem: ConstraintCoupledProblem,
         c[rho_idx] = m_price
         lb[rho_idx] = 0.0
         row_hi = b_total.copy()
-        for i, agent in enumerate(problem.agents):
-            ls = agent.local_set
-            row_hi += np.array([np.maximum(r * ls.lb, r * ls.ub).sum()
-                                for r in agent.coupling.mat])
+        for agent in problem.agents:
+            row_hi += _coupling_box_max(agent)
         ub[rho_idx] = max(0.0, float(row_hi.max())) + 1.0
     in_rows.append(coupling)
     in_rhs.append(-b_total)

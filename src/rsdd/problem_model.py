@@ -172,6 +172,13 @@ def _row_interval_max(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
     return float(np.maximum(row * lb, row * ub).sum())
 
 
+def _coupling_box_max(agent: AgentProblem) -> np.ndarray:
+    """Per-row upper bound of A_i x over the agent's box (b_i excluded)."""
+    ls = agent.local_set
+    return np.array([_row_interval_max(row, ls.lb, ls.ub)
+                     for row in agent.coupling.mat])
+
+
 def _row_interval_min(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
     return float(np.minimum(row * lb, row * ub).sum())
 

@@ -22,10 +22,9 @@ def demo_oracle(demo):
 
 @pytest.fixture(scope="session")
 def demo_trace(demo):
-    """Short fixed-length run of the demo with message recording on."""
+    """Short fixed-length run of the demo."""
     cfg = AlgorithmConfig(M=10.0, schedule=harmonic_schedule(1.0, 0.8),
-                          max_iters=120, enable_early_stop=False,
-                          record_messages=True)
+                          max_iters=120, enable_early_stop=False)
     return run(demo, build_graph("path", 2), cfg)
 
 

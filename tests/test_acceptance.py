@@ -112,18 +112,19 @@ def test_criterion_4_per_iteration_invariants(demo_run, microgrid,
         assert check_trace_invariants(trace) == []
         s_dim = problem.coupling_dim
         pair_cap = 2.0 * m_price * np.sqrt(s_dim)
+        edges = trace.graph.directed_edges
         for snap in trace.snapshots:
             total_g = total_usage(problem, snap)
             slack_bound = float(np.sum(snap.rho)) + 1e-6
             assert (total_g <= slack_bound).all()
             net = np.zeros(s_dim)
-            for (i, j), lam in snap.lam.items():
-                net += lam - snap.lam[(j, i)]
+            for k, (i, j) in enumerate(edges):
+                net += snap.lam[k] - snap.lam[edges.index((j, i))]
             assert np.abs(net).max() <= 1e-9
             for mu in snap.mu:
                 assert mu.sum() <= m_price + 1e-8
                 assert (mu >= -1e-9).all()
-            for i, j in {tuple(sorted(k)) for k in snap.lam}:
+            for i, j in {tuple(sorted(k)) for k in edges}:
                 gap = np.linalg.norm(snap.mu[i] - snap.mu[j])
                 assert gap <= pair_cap
             checked += 1

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
-import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,28 @@ class TestCli:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "invariant"
 
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_check_lambda_keys_mismatch(self, demo_trace, tmp_path, capsys,
+                                        edit):
+        # Snapshot lambda keys must be exactly the graph's directed edges.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        lam = doc["snapshots"][7]["lambda"]
+        if edit == "missing":
+            del lam["1,0"]
+        else:
+            lam["0,5"] = [0.0]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "invalid-input"
+        assert "snapshot 7" in err["message"]
+
     def test_check_unreadable_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
@@ -403,10 +426,20 @@ class TestEntryPoints:
         assert "suggested_M = 20" in proc.stdout
 
     def test_console_script(self):
-        exe = shutil.which("rsdd")
-        if exe is None:
-            pytest.skip("rsdd console script not on PATH")
-        proc = subprocess.run([exe, "oracle", "--demo"],
-                              capture_output=True, text=True)
+        # Run the [project.scripts] entry point the way its installed
+        # wrapper would, against this checkout's sources.
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            entry = tomllib.load(fh)["project"]["scripts"]["rsdd"]
+        module, func = entry.split(":")
+        code = (f"import sys; from {module} import {func}; "
+                f"sys.argv[0] = 'rsdd'; sys.exit({func}())")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]]
+                                   if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code, "oracle", "--demo"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "f_star = 0.5" in proc.stdout
