@@ -18,12 +18,14 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .problem_model import (AgentProblem, ConstraintCoupledProblem,
                             _coupling_box_max)
-from .qp_solver import QpBatch, QpStandardForm, TAG_COUPLING, lift_hinges, solve_qp
+from .qp_solver import (_FIX_TOL, QpBatch, QpError, QpStandardForm, TAG_COUPLING,
+                        lift_hinges, solve_qp)
 
 
 @dataclass
@@ -208,19 +210,34 @@ class _RelaxedLocal:
 
     def shape_key(self) -> tuple:
         f = self.form
-        fixed = np.abs(f.ub - f.lb) <= 1e-12
+        fixed = np.abs(f.ub - f.lb) <= _FIX_TOL
         return (f.dim,
                 0 if f.A_eq is None else f.A_eq.shape[0],
                 0 if f.A_in is None else f.A_in.shape[0],
                 fixed.tobytes())
 
-    def rho_headroom(self, shift: np.ndarray) -> float:
-        return max(0.0, float((self.row_hi + shift).max())) + 1.0
+
+def _rho_headroom(row_hi: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Upper bound of rho that no optimum reaches, per row of ``shift``."""
+    return np.maximum(0.0, (row_hi + shift).max(axis=-1)) + 1.0
+
+
+class _Group(NamedTuple):
+    """Agents whose relaxed local QPs share one dense shape, solved as one
+    batch, with their coupling data stacked in batch order."""
+
+    batch: QpBatch
+    agents: list[int]
+    coupling_vec: np.ndarray  # (k, S)
+    row_hi: np.ndarray        # (k, S)
+    coupling_rows: np.ndarray  # the same in every element
+    rho_col: int
 
 
 class LocalSolverPool:
     """Solves the relaxed local problems of all agents each round, batching
-    agents whose lifted QPs share one dense shape."""
+    agents whose lifted QPs share one dense shape.  Agents of one group
+    may differ in their primary dimension."""
 
     def __init__(self, problem: ConstraintCoupledProblem, M: float,
                  tol: float = 1e-9):
@@ -229,24 +246,36 @@ class LocalSolverPool:
         groups: dict[tuple, list[int]] = {}
         for i, tpl in enumerate(self.templates):
             groups.setdefault(tpl.shape_key(), []).append(i)
-        self.groups = [(QpBatch([self.templates[i].form for i in idx]), idx)
-                       for idx in groups.values()]
+        self.groups = []
+        for idx in groups.values():
+            tpls = [self.templates[i] for i in idx]
+            self.groups.append(_Group(
+                QpBatch([t.form for t in tpls]), idx,
+                np.stack([t.agent.coupling.vec for t in tpls]),
+                np.stack([t.row_hi for t in tpls]),
+                tpls[0].coupling_idx, tpls[0].rho_col))
 
-    def solve_all(self, shifts: list[np.ndarray]) -> list[LocalStepResult]:
+    def solve_all(self, shifts: np.ndarray) -> list[LocalStepResult]:
+        """One round's local steps at the (N, S) edge-variable ``shifts``.
+
+        A failed local QP is re-raised with the agent it belongs to.
+        """
         out: list[LocalStepResult | None] = [None] * len(self.templates)
-        for batch, idx in self.groups:
-            for k, i in enumerate(idx):
-                tpl = self.templates[i]
-                batch.b_in[k, tpl.coupling_idx] = -(tpl.agent.coupling.vec + shifts[i])
-                batch.ub[k, tpl.rho_col] = tpl.rho_headroom(shifts[i])
-            sols = batch.solve(tol=self.tol, warm=True)
-            for k, i in enumerate(idx):
-                tpl = self.templates[i]
-                sol = sols[k]
+        for g in self.groups:
+            shift = shifts[g.agents]
+            g.batch.b_in[:, g.coupling_rows] = -(g.coupling_vec + shift)
+            g.batch.ub[:, g.rho_col] = _rho_headroom(g.row_hi, shift)
+            try:
+                sols = g.batch.solve(tol=self.tol, warm=True)
+            except QpError as exc:
+                if exc.element is not None:
+                    exc.agent = g.agents[exc.element]
+                raise
+            for i, sol in zip(g.agents, sols):
                 out[i] = LocalStepResult(
-                    x=sol.x[:tpl.agent.dim],
-                    rho=float(sol.x[tpl.rho_col]),
-                    mu=sol.ineq_mult[tpl.coupling_idx],
+                    x=sol.x[:self.templates[i].agent.dim],
+                    rho=float(sol.x[g.rho_col]),
+                    mu=sol.ineq_mult[g.coupling_rows],
                     objective=sol.objective)
         return out  # type: ignore[return-value]
 
@@ -289,7 +318,7 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     shift = _combine_shift(lambda_out, lambda_in, s_dim)
     tpl = _RelaxedLocal(agent, M)
     tpl.form.b_in[tpl.coupling_idx] = -(agent.coupling.vec + shift)
-    tpl.form.ub[tpl.rho_col] = tpl.rho_headroom(shift)
+    tpl.form.ub[tpl.rho_col] = _rho_headroom(tpl.row_hi, shift)
     sol = solve_qp(tpl.form, tol=tol, validate=False)
     return sol.x[:agent.dim], float(sol.x[tpl.rho_col]), sol.ineq_mult[tpl.coupling_idx]
 

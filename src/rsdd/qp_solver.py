@@ -12,7 +12,9 @@ primal-dual pair.  The KKT residual attached to a solution is recomputed
 from the returned values, never read from solver internals.  Problems that
 share a sparsity-free dense shape can be solved as a batch (one interior
 point loop over a leading batch axis), which is what the network simulator
-uses to step all agents of one shape at once.
+uses to step all agents of one shape at once.  Elements leave the loop as
+they converge or fail, so the Newton steps run on the unfinished ones only,
+and the certificates of a batch are recomputed in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -36,7 +38,20 @@ _PSD_TOL = 1e-9
 
 
 class QpError(Exception):
-    """Base class for solver failures."""
+    """Base class for solver failures.
+
+    A batch solve tags its error with the failed ``element`` and that
+    element's effective ``form``; a caller that knows whose problem the
+    element is may set ``agent``, which then leads the message.
+    """
+
+    element: int | None = None
+    form: QpStandardForm | None = None
+    agent: int | None = None
+
+    def __str__(self) -> str:
+        msg = super().__str__()
+        return msg if self.agent is None else f"agent {self.agent}: {msg}"
 
 
 class QpInfeasibleError(QpError):
@@ -141,7 +156,8 @@ def kkt_residuals(form: QpStandardForm, sol: PrimalDualSolution) -> KktResiduals
     """Recompute KKT residuals of ``sol`` for ``form`` from scratch.
 
     Pure function of the candidate values; does not trust anything cached on
-    the solution object.
+    the solution object.  ``QpBatch`` certifies its solutions with the same
+    arithmetic over the whole batch at once; this is the one-form reference.
     """
     x = np.asarray(sol.x, dtype=float)
     grad = form.Q @ x + form.c - sol.box_lower_mult + sol.box_upper_mult
@@ -230,6 +246,11 @@ class QpBatch:
 
     All forms in a batch must agree on dimension, equality row count,
     inequality row count and on which variables are pinned (lb == ub).
+
+    Each element's result is bit-identical to solving it alone unless some
+    element ends in the polish: finished elements leave the interior-point
+    loop, and the KKT certificates of the batch are computed together, in
+    the same order of operations as ``kkt_residuals``.
     """
 
     def __init__(self, forms: list[QpStandardForm], validate: bool = True):
@@ -259,6 +280,8 @@ class QpBatch:
         nf = int(self.free.sum())
         B = len(forms)
         self.Q = np.stack([0.5 * (f.Q + f.Q.T) for f in forms])
+        self.Q_form = np.stack([f.Q for f in forms])  # certificates grade these
+        self.offset = np.array([f.offset for f in forms])
         self.c = np.stack([f.c for f in forms])
         self.lb = np.stack([f.lb for f in forms])
         self.ub = np.stack([f.ub for f in forms])
@@ -338,7 +361,7 @@ class QpBatch:
         """Form ``k`` with the batch's current right-hand sides.
 
         ``b_in`` and ``ub`` may have been overwritten since construction;
-        certificates must grade the problem actually solved.
+        a failure report must carry the problem actually solved.
         """
         kwargs: dict = {"lb": self.lb[k].copy(), "ub": self.ub[k].copy()}
         if self.m_in:
@@ -347,51 +370,88 @@ class QpBatch:
 
     def _diagnose(self, k: int, x0: np.ndarray, h: np.ndarray,
                   iterations: int, residual: float):
-        """Classify a failed element: inconsistent equalities, infeasible, or breakdown."""
+        """Raise the error of failed element ``k``, tagged with the element
+        and its effective form."""
+        err = self._classify(k, x0, h, iterations, residual)
+        err.element = k
+        err.form = self._effective_form(k)
+        raise err
+
+    def _classify(self, k: int, x0: np.ndarray, h: np.ndarray,
+                  iterations: int, residual: float) -> QpError:
+        """Inconsistent equalities, infeasible, or breakdown."""
         A, b, G = self.A[k], self.b[k], self.G[k]
         if self.me:
             xls, *_ = np.linalg.lstsq(A, b, rcond=None)
             r = A @ xls - b
             if np.abs(r).max() > 1e-7 * (1.0 + np.abs(b).max()):
                 cert = -r / np.linalg.norm(r)
-                raise QpInfeasibleError(
+                return QpInfeasibleError(
                     f"equality system inconsistent (element {k})", certificate=cert)
-        t_star, cert = _phase1(A, b, G, h, x0)
+        try:
+            t_star, cert = _phase1(A, b, G, h, x0)
+        except QpNumericalError as exc:
+            return QpNumericalError(f"{exc} (element {k})", exc.iterations, exc.residual)
         if t_star > 1e-6:
-            raise QpInfeasibleError(
+            return QpInfeasibleError(
                 f"no feasible point (element {k}, phase-1 slack {t_star:.3e})",
                 certificate=cert)
-        raise QpNumericalError(
+        return QpNumericalError(
             f"interior-point breakdown on a feasible problem (element {k})",
             iterations=iterations, residual=residual)
 
     def _unpack(self, x, y, z, iters) -> list[PrimalDualSolution]:
+        """Solutions with their KKT residuals, certified for the whole batch
+        at once against the current right-hand sides.
+
+        Computes what ``kkt_residuals`` computes for each element, in the
+        same order of operations, so the two agree bit for bit.
+        """
         B = len(self.forms)
+        m_in, m_eq = self.m_in, self.m_eq
         nf = int(self.free.sum())
         lo = np.zeros((B, self.n))
         hi = np.zeros((B, self.n))
-        lo[:, self.free] = z[:, self.m_in:self.m_in + nf]
-        hi[:, self.free] = z[:, self.m_in + nf:]
+        lo[:, self.free] = z[:, m_in:m_in + nf]
+        hi[:, self.free] = z[:, m_in + nf:]
         if self.fixed.any():
-            theta = y[:, self.m_eq:]
+            theta = y[:, m_eq:]
             lo[:, self.fixed] = np.maximum(0.0, -theta)
             hi[:, self.fixed] = np.maximum(0.0, theta)
-        obj = 0.5 * np.einsum("bi,bij,bj->b", x, self.Q, x) + np.einsum("bi,bi->b", self.c, x)
-        sols = []
-        for k in range(B):
-            form = self._effective_form(k)
-            sol = PrimalDualSolution(
-                x=x[k].copy(),
-                eq_mult=y[k, :self.m_eq].copy(),
-                ineq_mult=z[k, :self.m_in].copy(),
-                box_lower_mult=lo[k],
-                box_upper_mult=hi[k],
-                objective=float(obj[k]) + form.offset,
-                kkt_residual=0.0,
-                iterations=int(iters[k]))
-            sol.kkt_residual = kkt_residuals(form, sol).max
-            sols.append(sol)
-        return sols
+        eq_mult = y[:, :m_eq]
+        ineq_mult = z[:, :m_in]
+        grad = _mv(self.Q_form, x) + self.c - lo + hi
+        primal = np.zeros(B)
+        comp = np.zeros(B)
+        dual = np.maximum(0.0, np.maximum(-lo.min(axis=1), -hi.min(axis=1)))
+        if m_eq:
+            a_eq = self.A[:, :m_eq]
+            grad = grad + _mv(a_eq.transpose(0, 2, 1), eq_mult)
+            primal = np.maximum(primal, _amax_abs(_mv(a_eq, x) - self.b[:, :m_eq]))
+        if m_in:
+            a_in = self.G[:, :m_in]
+            grad = grad + _mv(a_in.transpose(0, 2, 1), ineq_mult)
+            slack = self.b_in - _mv(a_in, x)
+            primal = np.maximum(primal, np.maximum(0.0, -slack.min(axis=1)))
+            dual = np.maximum(dual, -ineq_mult.min(axis=1))
+            comp = np.maximum(comp, _amax_abs(ineq_mult * slack))
+        primal = np.maximum.reduce([primal,
+                                    np.maximum(0.0, (self.lb - x).max(axis=1)),
+                                    np.maximum(0.0, (x - self.ub).max(axis=1))])
+        comp = np.maximum.reduce([comp, _amax_abs(lo * (x - self.lb)),
+                                  _amax_abs(hi * (self.ub - x))])
+        kkt = np.maximum.reduce([_amax_abs(grad), primal,
+                                 np.maximum(0.0, dual), comp])
+        # Two-operand products only: a three-operand einsum sums in an
+        # order that depends on the batch size.
+        obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q, x))
+               + np.einsum("bi,bi->b", self.c, x))
+        return [PrimalDualSolution(x=x[k], eq_mult=eq_mult[k], ineq_mult=ineq_mult[k],
+                                   box_lower_mult=lo[k], box_upper_mult=hi[k],
+                                   objective=objective, kkt_residual=residual,
+                                   iterations=it)
+                for k, (objective, residual, it) in enumerate(zip(
+                    (obj + self.offset).tolist(), kkt.tolist(), iters.tolist()))]
 
 
 def solve_qp(form: QpStandardForm, tol: float = 1e-8, max_iter: int = 200,
@@ -509,11 +569,18 @@ def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
 
 
 def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
-    """Batched Mehrotra predictor-corrector loop.
+    """Batched Mehrotra predictor-corrector loop over the live elements.
 
     Returns final (x, y, z, iters, res); iters[k] is the iteration at which
     element k converged, or -1 if it never did.  ``z_init`` warm-starts the
     inequality multipliers (floored away from the boundary).
+
+    An element leaves the loop once it converges or fails, keeping its last
+    iterate.  From then on the data and iterates of the live elements are
+    gathered into smaller arrays and only those are factorized; while every
+    element is live the full arrays are used as they are.  Each element's
+    arithmetic does not depend on which others share its batch; only the
+    stall rule and the iteration cap are batch-wide.
     """
     B, n = c.shape
     me = b.shape[1]
@@ -527,13 +594,15 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
         z = np.maximum(z_init, 1e-3)
     y = np.zeros((B, me))
     iters = np.full(B, -1, dtype=int)
-    failed = np.zeros(B, dtype=bool)
     res = np.full(B, np.inf)
     best_res = np.full(B, np.inf)
     best_x, best_y, best_z = x.copy(), y.copy(), z.copy()
     last_improve = 0
     reg = 1e-12
     diag = np.arange(n + me)
+    # The whole batch's iterates; x, y, z and s below hold the live ones.
+    x_all, y_all, z_all = x, y, z
+    live = np.arange(B)
     it = 0
     while True:
         rd = _mv(Q, x) + c + _mv(GT, z) + _mv(AT, y)
@@ -541,20 +610,22 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
         gx = _mv(G, x)
         rg = gx + s - h
         comp = s * z
-        res = np.maximum.reduce([
+        res_live = np.maximum.reduce([
             _amax_abs(rd), _amax_abs(rp), _amax_abs(rg),
             _amax_abs(z * (h - gx)),
         ])
-        improved = np.isfinite(res) & (res < 0.999 * best_res)
+        res[live] = res_live
+        improved = np.isfinite(res_live) & (res_live < 0.999 * best_res[live])
         if improved.any():
-            best_res[improved] = res[improved]
-            best_x[improved] = x[improved]
-            best_y[improved] = y[improved]
-            best_z[improved] = z[improved]
+            k = live[improved]
+            best_res[k] = res_live[improved]
+            best_x[k] = x[improved]
+            best_y[k] = y[improved]
+            best_z[k] = z[improved]
             last_improve = it
-        newly = (iters < 0) & ~failed & (res <= tol) & np.isfinite(res)
-        iters[newly] = it
-        active = (iters < 0) & ~failed
+        converged = (res_live <= tol) & np.isfinite(res_live)
+        iters[live[converged]] = it
+        active = ~converged
         # Ill-conditioning near a degenerate optimum can blow up late
         # iterates; stop on divergence or a long stall, and fall back to
         # the best iterate seen for any element that never reached tol.
@@ -562,32 +633,31 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
             break
         it += 1
         mu = comp.mean(axis=1)
-        failed |= active & (~np.isfinite(mu) | (mu > 1e18)
-                            | (~np.isfinite(res))
-                            | ((res > 1e4 * best_res) & (res > 1.0)))
-        active &= ~failed
+        active &= np.isfinite(mu) & (mu <= 1e18) & np.isfinite(res_live) \
+            & ~((res_live > 1e4 * best_res[live]) & (res_live > 1.0))
         if not active.any():
             break
+        if not active.all():
+            # Converged and failed elements leave the loop with their last
+            # iterate; the live ones are gathered and step on alone.
+            gone = live[~active]
+            x_all[gone], y_all[gone], z_all[gone] = x[~active], y[~active], z[~active]
+            live = live[active]
+            Q, c, A, b, AT, G, GT, h, x, y, z, s, rd, rp, rg, comp, mu = (
+                v[active] for v in (Q, c, A, b, AT, G, GT, h, x, y, z, s,
+                                    rd, rp, rg, comp, mu))
         w = z / s
-        K = np.zeros((B, n + me, n + me))
+        K = np.zeros((live.size, n + me, n + me))
         K[:, :n, :n] = Q + (GT * w[:, None, :]) @ G
         K[:, :n, n:] = AT
         K[:, n:, :n] = A
         K[:, diag[:n], diag[:n]] += reg
         K[:, diag[n:], diag[n:]] -= reg
-        # Converged and failed elements stop moving; swap their systems for
-        # the identity so stale values never poison the batched factorize.
-        dead = np.where(~active)[0]
-        if dead.size:
-            K[dead] = 0.0
-            K[dead[:, None], diag, diag] = 1.0
-        rhs = np.empty((B, n + me))
+        rhs = np.empty((live.size, n + me))
         rhs[:, n:] = -rp
 
         def newton(rc_vec):
             rhs[:, :n] = -(rd + _mv(GT, (z * rg - rc_vec) / s))
-            if dead.size:
-                rhs[dead] = 0.0
             d = _solve_kkt(K, rhs, n, me)
             dx, dy = d[:, :n], d[:, n:]
             ds = -rg - _mv(G, dx)
@@ -603,9 +673,8 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
         sigma = np.where(np.isfinite(sigma), sigma, 0.5)
         rc_vec = comp + ds * dz - (sigma * mu)[:, None]
         dx, dy, ds, dz = newton(rc_vec)
-        step = np.where(active, 0.995, 0.0)
-        ap = step * _max_step(s, ds)
-        ad = step * _max_step(z, dz)
+        ap = 0.995 * _max_step(s, ds)
+        ad = 0.995 * _max_step(z, dz)
         finite = np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=1) \
             & np.isfinite(dy).all(axis=1) & np.isfinite(ds).all(axis=1)
         ap = np.where(finite, ap, 0.0)
@@ -614,6 +683,8 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
         s += ap[:, None] * ds
         y += ad[:, None] * dy
         z += ad[:, None] * dz
+    x_all[live], y_all[live], z_all[live] = x, y, z
+    x, y, z = x_all, y_all, z_all
     unconverged = iters < 0
     if unconverged.any():
         x[unconverged] = best_x[unconverged]

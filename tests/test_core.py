@@ -8,7 +8,7 @@ import pytest
 from rsdd.core import (AlgorithmConfig, LocalSolverPool, eta_i_value,
                        explicit_schedule, harmonic_schedule, lambda_update,
                        local_step, q_i_eval, step_size, validate_schedule)
-from rsdd.problem_model import (AffineMap, AgentProblem, LocalSet,
+from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 ConstraintCoupledProblem,
                                 build_random_instance, two_agent_demo)
 
@@ -194,13 +194,38 @@ class TestDualSide:
 class TestSolverPool:
     def test_pool_matches_local_step(self, demo):
         pool = LocalSolverPool(demo, M=10.0, tol=1e-9)
-        shifts = [np.array([0.4]), np.array([-0.4])]
+        shifts = np.array([[0.4], [-0.4]])
         results = pool.solve_all(shifts)
         for agent, shift, res in zip(demo.agents, shifts, results):
             x, rho, mu = local_step(agent, {9: shift}, {9: np.zeros(1)}, 10.0)
             assert np.allclose(res.x, x, atol=1e-7)
             assert res.rho == pytest.approx(rho, abs=1e-7)
             assert np.allclose(res.mu, mu, atol=1e-6)
+
+    def test_mixed_primary_dims_share_a_group(self):
+        # 2 variables with 1 hinge and 3 variables with 1 local row both
+        # lift to 4 columns (with rho) and 2 + S inequality rows.
+        hinged = AgentProblem(
+            dim=2, cost_quadratic=np.diag([2.0, 1.0]), cost_linear=[0.5, -1.0],
+            cost_hinges=[Hinge(2.0, [1.0, 1.0], -0.5)],
+            local_set=LocalSet(lb=[-1.0, -1.0], ub=[1.0, 2.0]),
+            coupling=AffineMap([[1.0, 1.0]], [-0.5]))
+        plain = AgentProblem(
+            dim=3, cost_quadratic=np.eye(3), cost_linear=[-1.0, 0.5, 0.0],
+            local_set=LocalSet(lb=[-1.0, -1.0, -1.0], ub=[1.0, 1.0, 1.0],
+                               a_in=[[1.0, 1.0, 1.0]], b_in=[1.5]),
+            coupling=AffineMap([[1.0, -1.0, 2.0]], [0.2]))
+        problem = ConstraintCoupledProblem(agents=[hinged, plain], coupling_dim=1)
+        pool = LocalSolverPool(problem, M=10.0, tol=1e-9)
+        assert len(pool.groups) == 1
+        shifts = np.array([[0.7], [-1.3]])
+        results = pool.solve_all(shifts)
+        for agent, shift, res in zip(problem.agents, shifts, results):
+            assert res.x.shape == (agent.dim,)
+            x, rho, mu = local_step(agent, {5: shift}, {5: np.zeros(1)}, 10.0)
+            assert np.abs(res.x - x).max() <= 1e-10
+            assert abs(res.rho - rho) <= 1e-10
+            assert np.abs(res.mu - mu).max() <= 1e-10
 
 
 class TestConfig:

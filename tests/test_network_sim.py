@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rsdd.core import AlgorithmConfig, explicit_schedule, harmonic_schedule
+from rsdd.core import (AlgorithmConfig, LocalSolverPool, explicit_schedule,
+                       harmonic_schedule)
 from rsdd.network_sim import (Graph, SimulationError, build_graph,
                               check_trace_invariants, load_trace,
                               message_stats, run, save_trace, trace_from_dict,
@@ -19,6 +20,7 @@ from rsdd.network_sim import (Graph, SimulationError, build_graph,
 from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
                                 build_random_instance, two_agent_demo)
+from rsdd.qp_solver import QpBatch, QpError
 
 
 def short_config(**overrides) -> AlgorithmConfig:
@@ -233,6 +235,36 @@ class TestRun:
         assert trace.status == "solver-error"
         assert trace.iterations == 0
         assert trace.snapshots == []
+
+    def test_solver_failure_names_the_agent(self, microgrid, monkeypatch):
+        # The microgrid's agents fall into 4 shape groups.  Element 1 of the
+        # three-agent group is diagnosed as failed; the error must name its
+        # agent, the element and the round.
+        pool = LocalSolverPool(microgrid, M=15.0)
+        assert len(pool.groups) == 4
+        group = next(g for g in pool.groups if len(g.agents) == 3)
+        agent = group.agents[1]
+        orig = QpBatch.solve
+
+        def fail_element_1(self, tol=1e-8, max_iter=200, warm=False):
+            if len(self.forms) != 3:
+                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+            x0 = 0.5 * (self.lb[1] + self.ub[1])
+            self._diagnose(1, x0, self._h()[1], max_iter, 1.0)
+
+        monkeypatch.setattr(QpBatch, "solve", fail_element_1)
+        cfg = short_config(M=15.0, schedule=harmonic_schedule(0.02, 0.6))
+        with pytest.raises(SimulationError) as info:
+            run(microgrid, build_graph("cycle", 10), cfg)
+        message = str(info.value)
+        assert "iteration 0" in message
+        assert f"agent {agent}:" in message
+        assert "element 1" in message
+        cause = info.value.__cause__
+        assert isinstance(cause, QpError)
+        assert (cause.element, cause.agent) == (1, agent)
+        # Round 0 has zero edge variables, so the failed QP is the template.
+        assert np.array_equal(cause.form.b_in, pool.templates[agent].form.b_in)
 
 
 class TestMessages:

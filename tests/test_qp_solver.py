@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsdd.problem_model import AffineMap, AgentProblem, Hinge, LocalSet
 from rsdd.qp_solver import (QpBatch, QpError, QpInfeasibleError,
@@ -171,6 +173,60 @@ class TestBatch:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.x, sb.x)
             assert sa.objective == sb.objective
+
+
+@st.composite
+def same_shape_batches(draw):
+    """1-12 feasible QPs of one shape: a PSD cost, box rows (some variables
+    optionally pinned), inequality rows and optional equality rows, all
+    anchored at a point inside the box."""
+    count = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 5))
+    m_in = draw(st.integers(1, 4))
+    m_eq = draw(st.integers(0, min(2, n - 1)))
+    pinned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pinned[0] = False  # keep one free variable, so box rows always exist
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forms = []
+    for _ in range(count):
+        basis = rng.normal(size=(n, n))
+        lb = rng.uniform(-2.0, 0.0, n)
+        ub = np.where(pinned, lb, lb + rng.uniform(0.5, 2.0, n))
+        inside = lb + rng.uniform(0.2, 0.8, n) * (ub - lb)
+        a_in = rng.normal(size=(m_in, n))
+        a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
+        forms.append(box_form(basis.T @ basis / n, rng.normal(size=n), lb, ub,
+                              A_in=a_in, b_in=a_in @ inside + rng.uniform(0.0, 1.0, m_in),
+                              A_eq=a_eq, b_eq=a_eq @ inside if m_eq else None))
+    return forms
+
+
+class TestBatchMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_batches())
+    def test_element_independent_of_its_batch(self, forms):
+        """A batched element is bit-identical to the same QP solved alone,
+        and its batched certificate equals the one-form reference.
+
+        The stall rule and the iteration cap are batch-wide, and both act
+        only on elements that do not converge by themselves (polished or
+        failed alone), so draws holding such an element are discarded."""
+        max_iter = 200
+        alone = []
+        for form in forms:
+            try:
+                alone.append(QpBatch([form]).solve(tol=1e-9, max_iter=max_iter)[0])
+            except QpError:
+                alone.append(None)
+        assume(all(a is not None and a.iterations < max_iter for a in alone))
+        batched = QpBatch(forms).solve(tol=1e-9, max_iter=max_iter)
+        for form, sol, ref in zip(forms, batched, alone):
+            for field in ("x", "eq_mult", "ineq_mult", "box_lower_mult",
+                          "box_upper_mult"):
+                assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+            assert sol.objective == ref.objective
+            assert sol.iterations == ref.iterations
+            assert sol.kkt_residual == kkt_residuals(form, sol).max
 
 
 class TestHingeLift:
