@@ -14,7 +14,7 @@ solver (:mod:`rsdd.qp_solver`), centralized reference solutions
 (``rsdd``).
 """
 
-from .core import (AgentState, AlgorithmConfig, LocalSolverPool,
+from .core import (AlgorithmConfig, LocalSolverPool,
                    LocalStepResult, StepSizeSchedule, eta_i_value,
                    explicit_schedule, harmonic_schedule, lambda_update,
                    local_step, q_i_eval, step_size, validate_schedule)
@@ -36,12 +36,13 @@ from .problem_model import (AffineMap, AgentProblem, ConstraintCoupledProblem,
                             two_agent_demo, validate_problem)
 from .qp_solver import (KktResiduals, PrimalDualSolution, QpBatch, QpError,
                         QpInfeasibleError, QpNumericalError, QpStandardForm,
-                        kkt_residuals, lift_hinges, solve_qp, validate_form)
+                        kkt_residuals, lift_hinges, load_form, save_form,
+                        solve_qp, validate_form)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "AgentProblem", "AgentState", "AlgorithmConfig",
+    "AffineMap", "AgentProblem", "AlgorithmConfig",
     "BruteForceResult", "ConstraintCoupledProblem", "Graph", "Hinge",
     "IterationMetrics", "KktResiduals", "LocalSet", "LocalSolverPool",
     "LocalStepResult", "MessageStats", "MicrogridConfig", "OracleResult",
@@ -53,10 +54,10 @@ __all__ = [
     "check_trace_invariants", "compute_metrics", "dual_value",
     "emit_run_artifact", "eta_i_value", "explicit_schedule",
     "harmonic_schedule", "kkt_residuals", "lambda_update", "lift_hinges",
-    "load_problem", "load_run_artifact", "load_trace", "local_step",
+    "load_form", "load_problem", "load_run_artifact", "load_trace", "local_step",
     "message_stats", "microgrid_config_from_dict", "microgrid_config_to_dict",
     "problem_from_dict", "problem_hash", "problem_to_dict", "q_i_eval",
-    "restricted_dual_value", "run", "save_problem", "save_trace",
+    "restricted_dual_value", "run", "save_form", "save_problem", "save_trace",
     "solve_centralized", "solve_qp", "solve_relaxed_centralized",
     "step_size", "suggest_m", "two_agent_demo", "validate_form",
     "validate_problem",

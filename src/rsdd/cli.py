@@ -26,7 +26,7 @@ from .problem_model import (ProblemFormatError, build_microgrid_instance,
                             build_random_instance, load_problem,
                             microgrid_config_from_dict, problem_from_dict,
                             problem_hash, two_agent_demo, validate_problem)
-from .qp_solver import QpError
+from .qp_solver import QpError, save_form
 
 _TOPOLOGIES = ["path", "cycle", "star", "complete", "erdos_renyi"]
 
@@ -84,6 +84,11 @@ def _validated(problem):
     return problem
 
 
+def failed_form_path(trace_path: str) -> str:
+    """Where ``rsdd run --trace`` saves the local QP that failed a run."""
+    return os.path.splitext(trace_path)[0] + ".failed-qp.json"
+
+
 def _cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     problem = _validated(_load_problem_arg(args, seed))
@@ -101,6 +106,8 @@ def _cmd_run(args) -> int:
     except SimulationError as exc:
         if args.trace:
             save_trace(exc.trace, args.trace)
+            if getattr(exc.__cause__, "form", None) is not None:
+                save_form(exc.__cause__.form, failed_form_path(args.trace))
         raise
     metrics = compute_metrics(trace, oracle)
     emit_run_artifact(metrics, trace, args.out, fmt=args.format)
@@ -216,7 +223,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--out", default="run.csv", help="artifact path")
     p_run.add_argument("--format", choices=["csv", "json"], default=None)
     p_run.add_argument("--trace", default=None,
-                       help="also dump the full trace JSON here")
+                       help="also dump the full trace JSON here; a failed "
+                            "local QP goes next to it as *.failed-qp.json")
     p_run.add_argument("--no-early-stop", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 

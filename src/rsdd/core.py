@@ -23,9 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .problem_model import (AgentProblem, ConstraintCoupledProblem,
-                            _coupling_box_max)
-from .qp_solver import (_FIX_TOL, QpBatch, QpError, QpStandardForm, TAG_COUPLING,
-                        lift_hinges, solve_qp)
+                            _coupled_form, _coupling_hi, _rho_headroom)
+from .qp_solver import QpBatch, QpError, lift_hinges, shape_key, solve_qp
 
 
 @dataclass
@@ -113,18 +112,6 @@ def lambda_update(lam: np.ndarray, gamma: float, mu_own: np.ndarray,
 
 
 @dataclass
-class AgentState:
-    """State of one agent after a round: local solution, coupling
-    multiplier, and the agent's outgoing edge variables."""
-
-    x: np.ndarray
-    rho: float
-    mu: np.ndarray
-    lambda_out: dict[int, np.ndarray]
-    iteration: int
-
-
-@dataclass
 class AlgorithmConfig:
     """Run parameters.
 
@@ -164,62 +151,6 @@ class LocalStepResult:
     x: np.ndarray
     rho: float
     mu: np.ndarray
-    objective: float
-
-
-class _RelaxedLocal:
-    """Per-agent template of the relaxed local QP; only the coupling
-    right-hand side and the rho headroom change between rounds."""
-
-    def __init__(self, agent: AgentProblem, M: float):
-        if M <= 0:
-            raise ValueError("M must be positive")
-        base = lift_hinges(agent)
-        n_l = base.dim
-        s_dim = agent.coupling.mat.shape[0]
-        Q = np.zeros((n_l + 1, n_l + 1))
-        Q[:n_l, :n_l] = base.Q
-        c = np.concatenate([base.c, [M]])
-        lb = np.concatenate([base.lb, [0.0]])
-        ub = np.concatenate([base.ub, [1.0]])  # rho headroom set per round
-        a_eq = b_eq = None
-        if base.A_eq is not None:
-            a_eq = np.concatenate([base.A_eq, np.zeros((base.A_eq.shape[0], 1))], axis=1)
-            b_eq = base.b_eq
-        coupling_rows = np.zeros((s_dim, n_l + 1))
-        coupling_rows[:, :agent.dim] = agent.coupling.mat
-        coupling_rows[:, -1] = -1.0
-        if base.A_in is not None:
-            a_in = np.concatenate(
-                [np.concatenate([base.A_in, np.zeros((base.A_in.shape[0], 1))], axis=1),
-                 coupling_rows], axis=0)
-            b_in = np.concatenate([base.b_in, -agent.coupling.vec])
-            tags = list(base.ineq_tags) + [TAG_COUPLING] * s_dim
-        else:
-            a_in = coupling_rows
-            b_in = -agent.coupling.vec
-            tags = [TAG_COUPLING] * s_dim
-        self.form = QpStandardForm(Q=Q, c=c, lb=lb, ub=ub, A_eq=a_eq, b_eq=b_eq,
-                                   A_in=a_in, b_in=b_in, ineq_tags=tags,
-                                   offset=base.offset, n_primary=agent.dim)
-        self.agent = agent
-        self.rho_col = n_l
-        self.coupling_idx = self.form.rows_tagged(TAG_COUPLING)
-        # Interval bound of g_i over the box, used for safe rho headroom.
-        self.row_hi = _coupling_box_max(agent) + agent.coupling.vec
-
-    def shape_key(self) -> tuple:
-        f = self.form
-        fixed = np.abs(f.ub - f.lb) <= _FIX_TOL
-        return (f.dim,
-                0 if f.A_eq is None else f.A_eq.shape[0],
-                0 if f.A_in is None else f.A_in.shape[0],
-                fixed.tobytes())
-
-
-def _rho_headroom(row_hi: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Upper bound of rho that no optimum reaches, per row of ``shift``."""
-    return np.maximum(0.0, (row_hi + shift).max(axis=-1)) + 1.0
 
 
 class _Group(NamedTuple):
@@ -229,42 +160,48 @@ class _Group(NamedTuple):
     batch: QpBatch
     agents: list[int]
     coupling_vec: np.ndarray  # (k, S)
-    row_hi: np.ndarray        # (k, S)
-    coupling_rows: np.ndarray  # the same in every element
-    rho_col: int
+    coupling_hi: np.ndarray   # (k, S)
 
 
 class LocalSolverPool:
     """Solves the relaxed local problems of all agents each round, batching
-    agents whose lifted QPs share one dense shape.  Agents of one group
-    may differ in their primary dimension."""
+    agents whose QPs share one ``shape_key``.  Agents of one group may
+    differ in their primary dimension.
+
+    Agent i's relaxed local problem is the relaxed problem of agent i
+    alone: its hinge-lifted QP, the relaxation variable rho last, and the S
+    coupling rows last, their right-hand side moved by the edge shift.
+    """
 
     def __init__(self, problem: ConstraintCoupledProblem, M: float,
                  tol: float = 1e-9):
+        if M <= 0:
+            raise ValueError("M must be positive")
         self.tol = tol
-        self.templates = [_RelaxedLocal(a, M) for a in problem.agents]
+        self.dims = [a.dim for a in problem.agents]
+        his = [_coupling_hi([a]) for a in problem.agents]
+        forms = [_coupled_form([a], [lift_hinges(a)],
+                               extra=(M, 0.0, _rho_headroom(hi, 0.0)))[0]
+                 for a, hi in zip(problem.agents, his)]
         groups: dict[tuple, list[int]] = {}
-        for i, tpl in enumerate(self.templates):
-            groups.setdefault(tpl.shape_key(), []).append(i)
-        self.groups = []
-        for idx in groups.values():
-            tpls = [self.templates[i] for i in idx]
-            self.groups.append(_Group(
-                QpBatch([t.form for t in tpls]), idx,
-                np.stack([t.agent.coupling.vec for t in tpls]),
-                np.stack([t.row_hi for t in tpls]),
-                tpls[0].coupling_idx, tpls[0].rho_col))
+        for i, form in enumerate(forms):
+            groups.setdefault(shape_key(form), []).append(i)
+        self.groups = [_Group(QpBatch([forms[i] for i in idx]), idx,
+                              np.stack([problem.agents[i].coupling.vec for i in idx]),
+                              np.stack([his[i] for i in idx]))
+                       for idx in groups.values()]
 
     def solve_all(self, shifts: np.ndarray) -> list[LocalStepResult]:
         """One round's local steps at the (N, S) edge-variable ``shifts``.
 
         A failed local QP is re-raised with the agent it belongs to.
         """
-        out: list[LocalStepResult | None] = [None] * len(self.templates)
+        s_dim = shifts.shape[1]
+        out: list[LocalStepResult | None] = [None] * len(self.dims)
         for g in self.groups:
             shift = shifts[g.agents]
-            g.batch.b_in[:, g.coupling_rows] = -(g.coupling_vec + shift)
-            g.batch.ub[:, g.rho_col] = _rho_headroom(g.row_hi, shift)
+            g.batch.b_in[:, -s_dim:] = -(g.coupling_vec + shift)
+            g.batch.ub[:, -1] = _rho_headroom(g.coupling_hi, shift)
             try:
                 sols = g.batch.solve(tol=self.tol, warm=True)
             except QpError as exc:
@@ -272,11 +209,9 @@ class LocalSolverPool:
                     exc.agent = g.agents[exc.element]
                 raise
             for i, sol in zip(g.agents, sols):
-                out[i] = LocalStepResult(
-                    x=sol.x[:self.templates[i].agent.dim],
-                    rho=float(sol.x[g.rho_col]),
-                    mu=sol.ineq_mult[g.coupling_rows],
-                    objective=sol.objective)
+                out[i] = LocalStepResult(x=sol.x[:self.dims[i]],
+                                         rho=float(sol.x[-1]),
+                                         mu=sol.ineq_mult[-s_dim:])
         return out  # type: ignore[return-value]
 
 
@@ -316,11 +251,9 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     """
     s_dim = agent.coupling.mat.shape[0]
     shift = _combine_shift(lambda_out, lambda_in, s_dim)
-    tpl = _RelaxedLocal(agent, M)
-    tpl.form.b_in[tpl.coupling_idx] = -(agent.coupling.vec + shift)
-    tpl.form.ub[tpl.rho_col] = _rho_headroom(tpl.row_hi, shift)
-    sol = solve_qp(tpl.form, tol=tol, validate=False)
-    return sol.x[:agent.dim], float(sol.x[tpl.rho_col]), sol.ineq_mult[tpl.coupling_idx]
+    pool = LocalSolverPool(ConstraintCoupledProblem([agent], s_dim), M, tol=tol)
+    res = pool.solve_all(shift[None])[0]
+    return res.x, res.rho, res.mu
 
 
 def q_i_eval(agent: AgentProblem, mu: np.ndarray,

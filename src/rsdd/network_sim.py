@@ -218,7 +218,13 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         raise ValueError("M must be positive")
     if config.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    rejection = validate_schedule(config.schedule)
+    sched = config.schedule
+    if sched.kind == "explicit" and sched.values is not None \
+            and sched.values.size < config.max_iters:
+        raise ValueError(f"invalid step-size schedule: {sched.values.size} "
+                         f"explicit values for max_iters={config.max_iters} "
+                         f"updates")
+    rejection = validate_schedule(sched)
     if rejection is not None:
         raise ValueError(f"invalid step-size schedule: {rejection}")
 

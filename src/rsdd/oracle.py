@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import q_i_eval
-from .problem_model import (ConstraintCoupledProblem, _coupling_box_max,
-                            problem_hash)
-from .qp_solver import QpStandardForm, TAG_COUPLING, lift_hinges, solve_qp
+from .problem_model import (ConstraintCoupledProblem, _coupled_form,
+                            _coupling_hi, _rho_headroom, problem_hash)
+from .qp_solver import lift_hinges, solve_qp
 
 _GRID_CAP = 10_000_000
 
@@ -86,85 +86,15 @@ def suggest_m(mu_star: np.ndarray) -> float:
     return 10.0 * (float(np.abs(np.asarray(mu_star)).sum()) + 1.0)
 
 
-def _stacked_form(problem: ConstraintCoupledProblem,
-                  m_price: float | None) -> tuple[QpStandardForm, list[slice], int]:
-    """One QP over all agents' lifted variables, coupling rows explicit.
-
-    With ``m_price`` set, a trailing relaxation variable enters the coupling
-    rows with coefficient -1 and the objective with weight m_price.
-    Returns the form, per-agent primary-variable slices, and the index of
-    the relaxation variable (or -1).
-    """
-    bases = [lift_hinges(a) for a in problem.agents]
-    dims = [b.dim for b in bases]
-    extra = 0 if m_price is None else 1
-    n = sum(dims) + extra
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    x_slices = [slice(int(starts[i]), int(starts[i]) + a.dim)
-                for i, a in enumerate(problem.agents)]
-
-    Q = np.zeros((n, n))
-    c = np.zeros(n)
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-    offset = 0.0
-    eq_rows, eq_rhs, in_rows, in_rhs, tags = [], [], [], [], []
-    for i, base in enumerate(bases):
-        s0 = int(starts[i])
-        d = base.dim
-        Q[s0:s0 + d, s0:s0 + d] = base.Q
-        c[s0:s0 + d] = base.c
-        lb[s0:s0 + d] = base.lb
-        ub[s0:s0 + d] = base.ub
-        offset += base.offset
-        if base.A_eq is not None:
-            block = np.zeros((base.A_eq.shape[0], n))
-            block[:, s0:s0 + d] = base.A_eq
-            eq_rows.append(block)
-            eq_rhs.append(base.b_eq)
-        if base.A_in is not None:
-            block = np.zeros((base.A_in.shape[0], n))
-            block[:, s0:s0 + d] = base.A_in
-            in_rows.append(block)
-            in_rhs.append(base.b_in)
-            tags.extend(base.ineq_tags)
-
-    coupling = np.zeros((problem.coupling_dim, n))
-    b_total = np.zeros(problem.coupling_dim)
-    for i, agent in enumerate(problem.agents):
-        coupling[:, x_slices[i]] = agent.coupling.mat
-        b_total += agent.coupling.vec
-    rho_idx = -1
-    if m_price is not None:
-        rho_idx = n - 1
-        coupling[:, rho_idx] = -1.0
-        c[rho_idx] = m_price
-        lb[rho_idx] = 0.0
-        row_hi = b_total.copy()
-        for agent in problem.agents:
-            row_hi += _coupling_box_max(agent)
-        ub[rho_idx] = max(0.0, float(row_hi.max())) + 1.0
-    in_rows.append(coupling)
-    in_rhs.append(-b_total)
-    tags.extend([TAG_COUPLING] * problem.coupling_dim)
-
-    form = QpStandardForm(
-        Q=Q, c=c, lb=lb, ub=ub,
-        A_eq=np.concatenate(eq_rows) if eq_rows else None,
-        b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
-        A_in=np.concatenate(in_rows), b_in=np.concatenate(in_rhs),
-        ineq_tags=tags, offset=offset, n_primary=sum(a.dim for a in problem.agents))
-    return form, x_slices, rho_idx
-
-
 def solve_centralized(problem: ConstraintCoupledProblem,
                       tol: float = 1e-8) -> OracleResult:
     """Solve the full problem as one QP; the coupling-row multipliers are
     an optimal dual point by strong duality."""
-    form, x_slices, _ = _stacked_form(problem, m_price=None)
+    form, x_slices = _coupled_form(problem.agents,
+                                   [lift_hinges(a) for a in problem.agents])
     sol = solve_qp(form, tol=tol, validate=False)
     xs = [sol.x[sl].copy() for sl in x_slices]
-    mu_star = sol.ineq_mult[form.rows_tagged(TAG_COUPLING)].copy()
+    mu_star = sol.ineq_mult[-problem.coupling_dim:].copy()
     return OracleResult(xs=xs, f_star=problem.total_cost(xs),
                         mu_star=mu_star,
                         problem_hash=problem_hash(problem),
@@ -181,10 +111,13 @@ def solve_relaxed_centralized(problem: ConstraintCoupledProblem, M: float,
     """
     if M <= 0:
         raise ValueError("M must be positive")
-    form, x_slices, rho_idx = _stacked_form(problem, m_price=M)
+    headroom = _rho_headroom(_coupling_hi(problem.agents), 0.0)
+    form, x_slices = _coupled_form(problem.agents,
+                                   [lift_hinges(a) for a in problem.agents],
+                                   extra=(M, 0.0, headroom))
     sol = solve_qp(form, tol=tol, validate=False)
     xs = [sol.x[sl].copy() for sl in x_slices]
-    rho = float(sol.x[rho_idx])
+    rho = float(sol.x[-1])
     return RelaxedResult(xs=xs, rho=rho,
                          cost=problem.total_cost(xs) + M * rho,
                          restriction_binding=rho > 1e-6)

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qp_solver
-from .qp_solver import (QpError, QpInfeasibleError, QpStandardForm,
-                        TAG_COUPLING, TAG_LOCAL, solve_qp)
+from .qp_solver import QpError, QpInfeasibleError, QpStandardForm, solve_qp
 
 _SLATER_MARGIN = 1e-8
 _FEAS_TOL = 1e-6
@@ -183,6 +181,67 @@ def _row_interval_min(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
     return float(np.minimum(row * lb, row * ub).sum())
 
 
+def _coupling_hi(agents: list[AgentProblem]) -> np.ndarray:
+    """Per-row upper bound of sum_i g_i(x_i) over the agents' boxes."""
+    hi = np.zeros(agents[0].coupling.vec.shape)
+    for a in agents:
+        hi += a.coupling.vec
+    for a in agents:
+        hi += _coupling_box_max(a)
+    return hi
+
+
+def _rho_headroom(coupling_hi: np.ndarray, shift: np.ndarray | float) -> np.ndarray:
+    """Upper bound of the relaxation variable that no optimum reaches, per
+    row of ``shift``: the largest possible coupling row value, plus one."""
+    return np.maximum(0.0, (coupling_hi + shift).max(axis=-1)) + 1.0
+
+
+def _coupled_form(agents: list[AgentProblem], forms: list[QpStandardForm],
+                  extra: tuple[float, float, float] | None = None
+                  ) -> tuple[QpStandardForm, list[slice]]:
+    """Block-diagonal stack of per-agent QPs joined by their coupling rows.
+
+    Agent i's x_i is the leading ``agents[i].dim`` columns of ``forms[i]``.
+    The S rows sum_i A_i x_i <= -sum_i b_i are the last inequality rows.
+    ``extra = (cost, lb, ub)`` appends one variable v with that linear cost
+    and box, entering every coupling row as -v.  Returns the form and the
+    columns of each x_i.
+    """
+    starts = np.cumsum([0] + [f.dim for f in forms]).tolist()
+    n = starts[-1] + (extra is not None)
+    Q = np.zeros((n, n))
+    c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
+    offset = 0.0
+    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
+    coupling = np.zeros((agents[0].coupling.mat.shape[0], n))
+    b_total = np.zeros(coupling.shape[0])
+    for agent, f, s0 in zip(agents, forms, starts):
+        cols = slice(s0, s0 + f.dim)
+        Q[cols, cols] = f.Q
+        c[cols], lb[cols], ub[cols] = f.c, f.lb, f.ub
+        offset += f.offset
+        for a, b, rows, rhs in ((f.A_eq, f.b_eq, eq_rows, eq_rhs),
+                                (f.A_in, f.b_in, in_rows, in_rhs)):
+            if a is not None:
+                block = np.zeros((a.shape[0], n))
+                block[:, cols] = a
+                rows.append(block)
+                rhs.append(b)
+        coupling[:, s0:s0 + agent.dim] = agent.coupling.mat
+        b_total += agent.coupling.vec
+    if extra is not None:
+        c[-1], lb[-1], ub[-1] = extra
+        coupling[:, -1] = -1.0
+    form = QpStandardForm(
+        Q=Q, c=c, lb=lb, ub=ub,
+        A_eq=np.concatenate(eq_rows) if eq_rows else None,
+        b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
+        A_in=np.concatenate(in_rows + [coupling]),
+        b_in=np.concatenate(in_rhs + [-b_total]), offset=offset)
+    return form, [slice(s0, s0 + a.dim) for a, s0 in zip(agents, starts)]
+
+
 def _check_agent(i: int, agent: AgentProblem, s_dim: int, findings: list[str]) -> bool:
     """Append findings for agent i; return True when shapes permit solves."""
     ok = True
@@ -236,13 +295,17 @@ def _check_agent(i: int, agent: AgentProblem, s_dim: int, findings: list[str]) -
     return ok
 
 
-def _local_feasible(agent: AgentProblem) -> bool:
+def _local_form(agent: AgentProblem) -> QpStandardForm:
+    """The local set X_i as the constraints of a zero-cost QP."""
     ls = agent.local_set
-    form = QpStandardForm(Q=np.zeros((agent.dim, agent.dim)), c=np.zeros(agent.dim),
+    return QpStandardForm(Q=np.zeros((agent.dim, agent.dim)), c=np.zeros(agent.dim),
                           lb=ls.lb, ub=ls.ub, A_eq=ls.a_eq, b_eq=ls.b_eq,
                           A_in=ls.a_in, b_in=ls.b_in)
+
+
+def _local_feasible(agent: AgentProblem) -> bool:
     try:
-        solve_qp(form, tol=1e-8, validate=False)
+        solve_qp(_local_form(agent), tol=1e-8, validate=False)
     except QpInfeasibleError:
         return False
     return True
@@ -255,46 +318,15 @@ def _slater_search(problem: ConstraintCoupledProblem) -> float:
     means a strict interior point exists, zero (up to tolerance) means the
     coupling is feasible but tight somewhere, positive means infeasible.
     """
-    dims = [a.dim for a in problem.agents]
-    total = sum(dims)
     s_dim = problem.coupling_dim
-    offs = np.cumsum([0] + dims)
-    lb = np.concatenate([a.local_set.lb for a in problem.agents])
-    ub = np.concatenate([a.local_set.ub for a in problem.agents])
-    rows = np.zeros((s_dim, total + 1))
-    b_sum = np.zeros(s_dim)
-    for a, o in zip(problem.agents, offs):
-        rows[:, o:o + a.dim] = a.coupling.mat
-        b_sum += a.coupling.vec
-    rows[:, -1] = -1.0
-    t_lo = min(_row_interval_min(rows[s, :total], lb, ub) for s in range(s_dim))
-    t_hi = max(_row_interval_max(rows[s, :total], lb, ub) for s in range(s_dim))
-    eq_rows, eq_rhs = [], []
-    in_rows, in_rhs, tags = [rows], [-b_sum], [TAG_COUPLING] * s_dim
-    for a, o in zip(problem.agents, offs):
-        ls = a.local_set
-        if ls.a_eq is not None:
-            block = np.zeros((ls.a_eq.shape[0], total + 1))
-            block[:, o:o + a.dim] = ls.a_eq
-            eq_rows.append(block)
-            eq_rhs.append(ls.b_eq)
-        if ls.a_in is not None:
-            block = np.zeros((ls.a_in.shape[0], total + 1))
-            block[:, o:o + a.dim] = ls.a_in
-            in_rows.append(block)
-            in_rhs.append(ls.b_in)
-            tags += [TAG_LOCAL] * ls.a_in.shape[0]
-    c = np.zeros(total + 1)
-    c[-1] = 1.0
-    form = QpStandardForm(
-        Q=np.zeros((total + 1, total + 1)), c=c,
-        lb=np.concatenate([lb, [b_sum.min() + t_lo - 1.0]]),
-        ub=np.concatenate([ub, [b_sum.max() + t_hi + 1.0]]),
-        A_eq=np.concatenate(eq_rows, axis=0) if eq_rows else None,
-        b_eq=np.concatenate(eq_rhs) if eq_rows else None,
-        A_in=np.concatenate(in_rows, axis=0),
-        b_in=np.concatenate(in_rhs),
-        ineq_tags=tags)
+    form, _ = _coupled_form(problem.agents,
+                            [_local_form(a) for a in problem.agents],
+                            extra=(1.0, 0.0, 0.0))
+    # t's box spans every value the worst coupling row can take.
+    rows, lb, ub = form.A_in[-s_dim:, :-1], form.lb[:-1], form.ub[:-1]
+    b_sum = -form.b_in[-s_dim:]
+    form.lb[-1] = b_sum.min() + min(_row_interval_min(r, lb, ub) for r in rows) - 1.0
+    form.ub[-1] = b_sum.max() + max(_row_interval_max(r, lb, ub) for r in rows) + 1.0
     sol = solve_qp(form, tol=1e-9, validate=False)
     return float(sol.x[-1])
 

@@ -20,18 +20,14 @@ and the certificates of a batch are recomputed in one vectorized pass.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .problem_model import AgentProblem
-
-# Inequality row tags.
-TAG_LOCAL = "local"
-TAG_HINGE = "hinge"
-TAG_COUPLING = "coupling"
 
 _FIX_TOL = 1e-12  # lb == ub within this -> variable pinned via an equality row
 _PSD_TOL = 1e-9
@@ -77,11 +73,7 @@ class QpNumericalError(QpError):
 class QpStandardForm:
     """Box-bounded convex QP with optional linear equalities and inequalities.
 
-    Inequality rows carry string tags so callers can recover structural rows
-    (for instance the coupling rows of a relaxed local problem).  ``offset``
-    is a constant added to the reported objective; ``n_primary`` records how
-    many leading coordinates are original decision variables when trailing
-    ones were introduced by a lifting step.
+    ``offset`` is a constant added to the reported objective.
     """
 
     Q: np.ndarray
@@ -92,9 +84,7 @@ class QpStandardForm:
     b_eq: np.ndarray | None = None
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
-    ineq_tags: list[str] = field(default_factory=list)
     offset: float = 0.0
-    n_primary: int | None = None
 
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -108,18 +98,33 @@ class QpStandardForm:
         if self.A_in is not None:
             self.A_in = np.asarray(self.A_in, dtype=float).reshape(-1, n)
             self.b_in = np.asarray(self.b_in, dtype=float).ravel()
-            if not self.ineq_tags:
-                self.ineq_tags = [TAG_LOCAL] * self.A_in.shape[0]
-        if self.n_primary is None:
-            self.n_primary = n
 
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def rows_tagged(self, tag: str) -> np.ndarray:
-        """Indices of inequality rows carrying ``tag``."""
-        return np.array([i for i, t in enumerate(self.ineq_tags) if t == tag], dtype=int)
+
+_FORM_ARRAYS = ("Q", "c", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in")
+
+
+def save_form(form: QpStandardForm, path) -> None:
+    """Write ``form`` as JSON; floats keep full round-trip precision."""
+    doc = {"format": "rsdd-qp", "version": 1, "offset": float(form.offset)}
+    for name in _FORM_ARRAYS:
+        v = getattr(form, name)
+        doc[name] = None if v is None else v.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def load_form(path) -> QpStandardForm:
+    """Read a form written by save_form; load(save(f)) is bit-exact."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("format") != "rsdd-qp":
+        raise ValueError("not a QP form document")
+    return QpStandardForm(offset=doc["offset"],
+                          **{name: doc[name] for name in _FORM_ARRAYS})
 
 
 @dataclass
@@ -232,8 +237,15 @@ def validate_form(form: QpStandardForm) -> None:
             raise ValueError("inequality system has inconsistent shape")
         if not (np.all(np.isfinite(form.A_in)) and np.all(np.isfinite(form.b_in))):
             raise ValueError("inequality system must be finite")
-        if len(form.ineq_tags) != form.A_in.shape[0]:
-            raise ValueError("ineq_tags length must match A_in rows")
+
+
+def shape_key(form: QpStandardForm) -> tuple:
+    """What the forms of one batch share: dimension, equality and
+    inequality row counts, and which variables are pinned (lb == ub)."""
+    return (form.dim,
+            0 if form.A_eq is None else form.A_eq.shape[0],
+            0 if form.A_in is None else form.A_in.shape[0],
+            (np.abs(form.ub - form.lb) <= _FIX_TOL).tobytes())
 
 
 class QpBatch:
@@ -244,8 +256,7 @@ class QpBatch:
     ``solve`` calls (the relaxed local problems of the distributed method
     only change their coupling right-hand side from round to round).
 
-    All forms in a batch must agree on dimension, equality row count,
-    inequality row count and on which variables are pinned (lb == ub).
+    All forms in a batch must agree on their ``shape_key``.
 
     Each element's result is bit-identical to solving it alone unless some
     element ends in the polish: finished elements leave the interior-point
@@ -259,18 +270,11 @@ class QpBatch:
         if validate:
             for f in forms:
                 validate_form(f)
-        first = forms[0]
-        n = first.dim
-        fixed = np.abs(first.ub - first.lb) <= _FIX_TOL
-        m_in = 0 if first.A_in is None else first.A_in.shape[0]
-        m_eq = 0 if first.A_eq is None else first.A_eq.shape[0]
-        for f in forms[1:]:
-            same = (f.dim == n
-                    and (0 if f.A_in is None else f.A_in.shape[0]) == m_in
-                    and (0 if f.A_eq is None else f.A_eq.shape[0]) == m_eq
-                    and np.array_equal(np.abs(f.ub - f.lb) <= _FIX_TOL, fixed))
-            if not same:
-                raise ValueError("batched problems must share their shape")
+        key = shape_key(forms[0])
+        if any(shape_key(f) != key for f in forms[1:]):
+            raise ValueError("batched problems must share their shape")
+        n, m_eq, m_in, _ = key
+        fixed = np.abs(forms[0].ub - forms[0].lb) <= _FIX_TOL
         self.forms = forms
         self.n = n
         self.m_in = m_in
@@ -731,10 +735,10 @@ def lift_hinges(agent: "AgentProblem") -> QpStandardForm:
     """Rewrite an agent's hinge cost terms as epigraph variables.
 
     Each term ``scale * max(0, a'x + b)`` becomes a new variable e with cost
-    ``scale * e``, bounds ``0 <= e <= e_max`` and the row ``a'x - e <= -b``
-    (tagged "hinge").  ``e_max`` is a safe upper bound from interval
-    arithmetic over the agent's box, padded so it is never active at an
-    optimum.  The lifted QP minimizes the agent cost over its local set;
+    ``scale * e``, bounds ``0 <= e <= e_max`` and the row ``a'x - e <= -b``,
+    placed after the local inequality rows.  ``e_max`` is a safe upper bound
+    from interval arithmetic over the agent's box, padded so it is never
+    active at an optimum.  The lifted QP minimizes the agent cost over its local set;
     coupling rows are not included.
     """
     n = agent.dim
@@ -756,11 +760,9 @@ def lift_hinges(agent: "AgentProblem") -> QpStandardForm:
         b_eq = ls.b_eq.copy()
     rows = []
     rhs = []
-    tags = []
     if ls.a_in is not None:
         rows.append(np.concatenate([ls.a_in, np.zeros((ls.a_in.shape[0], k))], axis=1))
         rhs.append(ls.b_in)
-        tags += [TAG_LOCAL] * ls.a_in.shape[0]
     if k:
         hinge_rows = np.zeros((k, n + k))
         for j, hg in enumerate(hinges):
@@ -768,9 +770,7 @@ def lift_hinges(agent: "AgentProblem") -> QpStandardForm:
             hinge_rows[j, n + j] = -1.0
         rows.append(hinge_rows)
         rhs.append(np.array([-hg.offset for hg in hinges]))
-        tags += [TAG_HINGE] * k
     a_in = np.concatenate(rows, axis=0) if rows else None
     b_in = np.concatenate(rhs) if rows else None
     return QpStandardForm(Q=Q, c=c, lb=lb, ub=ub, A_eq=a_eq, b_eq=b_eq,
-                          A_in=a_in, b_in=b_in, ineq_tags=tags,
-                          offset=agent.cost_constant, n_primary=n)
+                          A_in=a_in, b_in=b_in, offset=agent.cost_constant)

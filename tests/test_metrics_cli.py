@@ -384,6 +384,42 @@ class TestCli:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "solver"
 
+    def test_failed_local_qp_saved_next_to_trace(self, monkeypatch, tmp_path,
+                                                 capsys):
+        # The demo's two agents share one batch; element 1 is diagnosed as
+        # failed in round 0, so the run exits 2 and leaves the QP replayable.
+        from rsdd.cli import failed_form_path
+        from rsdd.qp_solver import QpBatch, QpError, load_form, solve_qp
+        orig = QpBatch.solve
+        raised = []
+
+        def fail_element_1(self, tol=1e-8, max_iter=200, warm=False):
+            if len(self.forms) != 2:
+                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+            x0 = 0.5 * (self.lb[1] + self.ub[1])
+            try:
+                self._diagnose(1, x0, self._h()[1], max_iter, 1.0)
+            except QpError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(QpBatch, "solve", fail_element_1)
+        trace_path = tmp_path / "run.trace.json"
+        code = main(["run", "--demo", "--topology", "path", "--iters", "5",
+                     "--out", str(tmp_path / "x.csv"),
+                     "--trace", str(trace_path)])
+        capsys.readouterr()
+        assert code == 2
+        assert trace_path.exists()
+        cause, = raised
+        assert cause.agent == 1
+        loaded = load_form(failed_form_path(str(trace_path)))
+        for name in ("Q", "c", "lb", "ub", "A_in", "b_in"):
+            assert np.array_equal(getattr(loaded, name), getattr(cause.form, name))
+        assert loaded.A_eq is None and cause.form.A_eq is None
+        # One-form batches pass through to the real solver.
+        assert solve_qp(loaded).kkt_residual <= 1e-8
+
     def test_qp_error_exit_code(self, monkeypatch, capsys):
         from rsdd import cli as climod
         from rsdd.qp_solver import QpNumericalError

@@ -176,6 +176,19 @@ class TestRun:
                 assert np.abs(xa - xb).max() <= 1e-4
             assert np.abs(snap.mu - first.mu).max() <= 1e-5
 
+    def test_short_explicit_schedule_rejected_up_front(self, demo):
+        # Ten updates need ten step sizes; three are refused before round 0
+        # instead of failing at t = 3 with the trace lost.
+        cfg = short_config(schedule=explicit_schedule([0.5, 0.4, 0.3]),
+                           max_iters=10)
+        with pytest.raises(ValueError, match="3 explicit values for max_iters=10"):
+            run(demo, build_graph("path", 2), cfg)
+        cfg = short_config(schedule=explicit_schedule([0.5, 0.4, 0.3]),
+                           max_iters=3)
+        with pytest.warns(UserWarning, match="unchecked"):
+            trace = run(demo, build_graph("path", 2), cfg)
+        assert len(trace.snapshots) == 4
+
     def test_node_count_mismatch(self, demo):
         with pytest.raises(ValueError, match="node count"):
             run(demo, build_graph("path", 3), short_config())
@@ -264,7 +277,7 @@ class TestRun:
         assert isinstance(cause, QpError)
         assert (cause.element, cause.agent) == (1, agent)
         # Round 0 has zero edge variables, so the failed QP is the template.
-        assert np.array_equal(cause.form.b_in, pool.templates[agent].form.b_in)
+        assert np.array_equal(cause.form.b_in, group.batch.forms[1].b_in)
 
 
 class TestMessages:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rsdd.core import local_step
 from rsdd.oracle import (BruteForceResult, OracleResult, brute_force_oracle,
                          dual_value, restricted_dual_value,
                          solve_centralized, solve_relaxed_centralized,
@@ -86,6 +87,19 @@ class TestRelaxed:
     def test_bad_m(self, demo):
         with pytest.raises(ValueError, match="M must be positive"):
             solve_relaxed_centralized(demo, M=0.0)
+
+    @pytest.mark.parametrize("name", ["demo", "microgrid"])
+    @pytest.mark.parametrize("m_price", [0.5, 15.0])
+    def test_one_agent_problem_is_the_local_step(self, name, m_price, request):
+        # The relaxed local problem at zero edge variables is the relaxed
+        # problem of that agent alone: both build and solve the same QP.
+        problem = request.getfixturevalue(name)
+        for agent in problem.agents:
+            alone = ConstraintCoupledProblem([agent], problem.coupling_dim)
+            res = solve_relaxed_centralized(alone, m_price, tol=1e-9)
+            x, rho, _ = local_step(agent, {}, {}, m_price, tol=1e-9)
+            assert np.array_equal(res.xs[0], x)
+            assert res.rho == rho
 
 
 class TestDualFunction:

@@ -97,6 +97,16 @@ class TestValidation:
         assert any("no Slater point" in f for f in report.findings)
         assert report.slater == "none"
 
+    def test_search_finds_strict_interior(self):
+        # Random instances are strictly feasible by construction; without
+        # the shipped point the search must find a negative margin itself.
+        for seed in (1, 2, 3, 4, 5):
+            problem = build_random_instance(3, 2, 2, seed)
+            problem.slater_point = None
+            report = validate_problem(problem)
+            assert report.ok, report.findings
+            assert report.slater == "strict"
+
     def test_tight_equality_coupling_accepted(self, microgrid):
         # Paired <=/>= rows leave no strict interior; affine couplings only
         # need plain feasibility.

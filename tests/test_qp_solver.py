@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rsdd.problem_model import AffineMap, AgentProblem, Hinge, LocalSet
 from rsdd.qp_solver import (QpBatch, QpError, QpInfeasibleError,
                             QpStandardForm, kkt_residuals, lift_hinges,
-                            solve_qp, validate_form)
+                            load_form, save_form, solve_qp, validate_form)
 
 
 def box_form(Q, c, lb, ub, **kw) -> QpStandardForm:
@@ -240,7 +240,6 @@ class TestHingeLift:
     def test_lift_matches_direct_minimum(self):
         agent = self.agent()
         form = lift_hinges(agent)
-        assert form.n_primary == 1
         assert form.dim == 2
         sol = solve_qp(form, tol=1e-9)
         grid = np.linspace(-2.0, 3.0, 50001)
@@ -266,12 +265,24 @@ class TestHingeLift:
             agent.cost(sol.x[:1]), abs=1e-8)
 
 
-class TestTags:
-    def test_rows_tagged_roundtrip(self):
-        form = box_form(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2),
-                        A_in=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                        b_in=[1.0, 1.0, 1.0],
-                        ineq_tags=["local", "coupling", "local"])
-        assert form.rows_tagged("coupling").tolist() == [1]
-        assert form.rows_tagged("local").tolist() == [0, 2]
-        assert form.rows_tagged("absent").size == 0
+class TestFormFiles:
+    def test_round_trip_bit_exact(self, tmp_path):
+        # Shortest-repr floats, signed zeros and absent equality rows survive.
+        form = box_form(np.array([[0.1 + 0.2, 0.0], [0.0, 1.0 / 3.0]]),
+                        np.array([-0.0, 1e-300]), np.array([-1.0, -np.pi]),
+                        np.array([2.0 / 7.0, 1.0]),
+                        A_in=[[1.0, -0.0]], b_in=[np.nextafter(1.0, 2.0)],
+                        offset=-1.5e-17)
+        path = tmp_path / "form.json"
+        save_form(form, path)
+        back = load_form(path)
+        for name in ("Q", "c", "lb", "ub", "A_in", "b_in"):
+            assert getattr(back, name).tobytes() == getattr(form, name).tobytes()
+        assert back.A_eq is None and back.b_eq is None
+        assert back.offset == form.offset
+
+    def test_foreign_document_rejected(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"format": "rsdd-problem"}')
+        with pytest.raises(ValueError, match="not a QP form"):
+            load_form(path)
