@@ -85,8 +85,24 @@ def _validated(problem):
 
 
 def failed_form_path(trace_path: str) -> str:
-    """Where ``rsdd run --trace`` saves the local QP that failed a run."""
+    """Where ``--trace`` of ``rsdd run`` and ``demo`` saves a failed QP."""
     return os.path.splitext(trace_path)[0] + ".failed-qp.json"
+
+
+def _run_traced(problem, graph, config, trace_path):
+    """``run``, saving its trace to ``trace_path`` if one is given: the
+    partial trace and the failed local QP when it fails."""
+    try:
+        trace = run(problem, graph, config)
+    except SimulationError as exc:
+        if trace_path:
+            save_trace(exc.trace, trace_path)
+            if getattr(exc.__cause__, "form", None) is not None:
+                save_form(exc.__cause__.form, failed_form_path(trace_path))
+        raise
+    if trace_path:
+        save_trace(trace, trace_path)
+    return trace
 
 
 def _cmd_run(args) -> int:
@@ -101,18 +117,9 @@ def _cmd_run(args) -> int:
         M=m_price, schedule=harmonic_schedule(args.gamma0, args.exponent),
         max_iters=args.iters - 1,
         enable_early_stop=not args.no_early_stop)
-    try:
-        trace = run(problem, graph, config)
-    except SimulationError as exc:
-        if args.trace:
-            save_trace(exc.trace, args.trace)
-            if getattr(exc.__cause__, "form", None) is not None:
-                save_form(exc.__cause__.form, failed_form_path(args.trace))
-        raise
+    trace = _run_traced(problem, graph, config, args.trace)
     metrics = compute_metrics(trace, oracle)
     emit_run_artifact(metrics, trace, args.out, fmt=args.format)
-    if args.trace:
-        save_trace(trace, args.trace)
     stats = message_stats(trace)
     last = metrics[-1]
     print(f"status {trace.status} after {trace.iterations} iterations")
@@ -168,9 +175,8 @@ def _cmd_demo(args) -> int:
     print("mu_star =", " ".join(f"{v:.6g}" for v in res.mu_star))
     print(f"suggested_M = {res.suggested_m:.6g}")
     config = AlgorithmConfig(M=10.0, schedule=harmonic_schedule(1.0, 0.8),
-                             max_iters=args.iters - 1,
-                             enable_early_stop=False)
-    trace = run(problem, build_graph("path", 2), config)
+                             max_iters=args.iters - 1, enable_early_stop=False)
+    trace = _run_traced(problem, build_graph("path", 2), config, args.trace)
     metrics = compute_metrics(trace, res)
     last = metrics[-1]
     xs = trace.snapshots[-1].x
@@ -181,8 +187,6 @@ def _cmd_demo(args) -> int:
     if args.out:
         emit_run_artifact(metrics, trace, args.out, fmt=args.format)
         print(f"rows {len(metrics)} -> {args.out}")
-    if args.trace:
-        save_trace(trace, args.trace)
     return 0
 
 

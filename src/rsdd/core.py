@@ -111,6 +111,13 @@ def lambda_update(lam: np.ndarray, gamma: float, mu_own: np.ndarray,
     return lam - gamma * (mu_own - mu_neighbor)
 
 
+_STOP_VIOLATION = 1e-6
+_STOP_SUM_RHO = 1e-6
+_STOP_COST_CHANGE = 1e-8
+_STOP_WINDOW = 100
+_SOLVER_TOL = 1e-9
+
+
 @dataclass
 class AlgorithmConfig:
     """Run parameters.
@@ -118,32 +125,26 @@ class AlgorithmConfig:
     ``max_iters`` counts edge-variable updates; a finished run holds
     max_iters + 1 per-agent snapshots (the initial one plus one per update).
     ``lambda_init`` maps directed edges (i, j) to starting values; omitted
-    edges start at zero.  The ``stop_*`` fields implement the early-stop
-    rule: feasibility (max of coupling violation and sum of rho) within
-    tolerance and relative cost change over ``stop_window`` iterations below
-    ``stop_cost_change``.
+    edges start at zero.  ``enable_early_stop`` turns on the early-stop
+    rule, whose tolerances are the module's ``_STOP_*`` constants;
+    ``to_dict`` records them and ``_SOLVER_TOL`` with the run.
     """
 
     M: float
     schedule: StepSizeSchedule = field(default_factory=harmonic_schedule)
     max_iters: int = 1000
     lambda_init: dict[tuple[int, int], np.ndarray] | None = None
-    stop_violation: float = 1e-6
-    stop_sum_rho: float = 1e-6
-    stop_cost_change: float = 1e-8
-    stop_window: int = 100
     enable_early_stop: bool = True
-    solver_tol: float = 1e-9
 
     def to_dict(self) -> dict:
         return {"M": self.M, "schedule": self.schedule.to_dict(),
                 "max_iters": self.max_iters,
-                "stop_violation": self.stop_violation,
-                "stop_sum_rho": self.stop_sum_rho,
-                "stop_cost_change": self.stop_cost_change,
-                "stop_window": self.stop_window,
+                "stop_violation": _STOP_VIOLATION,
+                "stop_sum_rho": _STOP_SUM_RHO,
+                "stop_cost_change": _STOP_COST_CHANGE,
+                "stop_window": _STOP_WINDOW,
                 "enable_early_stop": self.enable_early_stop,
-                "solver_tol": self.solver_tol}
+                "solver_tol": _SOLVER_TOL}
 
 
 @dataclass

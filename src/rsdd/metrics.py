@@ -113,8 +113,7 @@ def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
     path = str(path)
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
-    n_agents = len(trace.graph.neighbors)
-    cols = _columns(n_agents)
+    cols = _columns(trace.graph.n_nodes)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

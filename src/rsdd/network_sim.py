@@ -17,13 +17,17 @@ run.
 
 from __future__ import annotations
 
+import json
+import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
-from .core import (AlgorithmConfig, LocalSolverPool, lambda_update,
-                   schedule_from_dict, step_size, validate_schedule)
+from .core import (_SOLVER_TOL, _STOP_COST_CHANGE, _STOP_SUM_RHO,
+                   _STOP_VIOLATION, _STOP_WINDOW, AlgorithmConfig,
+                   LocalSolverPool, lambda_update, schedule_from_dict,
+                   step_size, validate_schedule)
 from .problem_model import (ConstraintCoupledProblem, problem_from_dict,
                             problem_hash, problem_to_dict)
 from .qp_solver import QpError
@@ -45,8 +49,7 @@ class Graph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
-        norm = []
-        seen = set()
+        norm = set()
         for i, j in self.edges:
             i, j = int(i), int(j)
             if i == j:
@@ -54,29 +57,19 @@ class Graph:
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in norm:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
+            norm.add(key)
         self.edges = sorted(norm)
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_nodes))
-        g.add_edges_from(self.edges)
-        if self.n_nodes > 1 and not nx.is_connected(g):
-            raise ValueError("graph is not connected")
         # Edge index arrays, built once per graph: row k of an edge array
         # belongs to directed edge (src[k], dst[k]); its reverse is row
-        # rev[k].  Rows leaving one node are contiguous and sorted by
-        # destination, so slot k of a node is its k-th neighbour.
-        self.directed_edges = sorted(
-            [(i, j) for i, j in self.edges] + [(j, i) for i, j in self.edges])
-        index = {e: k for k, e in enumerate(self.directed_edges)}
-        self._src = np.array([i for i, _ in self.directed_edges], dtype=int)
-        self._dst = np.array([j for _, j in self.directed_edges], dtype=int)
-        self._rev = np.array([index[(j, i)] for i, j in self.directed_edges],
-                             dtype=int)
-        degree = np.bincount(self._src, minlength=self.n_nodes)
-        first = np.cumsum(degree) - degree
+        # rev[k], the rank of (dst[k], src[k]).  Rows leaving a node are
+        # contiguous and sorted by destination: slot k is its k-th neighbour.
+        self.directed_edges, self._src, self._dst, degree, first = \
+            _neighbour_rows(self.n_nodes, self.edges)
+        if not _connected(self._dst, degree, first):
+            raise ValueError("graph is not connected")
+        self._rev = np.argsort(np.lexsort((self._src, self._dst)))
         self._slots = []
         for k in range(int(degree.max(initial=0))):
             nodes = np.flatnonzero(degree > k)
@@ -84,11 +77,8 @@ class Graph:
 
     @property
     def neighbors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {i: [] for i in range(self.n_nodes)}
-        for i, j in self.edges:
-            out[i].append(j)
-            out[j].append(i)
-        return {i: sorted(v) for i, v in out.items()}
+        return {i: self._dst[self._src == i].tolist()
+                for i in range(self.n_nodes)}
 
     def shifts(self, lam: np.ndarray) -> np.ndarray:
         """Each node's aggregate sum_j (lambda_ij - lambda_ji) as an (N, S)
@@ -121,34 +111,57 @@ class Graph:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}
 
 
+def _neighbour_rows(n_nodes: int, edges: list[tuple[int, int]]):
+    """Both directions of every undirected edge, sorted, with the source
+    and destination of each row and each node's degree and first row."""
+    directed = sorted(edges + [(j, i) for i, j in edges])
+    src, dst = np.array(directed, dtype=int).reshape(-1, 2).T
+    degree = np.bincount(src, minlength=n_nodes)
+    return directed, src, dst, degree, np.cumsum(degree) - degree
+
+
+def _connected(dst: np.ndarray, degree: np.ndarray, first: np.ndarray) -> bool:
+    """Whether a search from node 0 along the neighbour rows reaches all."""
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        stack += set(dst[first[i]:first[i] + degree[i]].tolist()) - seen
+        seen.update(stack)
+    return len(seen) == degree.size
+
+
 def build_graph(topology: str, n_nodes: int, p: float | None = None,
                 seed: int | None = None) -> Graph:
     """Construct a named topology: path, cycle, star, complete, or
-    erdos_renyi (which resamples until connected, at most 100 draws)."""
+    erdos_renyi (which resamples until connected, at most 100 draws, as
+    networkx's ``gnp_random_graph`` with seeds seed, seed + 1, ...)."""
     if n_nodes < 2:
         raise ValueError("topologies need at least 2 nodes")
     if topology == "path":
-        g = nx.path_graph(n_nodes)
+        edges = [(i, i + 1) for i in range(n_nodes - 1)]
     elif topology == "cycle":
-        g = nx.cycle_graph(n_nodes)
+        edges = [(i, (i + 1) % n_nodes)
+                 for i in range(n_nodes if n_nodes > 2 else 1)]
     elif topology == "star":
-        g = nx.star_graph(n_nodes - 1)
+        edges = [(0, i) for i in range(1, n_nodes)]
     elif topology == "complete":
-        g = nx.complete_graph(n_nodes)
+        edges = list(combinations(range(n_nodes), 2))
     elif topology == "erdos_renyi":
         if p is None:
             raise ValueError("erdos_renyi needs an edge probability p")
         base = 0 if seed is None else int(seed)
         for attempt in range(100):
-            g = nx.gnp_random_graph(n_nodes, p, seed=base + attempt)
-            if nx.is_connected(g):
+            rng = random.Random(base + attempt)
+            edges = [e for e in combinations(range(n_nodes), 2)
+                     if rng.random() < p]
+            if _connected(*_neighbour_rows(n_nodes, edges)[2:]):
                 break
         else:
             raise RuntimeError(
                 f"no connected graph in 100 draws (n={n_nodes}, p={p})")
     else:
         raise ValueError(f"unknown topology '{topology}'")
-    return Graph(n_nodes=n_nodes, edges=[tuple(e) for e in g.edges()])
+    return Graph(n_nodes=n_nodes, edges=edges)
 
 
 @dataclass
@@ -241,7 +254,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
                 raise ValueError(f"lambda_init[{e}] must have {s_dim} entries")
             lam[index[e]] = v
 
-    pool = LocalSolverPool(problem, config.M, tol=config.solver_tol)
+    pool = LocalSolverPool(problem, config.M, tol=_SOLVER_TOL)
     snapshots: list[Snapshot] = []
     warnings_log: list[str] = []
     costs: list[float] = []
@@ -270,7 +283,8 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         mu = np.stack([r.mu for r in results])
         # edge_step returns a new array, so the snapshot may keep lam itself.
         snapshots.append(Snapshot(t=t, x=xs, rho=rho, mu=mu, lam=lam))
-        costs.append(problem.total_cost(xs) + config.M * float(rho.sum()))
+        if config.enable_early_stop:
+            costs.append(problem.total_cost(xs) + config.M * float(rho.sum()))
 
         if np.any(mu.sum(axis=1) >= config.M - _M_PIN_TOL):
             pin_streak += 1
@@ -286,12 +300,12 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         if t >= config.max_iters:
             status = "max-iters"
             break
-        if config.enable_early_stop and t >= config.stop_window:
+        if config.enable_early_stop and t >= _STOP_WINDOW:
             viol = float(problem.coupling_total(xs).max())
-            flat = abs(costs[-1] - costs[-1 - config.stop_window]) \
-                <= config.stop_cost_change * max(1.0, abs(costs[-1]))
-            if (max(viol, 0.0) <= config.stop_violation
-                    and rho.sum() <= config.stop_sum_rho and flat):
+            flat = abs(costs[-1] - costs[-1 - _STOP_WINDOW]) \
+                <= _STOP_COST_CHANGE * max(1.0, abs(costs[-1]))
+            if (max(viol, 0.0) <= _STOP_VIOLATION
+                    and rho.sum() <= _STOP_SUM_RHO and flat):
                 status = "tolerance-met"
                 break
 
@@ -305,15 +319,11 @@ def message_stats(trace: RunTrace) -> MessageStats:
     """Message totals: each executed round moves one lambda and one mu
     vector along every directed edge."""
     per_round = 2 * 2 * len(trace.graph.edges)
-    s_dim = _trace_coupling_dim(trace)
+    s_dim = int(trace.problem["coupling_dim"])
     total = per_round * trace.iterations
     return MessageStats(rounds=trace.iterations, per_round=per_round,
                         total=total, payload_dim=s_dim,
                         bytes_total=total * 8 * s_dim)
-
-
-def _trace_coupling_dim(trace: RunTrace) -> int:
-    return int(trace.problem["coupling_dim"])
 
 
 def check_trace_invariants(trace: RunTrace) -> list[str]:
@@ -440,14 +450,10 @@ def trace_from_dict(doc: dict) -> RunTrace:
 
 
 def save_trace(trace: RunTrace, path) -> None:
-    import json
-
     with open(path, "w") as fh:
         json.dump(trace_to_dict(trace), fh)
 
 
 def load_trace(path) -> RunTrace:
-    import json
-
     with open(path) as fh:
         return trace_from_dict(json.load(fh))

@@ -384,8 +384,11 @@ class TestCli:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "solver"
 
-    def test_failed_local_qp_saved_next_to_trace(self, monkeypatch, tmp_path,
-                                                 capsys):
+    @pytest.mark.parametrize("argv", [
+        ["run", "--demo", "--topology", "path", "--iters", "5"],
+        ["demo", "--iters", "5"]], ids=["run", "demo"])
+    def test_failed_local_qp_saved_next_to_trace(self, argv, monkeypatch,
+                                                 tmp_path, capsys):
         # The demo's two agents share one batch; element 1 is diagnosed as
         # failed in round 0, so the run exits 2 and leaves the QP replayable.
         from rsdd.cli import failed_form_path
@@ -405,9 +408,8 @@ class TestCli:
 
         monkeypatch.setattr(QpBatch, "solve", fail_element_1)
         trace_path = tmp_path / "run.trace.json"
-        code = main(["run", "--demo", "--topology", "path", "--iters", "5",
-                     "--out", str(tmp_path / "x.csv"),
-                     "--trace", str(trace_path)])
+        code = main(argv + ["--out", str(tmp_path / "x.csv"),
+                            "--trace", str(trace_path)])
         capsys.readouterr()
         assert code == 2
         assert trace_path.exists()
@@ -453,6 +455,15 @@ class TestCli:
         assert "validation failed" in err["message"]
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 class TestEntryPoints:
     def test_python_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "rsdd", "oracle",
@@ -471,11 +482,31 @@ class TestEntryPoints:
         module, func = entry.split(":")
         code = (f"import sys; from {module} import {func}; "
                 f"sys.argv[0] = 'rsdd'; sys.exit({func}())")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]]
-                                   if env.get("PYTHONPATH") else []))
         proc = subprocess.run([sys.executable, "-c", code, "oracle", "--demo"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=_env_with_src())
         assert proc.returncode == 0
         assert "f_star = 0.5" in proc.stdout
+
+    def test_runs_without_networkx(self, tmp_path):
+        # networkx is only the tests' reference for the topologies: the
+        # package imports and every subcommand runs with it unimportable.
+        trace, out = str(tmp_path / "t.json"), str(tmp_path / "x.csv")
+        script = "\n".join([
+            "import sys",
+            "sys.modules['networkx'] = None",
+            "import rsdd",
+            "from rsdd.cli import main",
+            "codes = [main(['demo', '--iters', '5']),",
+            f"         main(['demo', '--iters', '5', '--trace', {trace!r}]),",
+            f"         main(['check', {trace!r}]),",
+            "         main(['oracle', '--demo']),",
+            "         main(['run', '--random', '5,2,3', '--topology',",
+            f"               'erdos_renyi', '--iters', '5', '--out', {out!r}])]",
+            "print('codes', codes)",
+            "sys.exit(max(codes))"])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        assert "codes [0, 0, 0, 0, 0]" in proc.stdout

@@ -58,6 +58,9 @@ class TestBuildGraph:
         g1 = build_graph("erdos_renyi", 10, p=0.3, seed=5)
         g2 = build_graph("erdos_renyi", 10, p=0.3, seed=5)
         assert g1.edges == g2.edges
+        assert g1.edges == [(0, 7), (1, 4), (1, 6), (1, 9), (2, 3), (2, 4),
+                            (2, 7), (2, 9), (3, 5), (3, 6), (3, 8), (3, 9),
+                            (4, 7), (5, 7), (6, 9), (7, 9), (8, 9)]
         # Connectivity is enforced in the Graph constructor; reaching here
         # means the sampled graph passed it.
         assert g1.n_nodes == 10
@@ -69,6 +72,35 @@ class TestBuildGraph:
     def test_erdos_renyi_retries_exhausted(self):
         with pytest.raises(RuntimeError, match="100 draws"):
             build_graph("erdos_renyi", 30, p=0.001, seed=0)
+
+    @pytest.mark.parametrize("topology", ["path", "cycle", "star", "complete"])
+    def test_fixed_topologies_match_networkx(self, topology):
+        nx = pytest.importorskip("networkx")
+        make = {"path": nx.path_graph, "cycle": nx.cycle_graph,
+                "complete": nx.complete_graph,
+                "star": lambda n: nx.star_graph(n - 1)}[topology]
+        for n in range(2, 40):
+            expect = sorted((min(e), max(e)) for e in make(n).edges())
+            assert build_graph(topology, n).edges == expect, n
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.9, 1.0])
+    def test_erdos_renyi_matches_networkx(self, p):
+        # Draw k is networkx's G(n, p) at seed + k; the first connected
+        # draw is kept, and 100 disconnected draws raise.
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 60, 3):
+            for seed in [None, 0, 1, 7, 42]:
+                base = 0 if seed is None else seed
+                draws = (nx.gnp_random_graph(n, p, seed=base + k)
+                         for k in range(100))
+                g = next((g for g in draws if nx.is_connected(g)), None)
+                if g is None:
+                    with pytest.raises(RuntimeError, match="100 draws"):
+                        build_graph("erdos_renyi", n, p=p, seed=seed)
+                    continue
+                expect = sorted((min(e), max(e)) for e in g.edges())
+                assert build_graph("erdos_renyi", n, p=p,
+                                   seed=seed).edges == expect, (n, seed)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError, match="at least 2"):
