@@ -23,9 +23,9 @@ from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
 from .network_sim import (Graph, MessageStats, RunTrace, SimulationError,
                           Snapshot, build_graph, check_trace_invariants,
                           load_trace, message_stats, run, save_trace)
-from .oracle import (BruteForceResult, OracleResult, RelaxedResult,
-                     brute_force_oracle, dual_value, restricted_dual_value,
-                     solve_centralized, solve_relaxed_centralized, suggest_m)
+from .oracle import (OracleResult, RelaxedResult, dual_value,
+                     restricted_dual_value, solve_centralized,
+                     solve_relaxed_centralized, suggest_m)
 from .problem_model import (AffineMap, AgentProblem, ConstraintCoupledProblem,
                             Hinge, LocalSet, MicrogridConfig,
                             ProblemFormatError, ValidationReport,
@@ -43,13 +43,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "AgentProblem", "AlgorithmConfig",
-    "BruteForceResult", "ConstraintCoupledProblem", "Graph", "Hinge",
+    "ConstraintCoupledProblem", "Graph", "Hinge",
     "IterationMetrics", "KktResiduals", "LocalSet", "LocalSolverPool",
     "LocalStepResult", "MessageStats", "MicrogridConfig", "OracleResult",
     "PrimalDualSolution", "ProblemFormatError", "QpBatch", "QpError",
     "QpInfeasibleError", "QpNumericalError", "QpStandardForm",
     "RelaxedResult", "RunTrace", "SimulationError", "Snapshot",
-    "StepSizeSchedule", "ValidationReport", "brute_force_oracle",
+    "StepSizeSchedule", "ValidationReport",
     "build_graph", "build_microgrid_instance", "build_random_instance",
     "check_trace_invariants", "compute_metrics", "dual_value",
     "emit_run_artifact", "eta_i_value", "explicit_schedule",

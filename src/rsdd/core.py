@@ -182,7 +182,7 @@ class LocalSolverPool:
         self.dims = [a.dim for a in problem.agents]
         his = [_coupling_hi([a]) for a in problem.agents]
         forms = [_coupled_form([a], [lift_hinges(a)],
-                               extra=(M, 0.0, _rho_headroom(hi, 0.0)))[0]
+                               extra=(M, 0.0, _rho_headroom(hi, 0.0)))[0].dense()
                  for a, hi in zip(problem.agents, his)]
         groups: dict[tuple, list[int]] = {}
         for i, form in enumerate(forms):

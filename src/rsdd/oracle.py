@@ -1,10 +1,9 @@
 """Centralized reference solutions.
 
-Stacks all agents into one QP to get the true optimum f*, the coupling
-multipliers mu* (an optimal dual point), and an M suggestion for the
-distributed method; solves the relaxed variant with an explicit price on
-violation; evaluates the dual function; and, for tiny instances, verifies
-everything against an exhaustive grid search.
+Stacks all agents into one coupled QP to get the true optimum f*, the
+coupling multipliers mu* (an optimal dual point), and an M suggestion for
+the distributed method; solves the relaxed variant with an explicit price
+on violation; and evaluates the dual function.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from .core import q_i_eval
 from .problem_model import (ConstraintCoupledProblem, _coupled_form,
                             _coupling_hi, _rho_headroom, problem_hash)
 from .qp_solver import lift_hinges, solve_qp
-
-_GRID_CAP = 10_000_000
-
 
 @dataclass
 class OracleResult:
@@ -66,14 +62,6 @@ class RelaxedResult:
     rho: float
     cost: float
     restriction_binding: bool
-
-
-@dataclass
-class BruteForceResult:
-    x: np.ndarray
-    cost: float
-    spacing: float
-    status: str  # "optimal" | "no feasible grid point"
 
 
 def suggest_m(mu_star: np.ndarray) -> float:
@@ -143,70 +131,3 @@ def restricted_dual_value(problem: ConstraintCoupledProblem, mu,
     if mu.sum() > M:
         return float("-inf")
     return dual_value(problem, mu, tol=tol)
-
-
-def brute_force_oracle(problem: ConstraintCoupledProblem,
-                       points_per_dim: int,
-                       allow_large: bool = False) -> BruteForceResult:
-    """Exhaustive search over a uniform grid of the stacked boxes.
-
-    Keeps points satisfying the local constraints and the coupled
-    inequality (within 1e-9), evaluates the exact costs there, and returns
-    the best point with the grid spacing as the error scale.  Local
-    equality constraints are checked at the same tolerance, so agents with
-    equalities will usually report no feasible grid point.
-    """
-    if points_per_dim < 2:
-        raise ValueError("need at least 2 grid points per dimension")
-    dims = [a.dim for a in problem.agents]
-    total_dim = sum(dims)
-    if total_dim > 4 and not allow_large:
-        raise ValueError("stacked dimension exceeds 4; pass allow_large=True "
-                         "to search anyway")
-    n_points = points_per_dim ** total_dim
-    if n_points > _GRID_CAP:
-        raise ValueError(f"grid of {n_points} points exceeds the "
-                         f"{_GRID_CAP} cap")
-
-    lb = np.concatenate([a.local_set.lb for a in problem.agents])
-    ub = np.concatenate([a.local_set.ub for a in problem.agents])
-    axes = [np.linspace(lb[k], ub[k], points_per_dim) for k in range(total_dim)]
-    spacing = float(((ub - lb) / (points_per_dim - 1)).max())
-
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    best_cost = np.inf
-    best_x = None
-    chunk = 1_000_000
-    shape = (points_per_dim,) * total_dim
-    for lo in range(0, n_points, chunk):
-        idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), shape)
-        pts = np.stack([axes[k][idx[k]] for k in range(total_dim)], axis=1)
-        feas = np.ones(pts.shape[0], dtype=bool)
-        total_g = np.zeros((pts.shape[0], problem.coupling_dim))
-        cost = np.zeros(pts.shape[0])
-        for i, agent in enumerate(problem.agents):
-            xi = pts[:, starts[i]:starts[i + 1]]
-            ls = agent.local_set
-            if ls.a_eq is not None:
-                feas &= (np.abs(xi @ ls.a_eq.T - ls.b_eq) <= 1e-9).all(axis=1)
-            if ls.a_in is not None:
-                feas &= (xi @ ls.a_in.T - ls.b_in <= 1e-9).all(axis=1)
-            total_g += xi @ agent.coupling.mat.T + agent.coupling.vec
-            cost += 0.5 * np.einsum("kd,de,ke->k", xi,
-                                    agent.cost_quadratic, xi) \
-                + xi @ agent.cost_linear + agent.cost_constant
-            for h in agent.cost_hinges:
-                cost += h.scale * np.maximum(0.0, xi @ h.coeffs + h.offset)
-        feas &= (total_g <= 1e-9).all(axis=1)
-        if feas.any():
-            cost = np.where(feas, cost, np.inf)
-            k = int(np.argmin(cost))
-            if cost[k] < best_cost:
-                best_cost = float(cost[k])
-                best_x = pts[k].copy()
-    if best_x is None:
-        return BruteForceResult(x=np.full(total_dim, np.nan), cost=np.nan,
-                                spacing=spacing,
-                                status="no feasible grid point")
-    return BruteForceResult(x=best_x, cost=best_cost, spacing=spacing,
-                            status="optimal")

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qp_solver import QpError, QpInfeasibleError, QpStandardForm, solve_qp
+from .qp_solver import (CoupledForm, QpBatch, QpError, QpInfeasibleError,
+                        QpStandardForm, shape_key, solve_qp)
 
 _SLATER_MARGIN = 1e-8
 _FEAS_TOL = 1e-6
@@ -177,10 +178,6 @@ def _coupling_box_max(agent: AgentProblem) -> np.ndarray:
                      for row in agent.coupling.mat])
 
 
-def _row_interval_min(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
-    return float(np.minimum(row * lb, row * ub).sum())
-
-
 def _coupling_hi(agents: list[AgentProblem]) -> np.ndarray:
     """Per-row upper bound of sum_i g_i(x_i) over the agents' boxes."""
     hi = np.zeros(agents[0].coupling.vec.shape)
@@ -199,47 +196,27 @@ def _rho_headroom(coupling_hi: np.ndarray, shift: np.ndarray | float) -> np.ndar
 
 def _coupled_form(agents: list[AgentProblem], forms: list[QpStandardForm],
                   extra: tuple[float, float, float] | None = None
-                  ) -> tuple[QpStandardForm, list[slice]]:
-    """Block-diagonal stack of per-agent QPs joined by their coupling rows.
+                  ) -> tuple[CoupledForm, list[slice]]:
+    """Per-agent QPs joined by their coupling rows, as one CoupledForm.
 
-    Agent i's x_i is the leading ``agents[i].dim`` columns of ``forms[i]``.
-    The S rows sum_i A_i x_i <= -sum_i b_i are the last inequality rows.
+    Agent i's x_i is the leading ``agents[i].dim`` columns of ``forms[i]``,
+    and the S rows sum_i A_i x_i <= -sum_i b_i couple the blocks.
     ``extra = (cost, lb, ub)`` appends one variable v with that linear cost
     and box, entering every coupling row as -v.  Returns the form and the
-    columns of each x_i.
+    columns of each x_i in the layout of ``form.dense()``, which is also
+    the layout of the solution ``solve_qp`` returns.
     """
-    starts = np.cumsum([0] + [f.dim for f in forms]).tolist()
-    n = starts[-1] + (extra is not None)
-    Q = np.zeros((n, n))
-    c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
-    offset = 0.0
-    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
-    coupling = np.zeros((agents[0].coupling.mat.shape[0], n))
-    b_total = np.zeros(coupling.shape[0])
-    for agent, f, s0 in zip(agents, forms, starts):
-        cols = slice(s0, s0 + f.dim)
-        Q[cols, cols] = f.Q
-        c[cols], lb[cols], ub[cols] = f.c, f.lb, f.ub
-        offset += f.offset
-        for a, b, rows, rhs in ((f.A_eq, f.b_eq, eq_rows, eq_rhs),
-                                (f.A_in, f.b_in, in_rows, in_rhs)):
-            if a is not None:
-                block = np.zeros((a.shape[0], n))
-                block[:, cols] = a
-                rows.append(block)
-                rhs.append(b)
-        coupling[:, s0:s0 + agent.dim] = agent.coupling.mat
+    s_dim = agents[0].coupling.mat.shape[0]
+    coupling = []
+    b_total = np.zeros(s_dim)
+    for agent, f in zip(agents, forms):
+        mat = np.zeros((s_dim, f.dim))
+        mat[:, :agent.dim] = agent.coupling.mat
+        coupling.append(mat)
         b_total += agent.coupling.vec
-    if extra is not None:
-        c[-1], lb[-1], ub[-1] = extra
-        coupling[:, -1] = -1.0
-    form = QpStandardForm(
-        Q=Q, c=c, lb=lb, ub=ub,
-        A_eq=np.concatenate(eq_rows) if eq_rows else None,
-        b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
-        A_in=np.concatenate(in_rows + [coupling]),
-        b_in=np.concatenate(in_rhs + [-b_total]), offset=offset)
-    return form, [slice(s0, s0 + a.dim) for a, s0 in zip(agents, starts)]
+    starts = np.cumsum([0] + [f.dim for f in forms]).tolist()
+    return (CoupledForm(forms, coupling, -b_total, extra),
+            [slice(s0, s0 + a.dim) for a, s0 in zip(agents, starts)])
 
 
 def _check_agent(i: int, agent: AgentProblem, s_dim: int, findings: list[str]) -> bool:
@@ -303,12 +280,33 @@ def _local_form(agent: AgentProblem) -> QpStandardForm:
                           A_in=ls.a_in, b_in=ls.b_in)
 
 
-def _local_feasible(agent: AgentProblem) -> bool:
-    try:
-        solve_qp(_local_form(agent), tol=1e-8, validate=False)
-    except QpInfeasibleError:
-        return False
-    return True
+def _local_set_findings(agents: list[AgentProblem]) -> list[str]:
+    """Findings for the local sets that are empty or could not be checked.
+
+    The local sets that share a ``shape_key`` are checked as one
+    ``QpBatch``.  A batch that raises names only its first failed element,
+    so its agents are then checked one at a time; every failing agent is
+    named, in agent order.
+    """
+    forms = [_local_form(a) for a in agents]
+    groups: dict[tuple, list[int]] = {}
+    for i, form in enumerate(forms):
+        groups.setdefault(shape_key(form), []).append(i)
+    suspects = []
+    for idx in groups.values():
+        try:
+            QpBatch([forms[i] for i in idx], validate=False).solve(tol=1e-8)
+        except QpError:
+            suspects += idx
+    findings = []
+    for i in sorted(suspects):
+        try:
+            solve_qp(forms[i], tol=1e-8, validate=False)
+        except QpInfeasibleError:
+            findings.append(f"agent {i}: local set is empty")
+        except QpError as exc:
+            findings.append(f"agent {i}: local feasibility check failed ({exc})")
+    return findings
 
 
 def _slater_search(problem: ConstraintCoupledProblem) -> float:
@@ -318,15 +316,14 @@ def _slater_search(problem: ConstraintCoupledProblem) -> float:
     means a strict interior point exists, zero (up to tolerance) means the
     coupling is feasible but tight somewhere, positive means infeasible.
     """
-    s_dim = problem.coupling_dim
-    form, _ = _coupled_form(problem.agents,
-                            [_local_form(a) for a in problem.agents],
-                            extra=(1.0, 0.0, 0.0))
+    agents = problem.agents
     # t's box spans every value the worst coupling row can take.
-    rows, lb, ub = form.A_in[-s_dim:, :-1], form.lb[:-1], form.ub[:-1]
-    b_sum = -form.b_in[-s_dim:]
-    form.lb[-1] = b_sum.min() + min(_row_interval_min(r, lb, ub) for r in rows) - 1.0
-    form.ub[-1] = b_sum.max() + max(_row_interval_max(r, lb, ub) for r in rows) + 1.0
+    b_sum = sum(a.coupling.vec for a in agents)
+    terms = [(a.coupling.mat * a.local_set.lb, a.coupling.mat * a.local_set.ub)
+             for a in agents]
+    lo = b_sum.min() + sum(np.minimum(*t).sum(axis=1) for t in terms).min() - 1.0
+    hi = b_sum.max() + sum(np.maximum(*t).sum(axis=1) for t in terms).max() + 1.0
+    form, _ = _coupled_form(agents, [_local_form(a) for a in agents], extra=(1.0, lo, hi))
     sol = solve_qp(form, tol=1e-9, validate=False)
     return float(sol.x[-1])
 
@@ -356,12 +353,7 @@ def validate_problem(problem: ConstraintCoupledProblem) -> ValidationReport:
     if not shapes_ok:
         report.slater = "unverified"
         return report
-    for i, agent in enumerate(problem.agents):
-        try:
-            if not _local_feasible(agent):
-                findings.append(f"agent {i}: local set is empty")
-        except QpError as exc:
-            findings.append(f"agent {i}: local feasibility check failed ({exc})")
+    findings += _local_set_findings(problem.agents)
     if findings:
         report.slater = "unverified"
         return report

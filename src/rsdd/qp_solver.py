@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +31,11 @@ if TYPE_CHECKING:
     from .problem_model import AgentProblem
 
 _FIX_TOL = 1e-12  # lb == ub within this -> variable pinned via an equality row
+# Stacked variables up to which a coupled QP is solved dense: below about
+# 150 the dense factorization costs less per iteration than the per-group
+# calls of block elimination (random N x 2 x 2: 14 against 21 ms at N = 50,
+# 43 against 24 ms at N = 100), and small oracles keep the dense arithmetic.
+_DENSE_MAX = 256
 _PSD_TOL = 1e-9
 
 
@@ -102,6 +108,60 @@ class QpStandardForm:
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
+
+
+@dataclass
+class CoupledForm:
+    """Block QPs joined by S shared inequality rows.
+
+        minimize    sum_k (0.5 x_k'Q_k x_k + c_k'x_k + offset_k)  (+ cost * v)
+        subject to  x_k in the feasible set of ``blocks[k]``
+                    sum_k coupling[k] @ x_k  (- v)  <= rhs
+                    lb <= v <= ub
+
+    The trailing variable v exists when ``extra = (cost, lb, ub)`` is
+    given and enters every coupling row with coefficient -1.  ``dense()``
+    is the same problem as one QpStandardForm: the blocks stacked
+    block-diagonally in order, the S coupling rows last among the
+    inequality rows and v last among the variables.  ``solve_qp`` reports
+    the solution in the layout of ``dense()``, however it solves it.
+    """
+
+    blocks: list[QpStandardForm]
+    coupling: list[np.ndarray]   # (S, blocks[k].dim) each
+    rhs: np.ndarray              # (S,)
+    extra: tuple[float, float, float] | None = None
+
+    def dense(self) -> QpStandardForm:
+        starts = np.cumsum([0] + [f.dim for f in self.blocks]).tolist()
+        n = starts[-1] + (self.extra is not None)
+        Q = np.zeros((n, n))
+        c, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n)
+        offset = 0.0
+        eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
+        coupling = np.zeros((self.rhs.shape[0], n))
+        for f, mat, s0 in zip(self.blocks, self.coupling, starts):
+            cols = slice(s0, s0 + f.dim)
+            Q[cols, cols] = f.Q
+            c[cols], lb[cols], ub[cols] = f.c, f.lb, f.ub
+            offset += f.offset
+            for a, b, rows, rhs in ((f.A_eq, f.b_eq, eq_rows, eq_rhs),
+                                    (f.A_in, f.b_in, in_rows, in_rhs)):
+                if a is not None:
+                    block = np.zeros((a.shape[0], n))
+                    block[:, cols] = a
+                    rows.append(block)
+                    rhs.append(b)
+            coupling[:, cols] = mat
+        if self.extra is not None:
+            c[-1], lb[-1], ub[-1] = self.extra
+            coupling[:, -1] = -1.0
+        return QpStandardForm(
+            Q=Q, c=c, lb=lb, ub=ub,
+            A_eq=np.concatenate(eq_rows) if eq_rows else None,
+            b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
+            A_in=np.concatenate(in_rows + [coupling]),
+            b_in=np.concatenate(in_rhs + [self.rhs]), offset=offset)
 
 
 _FORM_ARRAYS = ("Q", "c", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in")
@@ -339,12 +399,11 @@ class QpBatch:
                                           rcond=None)[0] for k in range(B)])
             return self._unpack(x0, y, np.zeros((B, 0)), np.zeros(B, dtype=int))
         start = self._warm if warm and self._warm is not None else (x0, None)
-        x, y, z, iters, res = _ipm(self.Q, self.c, self.A, self.b, self.AT,
-                                   self.G, self.GT, h, start[0], tol, max_iter,
+        ops = _Stacked(self.Q, self.A, self.AT, self.G, self.GT)
+        x, y, z, iters, res = _ipm(ops, self.c, self.b, h, start[0], tol, max_iter,
                                    z_init=start[1])
         if np.any(iters < 0) and start[1] is not None:
-            x, y, z, iters, res = _ipm(self.Q, self.c, self.A, self.b, self.AT,
-                                       self.G, self.GT, h, x0, tol, max_iter)
+            x, y, z, iters, res = _ipm(ops, self.c, self.b, h, x0, tol, max_iter)
         for k in np.where(iters < 0)[0]:
             # Degenerate optima (weakly active rows) can stall the interior
             # point above tol; an active-set crossover from the best iterate
@@ -406,10 +465,23 @@ class QpBatch:
 
     def _unpack(self, x, y, z, iters) -> list[PrimalDualSolution]:
         """Solutions with their KKT residuals, certified for the whole batch
-        at once against the current right-hand sides.
+        at once against the current right-hand sides."""
+        eq_mult, ineq_mult, lo, hi, kkt, obj = self._certify(x, y, z)
+        return [PrimalDualSolution(x=x[k], eq_mult=eq_mult[k], ineq_mult=ineq_mult[k],
+                                   box_lower_mult=lo[k], box_upper_mult=hi[k],
+                                   objective=objective, kkt_residual=residual,
+                                   iterations=it)
+                for k, (objective, residual, it) in enumerate(zip(
+                    obj.tolist(), kkt.tolist(), iters.tolist()))]
+
+    def _certify(self, x, y, z, grad_rest=None):
+        """Multipliers (equality, inequality, lower and upper box), KKT
+        residuals and objectives of every element, in one pass.
 
         Computes what ``kkt_residuals`` computes for each element, in the
         same order of operations, so the two agree bit for bit.
+        ``grad_rest`` adds the gradient of rows outside the batch (the
+        coupling rows of a coupled QP) last.
         """
         B = len(self.forms)
         m_in, m_eq = self.m_in, self.m_eq
@@ -439,6 +511,8 @@ class QpBatch:
             primal = np.maximum(primal, np.maximum(0.0, -slack.min(axis=1)))
             dual = np.maximum(dual, -ineq_mult.min(axis=1))
             comp = np.maximum(comp, _amax_abs(ineq_mult * slack))
+        if grad_rest is not None:
+            grad = grad + grad_rest
         primal = np.maximum.reduce([primal,
                                     np.maximum(0.0, (self.lb - x).max(axis=1)),
                                     np.maximum(0.0, (x - self.ub).max(axis=1))])
@@ -450,22 +524,20 @@ class QpBatch:
         # order that depends on the batch size.
         obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q, x))
                + np.einsum("bi,bi->b", self.c, x))
-        return [PrimalDualSolution(x=x[k], eq_mult=eq_mult[k], ineq_mult=ineq_mult[k],
-                                   box_lower_mult=lo[k], box_upper_mult=hi[k],
-                                   objective=objective, kkt_residual=residual,
-                                   iterations=it)
-                for k, (objective, residual, it) in enumerate(zip(
-                    (obj + self.offset).tolist(), kkt.tolist(), iters.tolist()))]
+        return eq_mult, ineq_mult, lo, hi, kkt, obj + self.offset
 
 
-def solve_qp(form: QpStandardForm, tol: float = 1e-8, max_iter: int = 200,
-             validate: bool = True) -> PrimalDualSolution:
+def solve_qp(form: QpStandardForm | CoupledForm, tol: float = 1e-8,
+             max_iter: int = 200, validate: bool = True) -> PrimalDualSolution:
     """Solve one QP and return a certified primal-dual pair.
 
     Parameters
     ----------
-    form : QpStandardForm
-        Problem data; boxes must be finite.
+    form : QpStandardForm or CoupledForm
+        Problem data; boxes must be finite.  A coupled form is solved as
+        ``form.dense()`` up to ``_DENSE_MAX`` stacked variables or with one
+        block, and by block elimination (``_solve_coupled``) beyond; the
+        solution is laid out as for ``form.dense()`` either way.
     tol : float
         Target for the recomputed KKT residual (max of the four norms).
     max_iter : int
@@ -480,7 +552,303 @@ def solve_qp(form: QpStandardForm, tol: float = 1e-8, max_iter: int = 200,
     QpNumericalError
         Breakdown on a problem phase 1 believes is feasible.
     """
+    if isinstance(form, CoupledForm):
+        if validate:
+            _validate_coupled(form)
+        n = sum(f.dim for f in form.blocks) + (form.extra is not None)
+        if n > _DENSE_MAX and len(form.blocks) > 1 and (
+                form.extra is None or form.extra[2] - form.extra[1] > _FIX_TOL):
+            return _solve_coupled(form, tol, max_iter)
+        form, validate = form.dense(), False
     return QpBatch([form], validate=validate).solve(tol=tol, max_iter=max_iter)[0]
+
+
+def _validate_coupled(form: CoupledForm) -> None:
+    """Raise ValueError on a malformed block or coupling row of ``form``."""
+    s_dim = form.rhs.shape[0]
+    for f, mat in zip(form.blocks, form.coupling, strict=True):
+        validate_form(f)
+        if mat.shape != (s_dim, f.dim) or not np.all(np.isfinite(mat)):
+            raise ValueError("coupling rows have wrong shape or are not finite")
+    if not np.all(np.isfinite(form.rhs)):
+        raise ValueError("coupling right-hand side must be finite")
+    if form.extra is not None and not (np.all(np.isfinite(form.extra))
+                                       and form.extra[1] <= form.extra[2]):
+        raise ValueError("trailing variable needs a finite cost and box, lb <= ub")
+
+
+def _flat(parts) -> np.ndarray:
+    return np.concatenate([np.ravel(p) for p in parts])[None]
+
+
+class _Coupled:
+    """The operators of one coupled QP, a batch of one over flat vectors.
+
+    x is [each group's blocks, v], y is [each group's equality rows], and
+    z, s and h are [each group's inequality rows, v's lower and upper box
+    rows, the S coupling rows].  Blocks that share a ``shape_key`` form a
+    group, held as a ``QpBatch``, whose Newton systems are factorized as
+    one batch.  The Newton step eliminates the blocks and solves the S x S
+    Schur complement of the coupling rows (Woodbury), bordered by v's row
+    when v exists, so no n_total x n_total matrix is ever formed.  The
+    proximal shift of the block factorizations scales with the largest
+    entry of the blocks' Q.
+    """
+
+    def __init__(self, groups: list[QpBatch], coupling: list[np.ndarray], has_v: bool):
+        self.groups = groups
+        self.C = coupling                                  # (B, S, n) per group
+        self.CT = [np.ascontiguousarray(m.transpose(0, 2, 1)) for m in coupling]
+        self.has_v = has_v
+        self.S = coupling[0].shape[1]
+        self.P = _pair_rotation(coupling)
+        self.prox = _PROX * max([1.0] + [float(np.abs(g.Q).max()) for g in groups if g.n])
+        self.n = sum(g.c.size for g in groups) + has_v
+        self.me = sum(g.b.size for g in groups)
+        self.mi = sum(len(g.forms) * g.mi for g in groups) + 2 * has_v + self.S
+
+    @staticmethod
+    def _parts(vec, widths, groups):
+        """Views of each group's part of flat ``vec``, shaped (B, width)."""
+        out, start = [], 0
+        for g, w in zip(groups, widths):
+            size = len(g.forms) * w
+            out.append(vec[0, start:start + size].reshape(len(g.forms), w))
+            start += size
+        return out
+
+    def xs(self, x):
+        return self._parts(x, [g.n for g in self.groups], self.groups)
+
+    def ys(self, y):
+        return self._parts(y, [g.me for g in self.groups], self.groups)
+
+    def zs(self, z):
+        """The groups' parts, v's two box rows and the coupling rows."""
+        rows = self.mi - self.S
+        return (self._parts(z, [g.mi for g in self.groups], self.groups),
+                z[0, rows - 2 * self.has_v:rows], z[0, rows:])
+
+    def Qx(self, x):
+        out = np.zeros_like(x)
+        for g, xg, og in zip(self.groups, self.xs(x), self.xs(out)):
+            og[...] = _mv(g.Q, xg)
+        return out
+
+    def Ax(self, x):
+        out = np.empty((1, self.me))
+        for g, xg, og in zip(self.groups, self.xs(x), self.ys(out)):
+            og[...] = _mv(g.A, xg)
+        return out
+
+    def ATy(self, y):
+        out = np.zeros((1, self.n))
+        for g, yg, og in zip(self.groups, self.ys(y), self.xs(out)):
+            og[...] = _mv(g.AT, yg)
+        return out
+
+    def coupling_rows(self, x):
+        """sum_k C_k x_k (- v): the left-hand sides of the coupling rows."""
+        total = sum(_mv(m, xg).sum(axis=0) for m, xg in zip(self.C, self.xs(x)))
+        return total - x[0, -1] if self.has_v else total
+
+    def Gx(self, x):
+        out = np.empty((1, self.mi))
+        groups, v_rows, rows = self.zs(out)
+        for g, xg, og in zip(self.groups, self.xs(x), groups):
+            og[...] = _mv(g.G, xg)
+        if self.has_v:
+            v_rows[:] = (-x[0, -1], x[0, -1])
+        rows[:] = self.coupling_rows(x)
+        return out
+
+    def GTz(self, z):
+        out = np.zeros((1, self.n))
+        groups, v_rows, rows = self.zs(z)
+        for g, ct, zg, og in zip(self.groups, self.CT, groups, self.xs(out)):
+            og[...] = _mv(g.GT, zg) + ct @ rows
+        if self.has_v:
+            out[0, -1] = v_rows[1] - v_rows[0] - rows.sum()
+        return out
+
+    def newton(self, z, s, rd, rp, rg):
+        """The Newton step at an iterate, as ``_Stacked.newton``.
+
+        The step solves the augmented system, W = z / s and U = [C'; 0]:
+
+            [ Kb    U        0   ] [ d     ]   [ r   ]
+            [ U'   -W_c^-1  -1   ] [ dzeta ] = [ 0   ]
+            [ 0    -1'      h_v  ] [ dv    ]   [ r_v ]
+
+        Kb holds each group's batched quasi-definite matrices, h_v is v's
+        barrier weight and dzeta = W_c (C dx - dv) is the coupling rows'
+        share of dz.  Eliminating d leaves Sigma = U'Kb^-1 U + W_c^-1, an
+        S x S Schur complement (Woodbury), bordered by v's row so that a
+        small h_v is never divided by.  Sigma is solved in the basis of
+        ``_pair_rotation``, where a pair's sum row of U'Kb^-1 U is exactly
+        zero and the pair's W_c^-1 terms are not lost to rounding.
+
+        A block that only the coupling rows hold in place (linear cost,
+        interior variables) makes Kb^-1 huge and d a difference of huge
+        terms.  The groups are therefore factorized with a proximal shift
+        ``self.prox`` on their x-diagonal, and the step is refined against
+        the unshifted system, whose residual has no W_c factor: it is exact
+        wherever the curvature or the coupling rows fix the step, and
+        damped along directions that are flat in both.  The coupling rows'
+        dz is q_c + dzeta; recomputing it from C dx would multiply the
+        rounding of C dx by W_c.
+        """
+        w_groups, w_v, w_c = self.zs(z / s)
+        shifted, exact, KiU = [], [], []
+        schur = np.zeros((self.S, self.S))
+        for g, ct, m, wg in zip(self.groups, self.CT, self.C, w_groups):
+            exact.append(_kkt_matrix(g.Q, g.A, g.AT, g.G, g.GT, wg))
+            shifted.append(_kkt_matrix(g.Q, g.A, g.AT, g.G, g.GT, wg, self.prox))
+            U = np.zeros((len(g.forms), g.n + g.me, self.S))
+            U[:, :g.n] = ct
+            KiU.append(_solve_kkt(shifted[-1], U, g.n, g.me))
+            schur += (m @ KiU[-1][:, :g.n]).sum(axis=0)
+        P = self.P  # U'Kb^-1 U and W_c^-1 are rotated apart, then added
+        schur = P.T @ schur @ P + (P.T / w_c) @ P
+        h_v = w_v.sum() + _REG
+        if self.has_v:
+            ones = P.T @ np.ones(self.S)
+            schur = np.block([[schur, ones[:, None]],
+                              [-ones[None, :], np.full((1, 1), h_v)]])
+        rows = self.mi - self.S
+
+        def coupling(d):
+            return sum(_mv(m, dg[:, :g.n]).sum(axis=0)
+                       for m, dg, g in zip(self.C, d, self.groups))
+
+        def eliminate(r, r_c, r_v):
+            """The shifted system's solution for right-hand side (r, r_c, r_v)."""
+            Kir = [_solve_kkt(K, rb, g.n, g.me) for K, rb, g in zip(shifted, r, self.groups)]
+            t = P.T @ (coupling(Kir) - r_c)
+            sol = _solve_dense(schur, np.append(t, r_v) if self.has_v else t)
+            dzeta = P @ sol[:self.S]
+            return [k - kiu @ dzeta for k, kiu in zip(Kir, KiU)], dzeta, sol[self.S:]
+
+        ry = -rp
+
+        def step(rc):
+            q = (z * rg - rc) / s
+            rx = -(rd + self.GTz(q))
+            r = [np.concatenate([a, b], axis=1) for a, b in zip(self.xs(rx), self.ys(ry))]
+            r_v = rx[0, -1] if self.has_v else 0.0
+            cand = eliminate(r, 0.0, r_v)
+            best, err = cand, np.inf
+            for _ in range(_REFINE + 1):
+                d, dzeta, dv = cand
+                res = [rb - _mv(K, db) for K, rb, db in zip(exact, r, d)]
+                for rb, ct, g in zip(res, self.CT, self.groups):
+                    rb[:, :g.n] -= ct @ dzeta
+                res_c = dzeta / w_c - coupling(d)
+                res_v = 0.0
+                if self.has_v:
+                    res_c += dv[0]
+                    res_v = r_v - h_v * dv[0] + dzeta.sum()
+                new_err = max([_amax_abs(rb).max() for rb in res]
+                              + [_amax_abs(res_c), abs(res_v)])
+                if not new_err < 0.5 * err:
+                    break
+                best, err = cand, new_err
+                cd, cz, cv = eliminate(res, res_c, res_v)
+                cand = ([a + b for a, b in zip(d, cd)], dzeta + cz, dv + cv)
+            d, dzeta, dv = best
+            dx, dy = np.empty_like(rx), np.empty_like(ry)
+            for g, dg, xg, yg in zip(self.groups, d, self.xs(dx), self.ys(dy)):
+                xg[...], yg[...] = dg[:, :g.n], dg[:, g.n:]
+            if self.has_v:
+                dx[0, -1] = dv[0]
+            ds = -rg - self.Gx(dx)
+            dz = (-rc - z * ds) / s
+            dz[0, rows:] = q[0, rows:] + dzeta
+            return dx, dy, ds, dz
+        return step
+
+
+def _pair_rotation(coupling: list[np.ndarray]) -> np.ndarray:
+    """An orthogonal basis of the coupling rows' space: the identity, except
+    that each pair of opposite rows (an equality written as two rows) is
+    replaced by the pair's difference and sum, whose row of C is then zero.
+    ``coupling`` holds each group's (B, S, n) rows."""
+    S = coupling[0].shape[1]
+    P = np.eye(S)
+    paired: set[int] = set()
+    for j in range(S):
+        for k in range(j + 1, S):
+            if j not in paired and k not in paired and all(
+                    np.array_equal(m[:, k], -m[:, j]) for m in coupling):
+                r = np.sqrt(0.5)
+                P[[j, k], j] = (r, -r)
+                P[[j, k], k] = (r, r)
+                paired |= {j, k}
+    return P
+
+
+def _solve_dense(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs, or a least-squares solution when M is exactly singular."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
+def _solve_coupled(form: CoupledForm, tol: float, max_iter: int) -> PrimalDualSolution:
+    """Solve a coupled QP of two or more blocks by block elimination.
+
+    The predictor-corrector loop is ``_ipm``'s; only the operators differ
+    (``_Coupled``), and its step length, residuals and barrier parameter
+    range over the whole problem.  The certificate is computed per group
+    (``QpBatch._certify``, with the coupling rows' gradient added) and for
+    the coupling rows and v, and equals ``kkt_residuals(form.dense(), sol)``
+    up to rounding.  Should the loop not converge, the dense QP is solved
+    instead, with its polish and its phase-1 diagnosis of a failure.
+    """
+    keys: dict[tuple, list[int]] = {}
+    for k, f in enumerate(form.blocks):
+        keys.setdefault(shape_key(f), []).append(k)
+    members = list(keys.values())
+    groups = [QpBatch([form.blocks[k] for k in idx], validate=False) for idx in members]
+    ops = _Coupled(groups, [np.stack([form.coupling[k] for k in idx]) for idx in members],
+                   form.extra is not None)
+    v_cost, v_lb, v_ub = form.extra if form.extra is not None else (0.0, 0.0, 0.0)
+    v = [np.array([0.5 * (v_lb + v_ub)])] if ops.has_v else []
+    x0 = _flat([0.5 * (g.lb + g.ub) for g in groups] + v)
+    c = _flat([g.c for g in groups] + ([np.array([v_cost])] if ops.has_v else []))
+    b = _flat([g.b for g in groups])
+    h = _flat([g._h() for g in groups]
+              + ([np.array([-v_lb, v_ub])] if ops.has_v else []) + [form.rhs])
+    x, y, z, iters, _ = _ipm(ops, c, b, h, x0, tol, max_iter)
+    if iters[0] < 0:
+        return QpBatch([form.dense()], validate=False).solve(tol=tol, max_iter=max_iter)[0]
+
+    z_groups, z_v, z_c = ops.zs(z)
+    slack = form.rhs - ops.coupling_rows(x)
+    kkt = [max(0.0, -_amin(slack)), max(0.0, -_amin(z_c)), _amax_abs(z_c * slack)]
+    objective = 0.0
+    parts: list = [None] * len(form.blocks)
+    for g, idx, ct, xg, yg, zg in zip(groups, members, ops.CT, ops.xs(x), ops.ys(y), z_groups):
+        eq, ineq, lo, hi, res, obj = g._certify(xg, yg, zg, ct @ z_c)
+        kkt.append(res.max())
+        objective += obj.sum()
+        for j, k in enumerate(idx):
+            parts[k] = (xg[j], eq[j], ineq[j], lo[j], hi[j])
+    cols = [list(p) for p in zip(*parts)]
+    if ops.has_v:
+        xv = x[0, -1]
+        grad = v_cost - z_v[0] + z_v[1] - z_c.sum()
+        kkt += [abs(grad), max(0.0, v_lb - xv, xv - v_ub), max(0.0, -z_v.min()),
+                abs(z_v[0] * (xv - v_lb)), abs(z_v[1] * (v_ub - xv))]
+        objective += v_cost * xv
+        for col, part in zip(cols, (x[0, -1:], [], [], z_v[:1], z_v[1:])):
+            col.append(np.asarray(part, dtype=float))
+    xs, eqs, ineqs, los, his = (np.concatenate(col) for col in cols)
+    return PrimalDualSolution(x=xs, eq_mult=eqs, ineq_mult=np.concatenate([ineqs, z_c]),
+                              box_lower_mult=los, box_upper_mult=his,
+                              objective=float(objective), kkt_residual=float(max(kkt)),
+                              iterations=int(iters[0]))
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -493,13 +861,17 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
 def _solve_kkt(K, rhs, n, me):
     """Solve the batched quasi-definite systems, degrading gracefully.
 
-    The fast path factorizes the whole batch at once.  An exactly singular
-    element (possible at degenerate optima where whole rows shrink to
-    rounding level) poisons the batched call, so on failure each element is
-    retried alone with growing regularization and finally least squares,
-    which never raises; the outer safeguards absorb a poor direction.
+    ``rhs`` holds one right-hand side per element, (B, n + me), or several,
+    (B, n + me, k).  The fast path factorizes the whole batch at once.  An
+    exactly singular element (possible at degenerate optima where whole
+    rows shrink to rounding level) poisons the batched call, so on failure
+    each element is retried alone with growing regularization and finally
+    least squares, which never raises; the outer safeguards absorb a poor
+    direction.
     """
     try:
+        if rhs.ndim == 3:
+            return np.linalg.solve(K, rhs)
         return np.linalg.solve(K, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
@@ -572,12 +944,66 @@ def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
     return None
 
 
-def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
+class _Stacked:
+    """The constraint operators of a batch of same-shape QPs, one dense
+    array per element: the matvecs and Newton systems of ``_ipm``."""
+
+    def __init__(self, Q, A, AT, G, GT):
+        self.data = (Q, A, AT, G, GT)
+        self.Qx, self.Ax, self.ATy, self.Gx, self.GTz = (partial(_mv, m) for m in self.data)
+
+    def take(self, keep: np.ndarray) -> "_Stacked":
+        return _Stacked(*(m[keep] for m in self.data))
+
+    def newton(self, z, s, rd, rp, rg):
+        """The Newton step at an iterate with slacks s, multipliers z and
+        residuals (rd, rp, rg): a function of the complementarity target
+        rc that returns (dx, dy, ds, dz)."""
+        Q, A, AT, G, GT = self.data
+        K = _kkt_matrix(Q, A, AT, G, GT, z / s)
+        n = Q.shape[-1]
+        me = A.shape[1]
+        rhs = np.empty((Q.shape[0], n + me))
+        rhs[:, n:] = -rp
+
+        def step(rc):
+            rhs[:, :n] = -(rd + self.GTz((z * rg - rc) / s))
+            d = _solve_kkt(K, rhs, n, me)
+            dx, dy = d[:, :n], d[:, n:]
+            ds = -rg - self.Gx(dx)
+            return dx, dy, ds, (-rc - z * ds) / s
+        return step
+
+
+_REG = 1e-12    # primal-dual regularization of every Newton system
+_PROX = 1e-3    # proximal shift of a coupled QP's block factorizations, per unit of Q
+_REFINE = 10    # refinement steps of a coupled Newton step, at most
+
+
+def _kkt_matrix(Q, A, AT, G, GT, w, reg=_REG):
+    """Batched quasi-definite matrices [[Q + G'WG + reg, A'], [A, -_REG]]."""
+    n = Q.shape[-1]
+    me = A.shape[1]
+    K = np.zeros((Q.shape[0], n + me, n + me))
+    K[:, :n, :n] = Q + (GT * w[:, None, :]) @ G
+    K[:, :n, n:] = AT
+    K[:, n:, :n] = A
+    diag = K.reshape(len(K), -1)[:, ::n + me + 1]  # a view of the diagonals
+    diag[:, :n] += reg
+    diag[:, n:] -= _REG
+    return K
+
+
+def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     """Batched Mehrotra predictor-corrector loop over the live elements.
 
-    Returns final (x, y, z, iters, res); iters[k] is the iteration at which
-    element k converged, or -1 if it never did.  ``z_init`` warm-starts the
-    inequality multipliers (floored away from the boundary).
+    ``ops`` applies the element's Q, A, A', G and G' and makes its Newton
+    steps (``_Stacked`` for a batch, ``_Coupled`` for one coupled QP
+    whose vectors are flat); ``c``, ``b``, ``h`` and ``x0`` carry a leading
+    batch axis.  Returns final (x, y, z, iters, res); iters[k] is the
+    iteration at which element k converged, or -1 if it never did.
+    ``z_init`` warm-starts the inequality multipliers (floored away from
+    the boundary).
 
     An element leaves the loop once it converges or fails, keeping its last
     iterate.  From then on the data and iterates of the live elements are
@@ -591,10 +1017,10 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
     mi = h.shape[1]
     x = x0.copy()
     if z_init is None:
-        s = np.maximum(h - _mv(G, x), 1.0)
+        s = np.maximum(h - ops.Gx(x), 1.0)
         z = np.ones((B, mi))
     else:
-        s = np.maximum(h - _mv(G, x), 1e-3)
+        s = np.maximum(h - ops.Gx(x), 1e-3)
         z = np.maximum(z_init, 1e-3)
     y = np.zeros((B, me))
     iters = np.full(B, -1, dtype=int)
@@ -602,16 +1028,14 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
     best_res = np.full(B, np.inf)
     best_x, best_y, best_z = x.copy(), y.copy(), z.copy()
     last_improve = 0
-    reg = 1e-12
-    diag = np.arange(n + me)
     # The whole batch's iterates; x, y, z and s below hold the live ones.
     x_all, y_all, z_all = x, y, z
     live = np.arange(B)
     it = 0
     while True:
-        rd = _mv(Q, x) + c + _mv(GT, z) + _mv(AT, y)
-        rp = _mv(A, x) - b
-        gx = _mv(G, x)
+        rd = ops.Qx(x) + c + ops.GTz(z) + ops.ATy(y)
+        rp = ops.Ax(x) - b
+        gx = ops.Gx(x)
         rg = gx + s - h
         comp = s * z
         res_live = np.maximum.reduce([
@@ -647,27 +1071,10 @@ def _ipm(Q, c, A, b, AT, G, GT, h, x0, tol, max_iter, z_init=None):
             gone = live[~active]
             x_all[gone], y_all[gone], z_all[gone] = x[~active], y[~active], z[~active]
             live = live[active]
-            Q, c, A, b, AT, G, GT, h, x, y, z, s, rd, rp, rg, comp, mu = (
-                v[active] for v in (Q, c, A, b, AT, G, GT, h, x, y, z, s,
-                                    rd, rp, rg, comp, mu))
-        w = z / s
-        K = np.zeros((live.size, n + me, n + me))
-        K[:, :n, :n] = Q + (GT * w[:, None, :]) @ G
-        K[:, :n, n:] = AT
-        K[:, n:, :n] = A
-        K[:, diag[:n], diag[:n]] += reg
-        K[:, diag[n:], diag[n:]] -= reg
-        rhs = np.empty((live.size, n + me))
-        rhs[:, n:] = -rp
-
-        def newton(rc_vec):
-            rhs[:, :n] = -(rd + _mv(GT, (z * rg - rc_vec) / s))
-            d = _solve_kkt(K, rhs, n, me)
-            dx, dy = d[:, :n], d[:, n:]
-            ds = -rg - _mv(G, dx)
-            dz = (-rc_vec - z * ds) / s
-            return dx, dy, ds, dz
-
+            ops = ops.take(active)
+            c, b, h, x, y, z, s, rd, rp, rg, comp, mu = (
+                v[active] for v in (c, b, h, x, y, z, s, rd, rp, rg, comp, mu))
+        newton = ops.newton(z, s, rd, rp, rg)
         dx, dy, ds, dz = newton(comp)
         ap = _max_step(s, ds)
         ad = _max_step(z, dz)
@@ -718,9 +1125,8 @@ def _phase1(A, b, G, h, x0):
     h1 = np.concatenate([h, [1.0]])
     t0 = max(0.0, float((G @ x0 - h).max())) + 1.0
     x01 = np.concatenate([x0, [t0]])
-    x, y, z, iters, res = _ipm(
-        Q1[None], c1[None], A1[None], b[None], A1.T[None].copy(),
-        G1[None], G1.T[None].copy(), h1[None], x01[None], 1e-9, 300)
+    ops = _Stacked(Q1[None], A1[None], A1.T[None].copy(), G1[None], G1.T[None].copy())
+    x, y, z, iters, res = _ipm(ops, c1[None], b[None], h1[None], x01[None], 1e-9, 300)
     if iters[0] < 0:
         raise QpNumericalError("phase-1 feasibility solve broke down",
                                iterations=300, residual=float(res[0]))

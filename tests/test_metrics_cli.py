@@ -389,15 +389,17 @@ class TestCli:
         ["demo", "--iters", "5"]], ids=["run", "demo"])
     def test_failed_local_qp_saved_next_to_trace(self, argv, monkeypatch,
                                                  tmp_path, capsys):
-        # The demo's two agents share one batch; element 1 is diagnosed as
-        # failed in round 0, so the run exits 2 and leaves the QP replayable.
+        # The demo's two agents share one batch of local steps, which are
+        # warm-started; element 1 is diagnosed as failed in round 0, so the
+        # run exits 2 and leaves the QP replayable.  The validation's cold
+        # feasibility batch of the same two agents passes through.
         from rsdd.cli import failed_form_path
         from rsdd.qp_solver import QpBatch, QpError, load_form, solve_qp
         orig = QpBatch.solve
         raised = []
 
         def fail_element_1(self, tol=1e-8, max_iter=200, warm=False):
-            if len(self.forms) != 2:
+            if len(self.forms) != 2 or not warm:
                 return orig(self, tol=tol, max_iter=max_iter, warm=warm)
             x0 = 0.5 * (self.lb[1] + self.ub[1])
             try:

@@ -1,20 +1,23 @@
 """Centralized reference: stacked solve, relaxed solve, dual evaluation,
-weak duality, and the grid oracle."""
+weak duality, and a grid search that checks the oracle on tiny instances."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rsdd.core import local_step
-from rsdd.oracle import (BruteForceResult, OracleResult, brute_force_oracle,
-                         dual_value, restricted_dual_value,
+from rsdd.oracle import (OracleResult, dual_value, restricted_dual_value,
                          solve_centralized, solve_relaxed_centralized,
                          suggest_m)
+from rsdd.network_sim import build_graph
 from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
-                                build_random_instance, problem_hash,
-                                two_agent_demo)
+                                _coupled_form, build_random_instance,
+                                problem_hash, two_agent_demo, validate_problem)
+from rsdd.qp_solver import lift_hinges, solve_qp
 
 
 def demo_with_coupling_offset(b_total: float) -> ConstraintCoupledProblem:
@@ -24,6 +27,84 @@ def demo_with_coupling_offset(b_total: float) -> ConstraintCoupledProblem:
     a2 = problem.agents[1]
     a2.coupling = AffineMap(a2.coupling.mat, np.array([b_total]))
     return problem
+
+
+_GRID_CAP = 10_000_000
+
+
+@dataclass
+class BruteForceResult:
+    x: np.ndarray
+    cost: float
+    spacing: float
+    status: str  # "optimal" | "no feasible grid point"
+
+
+def brute_force_oracle(problem: ConstraintCoupledProblem,
+                       points_per_dim: int,
+                       allow_large: bool = False) -> BruteForceResult:
+    """Exhaustive search over a uniform grid of the stacked boxes.
+
+    Keeps points satisfying the local constraints and the coupled
+    inequality (within 1e-9), evaluates the exact costs there, and returns
+    the best point with the grid spacing as the error scale.  Local
+    equality constraints are checked at the same tolerance, so agents with
+    equalities will usually report no feasible grid point.
+    """
+    if points_per_dim < 2:
+        raise ValueError("need at least 2 grid points per dimension")
+    dims = [a.dim for a in problem.agents]
+    total_dim = sum(dims)
+    if total_dim > 4 and not allow_large:
+        raise ValueError("stacked dimension exceeds 4; pass allow_large=True "
+                         "to search anyway")
+    n_points = points_per_dim ** total_dim
+    if n_points > _GRID_CAP:
+        raise ValueError(f"grid of {n_points} points exceeds the "
+                         f"{_GRID_CAP} cap")
+
+    lb = np.concatenate([a.local_set.lb for a in problem.agents])
+    ub = np.concatenate([a.local_set.ub for a in problem.agents])
+    axes = [np.linspace(lb[k], ub[k], points_per_dim) for k in range(total_dim)]
+    spacing = float(((ub - lb) / (points_per_dim - 1)).max())
+
+    starts = np.concatenate([[0], np.cumsum(dims)])
+    best_cost = np.inf
+    best_x = None
+    chunk = 1_000_000
+    shape = (points_per_dim,) * total_dim
+    for lo in range(0, n_points, chunk):
+        idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), shape)
+        pts = np.stack([axes[k][idx[k]] for k in range(total_dim)], axis=1)
+        feas = np.ones(pts.shape[0], dtype=bool)
+        total_g = np.zeros((pts.shape[0], problem.coupling_dim))
+        cost = np.zeros(pts.shape[0])
+        for i, agent in enumerate(problem.agents):
+            xi = pts[:, starts[i]:starts[i + 1]]
+            ls = agent.local_set
+            if ls.a_eq is not None:
+                feas &= (np.abs(xi @ ls.a_eq.T - ls.b_eq) <= 1e-9).all(axis=1)
+            if ls.a_in is not None:
+                feas &= (xi @ ls.a_in.T - ls.b_in <= 1e-9).all(axis=1)
+            total_g += xi @ agent.coupling.mat.T + agent.coupling.vec
+            cost += 0.5 * np.einsum("kd,de,ke->k", xi,
+                                    agent.cost_quadratic, xi) \
+                + xi @ agent.cost_linear + agent.cost_constant
+            for h in agent.cost_hinges:
+                cost += h.scale * np.maximum(0.0, xi @ h.coeffs + h.offset)
+        feas &= (total_g <= 1e-9).all(axis=1)
+        if feas.any():
+            cost = np.where(feas, cost, np.inf)
+            k = int(np.argmin(cost))
+            if cost[k] < best_cost:
+                best_cost = float(cost[k])
+                best_x = pts[k].copy()
+    if best_x is None:
+        return BruteForceResult(x=np.full(total_dim, np.nan), cost=np.nan,
+                                spacing=spacing,
+                                status="no feasible grid point")
+    return BruteForceResult(x=best_x, cost=best_cost, spacing=spacing,
+                            status="optimal")
 
 
 class TestCentralized:
@@ -62,6 +143,27 @@ class TestCentralized:
         assert suggest_m(np.array([1.0])) == pytest.approx(20.0)
         assert suggest_m(np.zeros(3)) == pytest.approx(10.0)
         assert suggest_m(np.array([0.5, 2.5])) == pytest.approx(40.0)
+
+
+class TestLargeSetup:
+    def test_n1000_validates_and_is_certified(self):
+        """The set-up of a 1000-agent instance on a cycle: the local sets,
+        the Slater search and the oracle's stacked QP are all solved and
+        the oracle's solution is certified at tol."""
+        problem = build_random_instance(1000, 2, 2, 1)
+        graph = build_graph("cycle", problem.n_agents)
+        assert graph.n_nodes == 1000
+        assert validate_problem(problem).ok
+        res = solve_centralized(problem)
+        form, slices = _coupled_form(problem.agents,
+                                     [lift_hinges(a) for a in problem.agents])
+        sol = solve_qp(form, validate=False)
+        assert sol.kkt_residual <= 1e-8
+        assert all(np.array_equal(x, sol.x[sl]) for x, sl in zip(res.xs, slices))
+        assert np.array_equal(res.mu_star, sol.ineq_mult[-2:])
+        problem.slater_point = None
+        report = validate_problem(problem)
+        assert report.ok and report.slater == "strict"
 
 
 class TestRelaxed:

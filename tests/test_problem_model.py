@@ -88,6 +88,20 @@ class TestValidation:
         report = validate_problem(ConstraintCoupledProblem([bad], 1))
         assert any("empty" in f for f in report.findings)
 
+    def test_every_empty_local_set_named(self):
+        # Agents 0 and 2 share a shape and are checked as one batch; the
+        # batch fails on agent 0, and agent 1's own batch fails too.  Both
+        # empty sets are named, in agent order, and agent 2 is not.
+        def pinned_by(value, dim):
+            return simple_agent(dim=dim, local_set=LocalSet(
+                lb=np.zeros(dim), ub=np.ones(dim), a_eq=np.ones((1, dim)), b_eq=[value]))
+        problem = ConstraintCoupledProblem(
+            [pinned_by(5.0, 1), pinned_by(7.0, 2), pinned_by(0.5, 1)], 1)
+        report = validate_problem(problem)
+        assert report.findings == ["agent 0: local set is empty",
+                                   "agent 1: local set is empty"]
+        assert report.slater == "unverified"
+
     def test_no_slater_point(self):
         # Both agents push g_i(x) = x_i with boxes [1, 2]: the coupling sum
         # is at least 2 everywhere, so no feasible point exists at all.
