@@ -15,17 +15,16 @@ solver (:mod:`rsdd.qp_solver`), centralized reference solutions
 """
 
 from .core import (AlgorithmConfig, LocalSolverPool,
-                   LocalStepResult, StepSizeSchedule, eta_i_value,
-                   explicit_schedule, harmonic_schedule, lambda_update,
-                   local_step, q_i_eval, step_size, validate_schedule)
+                   LocalStepResult, StepSizeSchedule, explicit_schedule,
+                   harmonic_schedule, lambda_update, local_step, step_size,
+                   validate_schedule)
 from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
 from .network_sim import (Graph, MessageStats, RunTrace, SimulationError,
                           Snapshot, build_graph, check_trace_invariants,
                           load_trace, message_stats, run, save_trace)
-from .oracle import (OracleResult, RelaxedResult, dual_value,
-                     restricted_dual_value, solve_centralized,
-                     solve_relaxed_centralized, suggest_m)
+from .oracle import (OracleResult, RelaxedResult, dual_terms,
+                     solve_centralized, solve_relaxed_centralized, suggest_m)
 from .problem_model import (AffineMap, AgentProblem, ConstraintCoupledProblem,
                             Hinge, LocalSet, MicrogridConfig,
                             ProblemFormatError, ValidationReport,
@@ -51,14 +50,13 @@ __all__ = [
     "RelaxedResult", "RunTrace", "SimulationError", "Snapshot",
     "StepSizeSchedule", "ValidationReport",
     "build_graph", "build_microgrid_instance", "build_random_instance",
-    "check_trace_invariants", "compute_metrics", "dual_value",
-    "emit_run_artifact", "eta_i_value", "explicit_schedule",
-    "harmonic_schedule", "kkt_residuals", "lambda_update", "lift_hinges",
-    "load_form", "load_problem", "load_run_artifact", "load_trace", "local_step",
+    "check_trace_invariants", "compute_metrics", "dual_terms",
+    "emit_run_artifact", "explicit_schedule", "harmonic_schedule",
+    "kkt_residuals", "lambda_update", "lift_hinges", "load_form",
+    "load_problem", "load_run_artifact", "load_trace", "local_step",
     "message_stats", "microgrid_config_from_dict", "microgrid_config_to_dict",
-    "problem_from_dict", "problem_hash", "problem_to_dict", "q_i_eval",
-    "restricted_dual_value", "run", "save_form", "save_problem", "save_trace",
-    "solve_centralized", "solve_qp", "solve_relaxed_centralized",
-    "step_size", "suggest_m", "two_agent_demo", "validate_form",
-    "validate_problem",
+    "problem_from_dict", "problem_hash", "problem_to_dict", "run",
+    "save_form", "save_problem", "save_trace", "solve_centralized",
+    "solve_qp", "solve_relaxed_centralized", "step_size", "suggest_m",
+    "two_agent_demo", "validate_form", "validate_problem",
 ]

@@ -9,13 +9,11 @@ Each round, every agent solves its relaxed local problem
 and returns the primal pair (x, rho) together with the multiplier mu_i of
 the coupling rows.  Edge variables are then nudged by
 lambda_ij <- lambda_ij - gamma_t * (mu_i - mu_j) under a diminishing step
-size.  The module also evaluates the building blocks of the dual chain:
-q_i (ordinary dual term) and eta_i (value of the relaxed local problem).
+size.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,7 +22,7 @@ import numpy as np
 
 from .problem_model import (AgentProblem, ConstraintCoupledProblem,
                             _coupled_form, _coupling_hi, _rho_headroom)
-from .qp_solver import QpBatch, QpError, lift_hinges, shape_key, solve_qp
+from .qp_solver import QpBatch, QpError, lift_hinges, shape_groups
 
 
 @dataclass
@@ -184,13 +182,10 @@ class LocalSolverPool:
         forms = [_coupled_form([a], [lift_hinges(a)],
                                extra=(M, 0.0, _rho_headroom(hi, 0.0)))[0].dense()
                  for a, hi in zip(problem.agents, his)]
-        groups: dict[tuple, list[int]] = {}
-        for i, form in enumerate(forms):
-            groups.setdefault(shape_key(form), []).append(i)
         self.groups = [_Group(QpBatch([forms[i] for i in idx]), idx,
                               np.stack([problem.agents[i].coupling.vec for i in idx]),
                               np.stack([his[i] for i in idx]))
-                       for idx in groups.values()]
+                       for idx in shape_groups(forms)]
 
     def solve_all(self, shifts: np.ndarray) -> list[LocalStepResult]:
         """One round's local steps at the (N, S) edge-variable ``shifts``.
@@ -256,25 +251,3 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     res = pool.solve_all(shift[None])[0]
     return res.x, res.rho, res.mu
 
-
-def q_i_eval(agent: AgentProblem, mu: np.ndarray,
-             tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """Ordinary dual term q_i(mu) = min over X_i of f_i(x) + mu' g_i(x).
-
-    Returns the value and a minimizer.  Concave in mu; q_i(0) is the
-    agent's unconstrained-over-X_i best cost.
-    """
-    mu = np.asarray(mu, dtype=float).ravel()
-    base = lift_hinges(agent)
-    c = base.c.copy()
-    c[:agent.dim] += agent.coupling.mat.T @ mu
-    form = dataclasses.replace(base, c=c,
-                               offset=base.offset + float(mu @ agent.coupling.vec))
-    sol = solve_qp(form, tol=tol, validate=False)
-    return sol.objective, sol.x[:agent.dim].copy()
-
-
-def eta_i_value(agent: AgentProblem, x: np.ndarray, rho: float, M: float) -> float:
-    """Value f_i(x) + M * rho of a local-step result; with the optimal
-    (x, rho) this equals the agent's term of the second dual function."""
-    return agent.cost(x) + M * float(rho)

@@ -8,14 +8,14 @@ on violation; and evaluates the dual function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import q_i_eval
 from .problem_model import (ConstraintCoupledProblem, _coupled_form,
                             _coupling_hi, _rho_headroom, problem_hash)
-from .qp_solver import lift_hinges, solve_qp
+from .qp_solver import (QpBatch, QpError, _opposite_pairs, lift_hinges,
+                        shape_groups, solve_qp)
 
 @dataclass
 class OracleResult:
@@ -77,16 +77,22 @@ def suggest_m(mu_star: np.ndarray) -> float:
 def solve_centralized(problem: ConstraintCoupledProblem,
                       tol: float = 1e-8) -> OracleResult:
     """Solve the full problem as one QP; the coupling-row multipliers are
-    an optimal dual point by strong duality."""
+    an optimal dual point by strong duality.  ``mu_star`` is as solved;
+    the M suggestion first takes the smaller multiplier of each pair of
+    opposite rows (an equality written as two rows) off both, which leaves
+    an optimal dual point."""
     form, x_slices = _coupled_form(problem.agents,
                                    [lift_hinges(a) for a in problem.agents])
     sol = solve_qp(form, tol=tol, validate=False)
     xs = [sol.x[sl].copy() for sl in x_slices]
     mu_star = sol.ineq_mult[-problem.coupling_dim:].copy()
+    mu_net = mu_star.copy()
+    for j, k in _opposite_pairs([a.coupling.mat[None] for a in problem.agents]):
+        mu_net[[j, k]] -= min(mu_net[j], mu_net[k])
     return OracleResult(xs=xs, f_star=problem.total_cost(xs),
                         mu_star=mu_star,
                         problem_hash=problem_hash(problem),
-                        suggested_m=suggest_m(mu_star))
+                        suggested_m=suggest_m(mu_net))
 
 
 def solve_relaxed_centralized(problem: ConstraintCoupledProblem, M: float,
@@ -111,23 +117,43 @@ def solve_relaxed_centralized(problem: ConstraintCoupledProblem, M: float,
                          restriction_binding=rho > 1e-6)
 
 
-def dual_value(problem: ConstraintCoupledProblem, mu,
-               tol: float = 1e-8) -> float:
-    """Dual function q(mu) = sum_i min over X_i of f_i + mu' g_i."""
-    mu = np.asarray(mu, dtype=float).ravel()
-    if mu.shape != (problem.coupling_dim,):
-        raise ValueError(f"mu must have {problem.coupling_dim} entries")
-    if np.any(mu < 0):
-        raise ValueError("mu must be nonnegative")
-    return sum(q_i_eval(a, mu, tol=tol)[0] for a in problem.agents)
+def dual_terms(problem: ConstraintCoupledProblem, mus,
+               tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's ordinary dual term q_i(mu) = min over X_i of
+    f_i + mu'g_i at each row mu >= 0 of the (K, S) array ``mus``.
 
-
-def restricted_dual_value(problem: ConstraintCoupledProblem, mu,
-                          M: float, tol: float = 1e-8) -> float:
-    """q(mu) on the restricted domain mu >= 0, mu.1 <= M; -inf outside."""
-    mu = np.asarray(mu, dtype=float).ravel()
-    if np.any(mu < 0):
-        raise ValueError("mu must be nonnegative")
-    if mu.sum() > M:
-        return float("-inf")
-    return dual_value(problem, mu, tol=tol)
+    Returns q, (K, N) with q[k, i] = q_i(mus[k]), and the minimizers x,
+    (K, sum of the agents' dims) in agent order; the dual function is
+    q(mu) = sum_i q_i(mu).  The forms of one shape are solved as one
+    batch, and a failed QP is re-raised with the agent it belongs to.
+    """
+    mus = np.asarray(mus, dtype=float)
+    if mus.ndim != 2 or mus.shape[1] != problem.coupling_dim:
+        raise ValueError(f"each multiplier must have {problem.coupling_dim} entries")
+    if np.any(mus < 0):
+        raise ValueError("multipliers must be nonnegative")
+    agents = problem.agents
+    K = mus.shape[0]
+    forms = []
+    for a in agents:
+        base = lift_hinges(a)
+        for mu in mus:
+            c = base.c.copy()
+            c[:a.dim] += a.coupling.mat.T @ mu
+            forms.append(replace(base, c=c,
+                                 offset=base.offset + float(mu @ a.coupling.vec)))
+    starts = np.cumsum([0] + [a.dim for a in agents]).tolist()
+    q = np.empty((K, len(agents)))
+    x = np.empty((K, starts[-1]))
+    for idx in shape_groups(forms):
+        try:
+            sols = QpBatch([forms[j] for j in idx], validate=False).solve(tol=tol)
+        except QpError as exc:
+            if exc.element is not None:
+                exc.agent = idx[exc.element] // K
+            raise
+        for j, sol in zip(idx, sols):
+            i, k = divmod(j, K)
+            q[k, i] = sol.objective
+            x[k, starts[i]:starts[i + 1]] = sol.x[:agents[i].dim]
+    return q, x

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qp_solver import (CoupledForm, QpBatch, QpError, QpInfeasibleError,
-                        QpStandardForm, shape_key, solve_qp)
+                        QpStandardForm, shape_groups, solve_qp)
 
 _SLATER_MARGIN = 1e-8
 _FEAS_TOL = 1e-6
@@ -289,11 +289,8 @@ def _local_set_findings(agents: list[AgentProblem]) -> list[str]:
     named, in agent order.
     """
     forms = [_local_form(a) for a in agents]
-    groups: dict[tuple, list[int]] = {}
-    for i, form in enumerate(forms):
-        groups.setdefault(shape_key(form), []).append(i)
     suspects = []
-    for idx in groups.values():
+    for idx in shape_groups(forms):
         try:
             QpBatch([forms[i] for i in idx], validate=False).solve(tol=1e-8)
         except QpError:

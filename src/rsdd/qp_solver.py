@@ -308,6 +308,15 @@ def shape_key(form: QpStandardForm) -> tuple:
             (np.abs(form.ub - form.lb) <= _FIX_TOL).tobytes())
 
 
+def shape_groups(forms: list[QpStandardForm]) -> list[list[int]]:
+    """The indices of ``forms`` grouped by ``shape_key``: the groups in the
+    order their first member appears, each in index order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, form in enumerate(forms):
+        groups.setdefault(shape_key(form), []).append(i)
+    return list(groups.values())
+
+
 class QpBatch:
     """A stack of same-shape QPs solved by one interior-point loop.
 
@@ -768,22 +777,32 @@ class _Coupled:
         return step
 
 
-def _pair_rotation(coupling: list[np.ndarray]) -> np.ndarray:
-    """An orthogonal basis of the coupling rows' space: the identity, except
-    that each pair of opposite rows (an equality written as two rows) is
-    replaced by the pair's difference and sum, whose row of C is then zero.
-    ``coupling`` holds each group's (B, S, n) rows."""
+def _opposite_pairs(coupling: list[np.ndarray]) -> list[tuple[int, int]]:
+    """The pairs (j, k), j < k, of opposite coupling rows: row k is the exact
+    negative of row j in every block, an equality written as two rows.  A
+    row belongs to one pair at most.  ``coupling`` holds (B, S, n) rows."""
     S = coupling[0].shape[1]
-    P = np.eye(S)
+    pairs: list[tuple[int, int]] = []
     paired: set[int] = set()
     for j in range(S):
         for k in range(j + 1, S):
             if j not in paired and k not in paired and all(
                     np.array_equal(m[:, k], -m[:, j]) for m in coupling):
-                r = np.sqrt(0.5)
-                P[[j, k], j] = (r, -r)
-                P[[j, k], k] = (r, r)
+                pairs.append((j, k))
                 paired |= {j, k}
+    return pairs
+
+
+def _pair_rotation(coupling: list[np.ndarray]) -> np.ndarray:
+    """An orthogonal basis of the coupling rows' space: the identity, except
+    that each pair of opposite rows (``_opposite_pairs``) is replaced by the
+    pair's difference and sum, whose row of C is then zero.  ``coupling``
+    holds each group's (B, S, n) rows."""
+    P = np.eye(coupling[0].shape[1])
+    r = np.sqrt(0.5)
+    for j, k in _opposite_pairs(coupling):
+        P[[j, k], j] = (r, -r)
+        P[[j, k], k] = (r, r)
     return P
 
 
@@ -806,10 +825,7 @@ def _solve_coupled(form: CoupledForm, tol: float, max_iter: int) -> PrimalDualSo
     up to rounding.  Should the loop not converge, the dense QP is solved
     instead, with its polish and its phase-1 diagnosis of a failure.
     """
-    keys: dict[tuple, list[int]] = {}
-    for k, f in enumerate(form.blocks):
-        keys.setdefault(shape_key(f), []).append(k)
-    members = list(keys.values())
+    members = shape_groups(form.blocks)
     groups = [QpBatch([form.blocks[k] for k in idx], validate=False) for idx in members]
     ops = _Coupled(groups, [np.stack([form.coupling[k] for k in idx]) for idx in members],
                    form.extra is not None)
@@ -1028,6 +1044,7 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     best_res = np.full(B, np.inf)
     best_x, best_y, best_z = x.copy(), y.copy(), z.copy()
     last_improve = 0
+    stuck = np.zeros(B, dtype=bool)  # elements whose last direction was not finite
     # The whole batch's iterates; x, y, z and s below hold the live ones.
     x_all, y_all, z_all = x, y, z
     live = np.arange(B)
@@ -1061,7 +1078,7 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
             break
         it += 1
         mu = comp.mean(axis=1)
-        active &= np.isfinite(mu) & (mu <= 1e18) & np.isfinite(res_live) \
+        active &= np.isfinite(mu) & (mu <= 1e18) & np.isfinite(res_live) & ~stuck \
             & ~((res_live > 1e4 * best_res[live]) & (res_live > 1.0))
         if not active.any():
             break
@@ -1086,10 +1103,13 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         dx, dy, ds, dz = newton(rc_vec)
         ap = 0.995 * _max_step(s, ds)
         ad = 0.995 * _max_step(z, dz)
-        finite = np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=1) \
-            & np.isfinite(dy).all(axis=1) & np.isfinite(ds).all(axis=1)
-        ap = np.where(finite, ap, 0.0)
-        ad = np.where(finite, ad, 0.0)
+        stuck = ~(np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=1)
+                  & np.isfinite(dy).all(axis=1) & np.isfinite(ds).all(axis=1))
+        if stuck.any():
+            # A non-finite direction must not reach the iterate (0 * inf is
+            # NaN): the element keeps its iterate and leaves at the check.
+            for d in (dx, dy, ds, dz):
+                d[stuck] = 0.0
         x += ap[:, None] * dx
         s += ap[:, None] * ds
         y += ad[:, None] * dy

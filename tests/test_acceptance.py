@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from rsdd.core import (AlgorithmConfig, eta_i_value, harmonic_schedule,
-                       local_step, q_i_eval)
+from rsdd.core import AlgorithmConfig, harmonic_schedule, local_step
 from rsdd.metrics import compute_metrics, emit_run_artifact, load_run_artifact
 from rsdd.network_sim import (build_graph, check_trace_invariants, load_trace,
                               run, save_trace, trace_to_dict)
-from rsdd.oracle import (dual_value, solve_centralized,
+from rsdd.oracle import (dual_terms, solve_centralized,
                          solve_relaxed_centralized)
-from rsdd.problem_model import (build_random_instance, problem_from_dict,
+from rsdd.problem_model import (ConstraintCoupledProblem,
+                                build_random_instance, problem_from_dict,
                                 problem_to_dict, two_agent_demo)
 from rsdd.qp_solver import QpStandardForm, kkt_residuals, solve_qp
 
@@ -137,7 +137,7 @@ def test_criterion_5_duality_identities():
     for seed in range(1, 21):
         problem = build_random_instance(3, 2, 2, seed + 200)
         oracle = solve_centralized(problem)
-        q = dual_value(problem, oracle.mu_star)
+        q = sum(dual_terms(problem, oracle.mu_star[None])[0][0])
         assert abs(q - oracle.f_star) <= 1e-6, f"seed {seed + 200}"
         m_price = float(np.abs(oracle.mu_star).sum()) + 1.0
         relaxed = solve_relaxed_centralized(problem, m_price)
@@ -153,9 +153,10 @@ def test_criterion_5_duality_identities():
         agent = build_random_instance(1, 1, 1, seed + 300).agents[0]
         shift = np.array([rng.uniform(-1.0, 1.0)])
         x, rho, _ = local_step(agent, {1: shift}, {1: np.zeros(1)}, m_price)
-        direct = eta_i_value(agent, x, rho, m_price)
-        best = max(q_i_eval(agent, np.array([m]))[0] + m * shift[0]
-                   for m in grid)
+        direct = agent.cost(x) + m_price * rho
+        q, _ = dual_terms(ConstraintCoupledProblem([agent], 1), grid[:, None],
+                          tol=1e-9)
+        best = max(q[:, 0] + grid * shift[0])
         assert direct == pytest.approx(best, abs=m_price / 2000 + 1e-6)
     print("criterion 5 PASS: strong duality <= 1e-6, rho* = 0 above the "
           "dual-norm threshold, and local values match the restricted dual "

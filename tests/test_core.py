@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rsdd.core import (AlgorithmConfig, LocalSolverPool, eta_i_value,
-                       explicit_schedule, harmonic_schedule, lambda_update,
-                       local_step, q_i_eval, step_size, validate_schedule)
+from rsdd.core import (AlgorithmConfig, LocalSolverPool, explicit_schedule,
+                       harmonic_schedule, lambda_update, local_step,
+                       step_size, validate_schedule)
+from rsdd.oracle import dual_terms
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 ConstraintCoupledProblem,
                                 build_random_instance, two_agent_demo)
@@ -150,33 +151,38 @@ class TestLocalStep:
             assert value == pytest.approx(inner, abs=1e-6)
 
 
+def q_alone(agent: AgentProblem, mus) -> tuple[np.ndarray, np.ndarray]:
+    """The agent's dual term q_i at each scalar multiplier of ``mus``, with
+    the minimizers, one row per multiplier."""
+    q, x = dual_terms(ConstraintCoupledProblem([agent], 1),
+                      np.asarray(mus, dtype=float)[:, None], tol=1e-9)
+    return q[:, 0], x
+
+
 class TestDualSide:
     def test_q_at_zero(self):
-        value, x = q_i_eval(unit_agent(), np.array([0.0]))
+        (value,), (x,) = q_alone(unit_agent(), [0.0])
         assert value == pytest.approx(0.0, abs=1e-9)
         assert x[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_q_at_one(self):
         # min x^2 + x on [-1, 1] sits at x = -0.5 with value -0.25.
-        value, x = q_i_eval(unit_agent(), np.array([1.0]))
+        (value,), (x,) = q_alone(unit_agent(), [1.0])
         assert value == pytest.approx(-0.25, abs=1e-9)
         assert x[0] == pytest.approx(-0.5, abs=1e-8)
 
     def test_midpoint_concavity(self):
-        agent = unit_agent()
-        q0, _ = q_i_eval(agent, np.array([0.0]))
-        q1, _ = q_i_eval(agent, np.array([1.0]))
-        qm, _ = q_i_eval(agent, np.array([0.5]))
+        (q0, q1, qm), _ = q_alone(unit_agent(), [0.0, 1.0, 0.5])
         assert qm >= 0.5 * (q0 + q1) - 1e-9
         assert qm == pytest.approx(-0.0625, abs=1e-9)
 
     def test_eta_values(self):
         agent = unit_agent()
         x, rho, _ = local_step(agent, {}, {}, M=10.0)
-        assert eta_i_value(agent, x, rho, 10.0) == pytest.approx(0.0, abs=1e-8)
+        assert agent.cost(x) + 10.0 * rho == pytest.approx(0.0, abs=1e-8)
         shifted = unit_agent(2.0)
         x, rho, _ = local_step(shifted, {}, {}, M=10.0)
-        assert eta_i_value(shifted, x, rho, 10.0) == pytest.approx(11.0, abs=1e-6)
+        assert shifted.cost(x) + 10.0 * rho == pytest.approx(11.0, abs=1e-6)
 
     def test_eta_equals_mu_grid_maximum(self):
         """The local value maximizes q_i(mu) + mu'shift over the mu box."""
@@ -186,8 +192,7 @@ class TestDualSide:
         x, rho, _ = local_step(agent, {3: shift}, {3: np.zeros(1)}, m_price)
         direct = agent.cost(x) + m_price * rho
         grid = np.linspace(0.0, m_price, 4001)
-        best = max(q_i_eval(agent, np.array([m]))[0] + m * shift[0]
-                   for m in grid)
+        best = max(q_alone(agent, grid)[0] + grid * shift[0])
         assert direct == pytest.approx(best, abs=m_price / 4000 + 1e-6)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rsdd.cli import main
-from rsdd.core import AlgorithmConfig, eta_i_value, harmonic_schedule
+from rsdd.core import AlgorithmConfig, harmonic_schedule
 from rsdd.metrics import (compute_metrics, emit_run_artifact,
                           load_run_artifact)
 from rsdd.network_sim import build_graph, run, save_trace
@@ -140,7 +140,7 @@ class TestComputeMetrics:
         problem = problem_from_dict(demo_trace.problem)
         rows = compute_metrics(demo_trace, demo_oracle)
         for snap, row in zip(demo_trace.snapshots, rows):
-            total = sum(eta_i_value(a, x, float(r), 10.0)
+            total = sum(a.cost(x) + 10.0 * float(r)
                         for a, x, r in zip(problem.agents, snap.x, snap.rho))
             assert total == pytest.approx(row.cost, abs=1e-9)
 

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from rsdd.core import local_step
-from rsdd.oracle import (OracleResult, dual_value, restricted_dual_value,
-                         solve_centralized, solve_relaxed_centralized,
-                         suggest_m)
+from rsdd.oracle import (OracleResult, dual_terms, solve_centralized,
+                         solve_relaxed_centralized, suggest_m)
 from rsdd.network_sim import build_graph
 from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
                                 _coupled_form, build_random_instance,
                                 problem_hash, two_agent_demo, validate_problem)
-from rsdd.qp_solver import lift_hinges, solve_qp
+from rsdd.qp_solver import (QpBatch, QpError, QpStandardForm, lift_hinges,
+                            shape_groups, solve_qp)
 
 
 def demo_with_coupling_offset(b_total: float) -> ConstraintCoupledProblem:
@@ -139,6 +139,17 @@ class TestCentralized:
         total = sum(a.g(x) for a, x in zip(agents, res.xs))
         assert total.max() <= 1e-7
 
+    def test_suggestion_nets_opposite_rows(self, microgrid):
+        # The microgrid's balance equalities are written as two rows each;
+        # the suggestion counts a pair's net multiplier once, while mu_star
+        # is the solver's multiplier as solved.
+        res = solve_centralized(microgrid)
+        assert res.suggested_m == pytest.approx(118.0, abs=1e-6)
+        form, _ = _coupled_form(microgrid.agents,
+                                [lift_hinges(a) for a in microgrid.agents])
+        sol = solve_qp(form, validate=False)
+        assert np.array_equal(res.mu_star, sol.ineq_mult[-microgrid.coupling_dim:])
+
     def test_suggest_m_formula(self):
         assert suggest_m(np.array([1.0])) == pytest.approx(20.0)
         assert suggest_m(np.zeros(3)) == pytest.approx(10.0)
@@ -204,52 +215,119 @@ class TestRelaxed:
             assert res.rho == rho
 
 
+def dual_values(problem: ConstraintCoupledProblem, mus) -> np.ndarray:
+    """The dual function q(mu) = sum_i q_i(mu) at each row of ``mus``."""
+    return np.array([sum(row) for row in dual_terms(problem, mus)[0]])
+
+
 class TestDualFunction:
     def test_value_at_optimal_multiplier(self, demo):
         # Strong duality: q(mu*) = f*.
-        assert dual_value(demo, [1.0]) == pytest.approx(0.5, abs=1e-8)
+        assert dual_values(demo, [[1.0]])[0] == pytest.approx(0.5, abs=1e-8)
 
     def test_value_at_zero(self, demo):
-        assert dual_value(demo, [0.0]) == pytest.approx(0.0, abs=1e-8)
+        assert dual_values(demo, [[0.0]])[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_shape_checked(self, demo):
         with pytest.raises(ValueError, match="entries"):
-            dual_value(demo, [1.0, 2.0])
+            dual_terms(demo, [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="entries"):
+            dual_terms(demo, [1.0])
 
     def test_sign_checked(self, demo):
         with pytest.raises(ValueError, match="nonnegative"):
-            dual_value(demo, [-0.5])
-
-    def test_restricted_outside_domain(self, demo):
-        assert restricted_dual_value(demo, [3.0], M=2.0) == float("-inf")
-
-    def test_restricted_inside_domain(self, demo):
-        inside = restricted_dual_value(demo, [0.5], M=2.0)
-        assert inside == pytest.approx(dual_value(demo, [0.5]), abs=1e-10)
+            dual_terms(demo, [[-0.5]])
 
     def test_weak_duality_random_multipliers(self, demo, demo_oracle):
         rng = np.random.default_rng(77)
-        for _ in range(100):
-            mu = rng.uniform(0.0, 4.0, size=1)
-            assert dual_value(demo, mu) <= demo_oracle.f_star + 1e-8
+        mus = rng.uniform(0.0, 4.0, size=(100, 1))
+        assert (dual_values(demo, mus) <= demo_oracle.f_star + 1e-8).all()
 
     def test_weak_duality_random_instance(self):
         problem = build_random_instance(2, 1, 2, seed=42)
         f_star = solve_centralized(problem).f_star
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            mu = rng.uniform(0.0, 3.0, size=2)
-            assert dual_value(problem, mu) <= f_star + 1e-8
+        mus = rng.uniform(0.0, 3.0, size=(20, 2))
+        assert (dual_values(problem, mus) <= f_star + 1e-8).all()
 
     def test_restricted_maximum_attains_f_star(self, demo, demo_oracle):
         # With M > ||mu*||_1 the restricted dual's maximum equals f*; a
         # dense scan of the (one-dimensional) domain should come within the
-        # grid's resolution of it.
+        # grid's resolution of it.  With M = 2 the grid [0, 2] lies inside
+        # the restricted domain mu >= 0, mu <= M, where it is q itself.
         grid = np.linspace(0.0, 2.0, 801)
-        values = [restricted_dual_value(demo, [g], M=2.0) for g in grid]
+        values = dual_values(demo, grid[:, None])
         best = int(np.argmax(values))
         assert values[best] == pytest.approx(demo_oracle.f_star, abs=1e-4)
         assert abs(grid[best] - 1.0) <= 2.0 / 800 + 1e-12
+
+
+def shifted_form(agent: AgentProblem, mu: np.ndarray) -> QpStandardForm:
+    """Agent i's Lagrangian f_i + mu'g_i over X_i as one lifted QP."""
+    form = lift_hinges(agent)
+    form.c[:agent.dim] += agent.coupling.mat.T @ mu
+    form.offset += float(mu @ agent.coupling.vec)
+    return form
+
+
+class TestDualTerms:
+    """``dual_terms`` against one ``solve_qp`` per (agent, multiplier)."""
+
+    @pytest.fixture(params=["microgrid", "random"])
+    def case(self, request):
+        # The microgrid has 4 shape groups, hinges and a pinned initial
+        # charge; multipliers are distinct, so a mis-ordered reshape fails.
+        if request.param == "microgrid":
+            problem = request.getfixturevalue("microgrid")
+        else:
+            problem = build_random_instance(5, 2, 3, 7)
+        rng = np.random.default_rng(3)
+        return problem, rng.uniform(0.0, 2.0, size=(5, problem.coupling_dim))
+
+    def test_matches_one_solve_per_agent_and_multiplier(self, case):
+        problem, mus = case
+        q, x = dual_terms(problem, mus)
+        assert q.shape == (5, problem.n_agents)
+        starts = np.cumsum([0] + [a.dim for a in problem.agents])
+        assert x.shape == (5, starts[-1])
+        ref = np.array([[solve_qp(shifted_form(a, mu), validate=False).objective
+                         for a in problem.agents] for mu in mus])
+        assert np.unique(ref, axis=0).shape[0] == len(mus)
+        assert (np.abs(q - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))).all()
+        for k, mu in enumerate(mus):
+            for i, a in enumerate(problem.agents):
+                xi = x[k, starts[i]:starts[i + 1]]
+                ls = a.local_set
+                assert (xi >= ls.lb - 1e-7).all() and (xi <= ls.ub + 1e-7).all()
+                if ls.a_in is not None:
+                    assert (ls.a_in @ xi <= ls.b_in + 1e-7).all()
+                if ls.a_eq is not None:
+                    assert np.abs(ls.a_eq @ xi - ls.b_eq).max() <= 1e-7
+                assert a.cost(xi) + mu @ a.g(xi) == pytest.approx(q[k, i], abs=1e-7)
+
+    def test_no_multipliers(self, demo):
+        q, x = dual_terms(demo, np.zeros((0, 1)))
+        assert q.shape == (0, 2) and x.shape == (0, 2)
+
+    def test_solver_failure_names_the_agent(self, microgrid, monkeypatch):
+        # In the batch of a group of three agents at K = 5 multipliers,
+        # element K + 1 is the group's second agent at the second multiplier.
+        K = 5
+        group = next(idx for idx in shape_groups(
+            [lift_hinges(a) for a in microgrid.agents]) if len(idx) == 3)
+        orig = QpBatch.solve
+
+        def fail_element(self, tol=1e-8, max_iter=200, warm=False):
+            if len(self.forms) != 3 * K:
+                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+            x0 = 0.5 * (self.lb[K + 1] + self.ub[K + 1])
+            self._diagnose(K + 1, x0, self._h()[K + 1], max_iter, 1.0)
+
+        monkeypatch.setattr(QpBatch, "solve", fail_element)
+        with pytest.raises(QpError) as info:
+            dual_terms(microgrid, np.full((K, microgrid.coupling_dim), 0.5))
+        assert (info.value.element, info.value.agent) == (K + 1, group[1])
+        assert str(info.value).startswith(f"agent {group[1]}: ")
 
 
 class TestBruteForce:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 _coupled_form, _coupling_hi, _rho_headroom,
                                 build_random_instance)
+from rsdd import qp_solver
 from rsdd.qp_solver import (QpBatch, QpError, QpInfeasibleError,
-                            QpStandardForm, _solve_coupled, kkt_residuals,
-                            lift_hinges, load_form, save_form, solve_qp,
-                            validate_form)
+                            QpNumericalError, QpStandardForm, _solve_coupled,
+                            kkt_residuals, lift_hinges, load_form, save_form,
+                            shape_groups, solve_qp, validate_form)
 
 
 def box_form(Q, c, lb, ub, **kw) -> QpStandardForm:
@@ -168,6 +171,52 @@ class TestBatch:
         cold = cold_batch.solve(tol=1e-10)
         for w, c in zip(warm, cold):
             assert np.allclose(w.x, c.x, atol=1e-9)
+
+    def test_shape_groups_in_first_seen_order(self):
+        pair = self.make_forms(2)
+        single = box_form([[2.0]], [0.0], [-1.0], [1.0])
+        assert shape_groups([single, pair[0], single, pair[1]]) == [[0, 2], [1, 3]]
+        assert shape_groups([]) == []
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_direction_keeps_the_iterate(self, poison, monkeypatch):
+        """Element 1's Newton direction is made non-finite while the whole
+        batch is live.  Its iterate must stay finite (so its residual does),
+        the step must not multiply 0 by a non-finite direction, and the
+        other elements must not notice."""
+        calls = []
+        orig_ipm = qp_solver._ipm
+
+        def spy_ipm(*args, **kwargs):
+            out = orig_ipm(*args, **kwargs)
+            calls.append([v.copy() for v in out])  # the polish edits out
+            return out
+
+        monkeypatch.setattr(qp_solver, "_ipm", spy_ipm)
+        QpBatch(self.make_forms(3, seed=4)).solve(tol=1e-9)
+        clean = calls.pop()
+        orig_kkt = qp_solver._solve_kkt
+
+        def poisoned_kkt(K, rhs, n, me):
+            d = orig_kkt(K, rhs, n, me)
+            if K.shape[0] == 3:
+                d[1] = poison
+            return d
+
+        monkeypatch.setattr(qp_solver, "_solve_kkt", poisoned_kkt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                QpBatch(self.make_forms(3, seed=4)).solve(tol=1e-9)
+            except QpNumericalError as exc:
+                assert np.isfinite(exc.residual)
+        assert not [w for w in caught
+                    if "invalid value encountered in multiply" in str(w.message)]
+        x, y, z, iters, res = calls[0]
+        assert iters[1] == -1 and np.isfinite(res[1])
+        assert all(np.isfinite(v[1]).all() for v in (x, y, z))
+        for got, ref in zip(calls[0], clean):
+            assert np.array_equal(got[[0, 2]], ref[[0, 2]])
 
     def test_determinism(self):
         forms = self.make_forms(3, seed=5)
