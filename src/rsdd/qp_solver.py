@@ -14,7 +14,9 @@ share a sparsity-free dense shape can be solved as a batch (one interior
 point loop over a leading batch axis), which is what the network simulator
 uses to step all agents of one shape at once.  Elements leave the loop as
 they converge or fail, so the Newton steps run on the unfinished ones only,
-and the certificates of a batch are recomputed in one vectorized pass.
+and the certificates of a batch are recomputed in one vectorized pass.  A
+warm re-solve first tries each settled element's previous active set by
+one batched KKT solve, and keeps what passes tol.
 """
 
 from __future__ import annotations
@@ -299,6 +301,32 @@ def validate_form(form: QpStandardForm) -> None:
             raise ValueError("inequality system must be finite")
 
 
+def _validate_forms(forms: list[QpStandardForm]) -> None:
+    """``validate_form`` on every form: the first alone, and the others, when
+    their arrays have the first one's shapes, in one pass over the stacked
+    arrays with one batched ``eigvalsh``.  Should that pass find a fault,
+    each form is checked alone, so the first bad one raises its own error."""
+    def shapes(f):
+        return [None if getattr(f, k) is None else getattr(f, k).shape for k in _FORM_ARRAYS]
+    validate_form(forms[0])
+    sig = shapes(forms[0])
+    rest = forms[1:]
+    if rest and all(shapes(f) == sig for f in rest):
+        stacks = {k: np.stack([getattr(f, k) for f in rest])
+                  for k, v in zip(_FORM_ARRAYS, sig) if v is not None}
+        Q = stacks["Q"]
+        QT = Q.transpose(0, 2, 1)
+        if (all(np.isfinite(v).all() for v in stacks.values())
+                and not (stacks["lb"] > stacks["ub"]).any()
+                and np.abs(Q - QT).max() <= _PSD_TOL):
+            qs = 0.5 * (Q + QT)
+            floor = -_PSD_TOL * np.maximum(1.0, np.abs(qs).max(axis=(1, 2)))
+            if (np.linalg.eigvalsh(qs).min(axis=1) >= floor).all():
+                return
+    for f in rest:
+        validate_form(f)
+
+
 def shape_key(form: QpStandardForm) -> tuple:
     """What the forms of one batch share: dimension, equality and
     inequality row counts, and which variables are pinned (lb == ub)."""
@@ -327,18 +355,19 @@ class QpBatch:
 
     All forms in a batch must agree on their ``shape_key``.
 
-    Each element's result is bit-identical to solving it alone unless some
-    element ends in the polish: finished elements leave the interior-point
-    loop, and the KKT certificates of the batch are computed together, in
-    the same order of operations as ``kkt_residuals``.
+    Each element's result is bit-identical to solving it alone, through the
+    same sequence of solves: the warm start's active-set solve, the stall
+    rule, the cold retry and the polish all act per element, finished
+    elements leave the interior-point loop, and the KKT certificates of the
+    batch are computed together, in the same order of operations as
+    ``kkt_residuals``.
     """
 
     def __init__(self, forms: list[QpStandardForm], validate: bool = True):
         if not forms:
             raise ValueError("empty batch")
         if validate:
-            for f in forms:
-                validate_form(f)
+            _validate_forms(forms)
         key = shape_key(forms[0])
         if any(shape_key(f) != key for f in forms[1:]):
             raise ValueError("batched problems must share their shape")
@@ -384,6 +413,10 @@ class QpBatch:
         self.GT = np.ascontiguousarray(self.G.transpose(0, 2, 1))
         self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
         self._warm: tuple[np.ndarray, np.ndarray] | None = None
+        # Warm solves only: each element's last active set, and whether its
+        # next warm solve tries that active set first.
+        self._act: np.ndarray | None = None
+        self._gate = np.zeros(B, dtype=bool)
 
     def _h(self) -> np.ndarray:
         return np.concatenate(
@@ -393,11 +426,15 @@ class QpBatch:
               warm: bool = False) -> list[PrimalDualSolution]:
         """Solve all batched problems.
 
-        With ``warm=True`` (and a previous solve on this batch) the
-        interior-point loop starts from the last solution, which typically
-        cuts iterations in half when only right-hand sides moved.  A warm
-        start that breaks down is retried cold before being diagnosed, so
-        warm solves are never less robust than cold ones.
+        With ``warm=True`` (and a previous solve on this batch) an element
+        whose active set has settled is re-solved on it by one KKT solve
+        (``_warm_solve``), reported with 0 iterations; the others start the
+        interior-point loop from their last solution, which typically cuts
+        iterations in half when only right-hand sides moved.  An element
+        the warm start leaves unconverged is retried cold before being
+        diagnosed, so warm solves are never less robust than cold ones.
+        Only warm solves track the active sets, so a cold solve does not
+        depend on earlier ones.
         """
         h = self._h()
         x0 = 0.5 * (self.lb + self.ub)
@@ -407,11 +444,10 @@ class QpBatch:
             y = np.stack([np.linalg.lstsq(self.AT[k], -(self.Q[k] @ x0[k] + self.c[k]),
                                           rcond=None)[0] for k in range(B)])
             return self._unpack(x0, y, np.zeros((B, 0)), np.zeros(B, dtype=int))
-        start = self._warm if warm and self._warm is not None else (x0, None)
         ops = _Stacked(self.Q, self.A, self.AT, self.G, self.GT)
-        x, y, z, iters, res = _ipm(ops, self.c, self.b, h, start[0], tol, max_iter,
-                                   z_init=start[1])
-        if np.any(iters < 0) and start[1] is not None:
+        if warm and self._warm is not None:
+            x, y, z, iters, res = self._warm_solve(ops, h, x0, tol, max_iter)
+        else:
             x, y, z, iters, res = _ipm(ops, self.c, self.b, h, x0, tol, max_iter)
         for k in np.where(iters < 0)[0]:
             # Degenerate optima (weakly active rows) can stall the interior
@@ -427,7 +463,46 @@ class QpBatch:
             k = int(failed[0])
             self._diagnose(k, x0[k], h[k], int(max_iter), float(res[k]))
         self._warm = (x.copy(), z.copy())
+        if warm:
+            act, clear = _active_set(self.G, h, x, z)
+            same = self._act is not None and (act == self._act).all(axis=1)
+            # More active rows than free directions cannot be independent.
+            self._gate = clear & same & (act.sum(axis=1) <= self.n - self.me)
+            self._act = act
         return self._unpack(x, y, z, iters)
+
+    def _warm_solve(self, ops, h, x0, tol, max_iter):
+        """``_ipm``'s output for a warm solve, element by element.
+
+        An element the gate admits (the same active set in its last two
+        solutions, every row of the last clearly active or inactive, and
+        no more active rows than free directions) is first re-solved by
+        one KKT solve on that active set, and keeps the
+        result, with 0 iterations, if it passes tol.  The others start the
+        interior point from their last solution, and one it leaves
+        unconverged starts again cold.
+        """
+        x, z = (v.copy() for v in self._warm)
+        y = np.zeros((len(x), self.me))
+        iters = np.full(len(x), -1)
+        res = np.full(len(x), np.inf)
+        if self._gate.any():
+            k = np.flatnonzero(self._gate)
+            xa, ya, za, _, ra = _active_set_kkt(self.Q[k], self.c[k], self.A[k], self.G[k],
+                                                self.b[k], h[k], self._act[k])
+            ok = ra <= tol
+            k = k[ok]
+            x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
+        for start, z_init in ((x, z), (x0, None)):
+            todo = np.flatnonzero(iters < 0)
+            if not todo.size:
+                break
+            every = todo.size == len(x)  # then the batch's own arrays, not copies
+            sub = slice(None) if every else todo
+            x[sub], y[sub], z[sub], iters[sub], res[sub] = _ipm(
+                ops if every else ops.take(todo), self.c[sub], self.b[sub], h[sub],
+                start[sub], tol, max_iter, z_init=None if z_init is None else z_init[sub])
+        return x, y, z, iters, res
 
     def _effective_form(self, k: int) -> QpStandardForm:
         """Form ``k`` with the batch's current right-hand sides.
@@ -909,53 +984,80 @@ def _solve_kkt(K, rhs, n, me):
     return out
 
 
+def _active_set(G, h, x, z):
+    """The active rows of batched iterates, z_i > max(s_i, 1e-10) with
+    s = max(h - Gx, 0), and whether each element separates every row
+    clearly: min(z_i, s_i) < _SEPARATION * max(z_i, s_i)."""
+    s = np.maximum(h - _mv(G, x), 0.0)
+    act = z > np.maximum(s, 1e-10)
+    clear = (np.minimum(z, s) < _SEPARATION * np.maximum(z, s)).all(axis=-1)
+    return act, clear
+
+
+def _active_set_kkt(Q, c, A, G, b, h, act):
+    """Each element's KKT point on its active rows ``act``, by one batched
+    solve, with its slacks h - Gx and its KKT error.
+
+    The system is ``_kkt_matrix``'s with each element's active rows of G
+    appended to its equality rows, and padded by rows that read -z = 0 to
+    n - me active rows (more if some element has more), so it stays
+    quasi-definite, and its size, 2n, depends on the shape alone.  With
+    every row of G in it instead, the microgrid's systems would pass the
+    100 unknowns from which LAPACK runs multithreaded, whose idle threads
+    spin on the other cores.
+    """
+    n = c.shape[1]
+    me = b.shape[1]
+    order = np.argsort(~act, axis=1, kind="stable")[:, :max(n - me, act.sum(axis=1).max())]
+    rows = (np.arange(len(act))[:, None], order)  # each element's active rows first
+    on = act[rows]  # False on padding rows
+    E = np.concatenate([A, G[rows] * on[:, :, None]], axis=1)
+    ET = E.transpose(0, 2, 1)
+    K = _kkt_matrix(Q, E, ET, E[:, :0], ET[:, :, :0], h[:, :0])  # nothing condensed
+    diag = K.reshape(len(K), -1)[:, ::K.shape[-1] + 1]
+    diag[:, n + me:] -= ~on
+    rhs = np.concatenate([-c, b, h[rows] * on], axis=1)
+    d = _solve_kkt(K, rhs, n, E.shape[1])
+    # One refinement step against the unshifted system: the shift alone
+    # leaves an active row the slack -_REG z_i, whose complementarity
+    # _REG z_i^2 passes 1e-9 once z_i passes about 30.
+    shift = np.where(np.arange(K.shape[-1]) < n, _REG, -_REG)
+    d += _solve_kkt(K, rhs - _mv(K, d) + shift * d, n, E.shape[1])
+    x, y = d[:, :n], d[:, n:n + me]
+    z = np.zeros_like(h)
+    z[rows] = np.where(on, d[:, n + me:], 0.0)
+    slack = h - _mv(G, x)
+    res = np.maximum.reduce([
+        _amax_abs(_mv(Q, x) + c + _mv(G.transpose(0, 2, 1), z) + _mv(A.transpose(0, 2, 1), y)),
+        _amax_abs(_mv(A, x) - b),
+        np.maximum(0.0, -slack.min(axis=1)),
+        np.maximum(0.0, -z.min(axis=1)),
+        _amax_abs(z * slack)])
+    return x, y, z, slack, res
+
+
 def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
     """Active-set crossover for one stalled element.
 
-    Guesses the active inequality rows from an interior-point iterate,
-    solves the equality-constrained KKT system, and repairs the guess with
-    the primal-dual rule act = {i : z_i - (h_i - G_i x) > 0} until the KKT
-    residual meets tol.  Returns (x, y, z) or None if no visited active set
-    qualifies; weakly active rows resolve to either side with a zero
-    multiplier, which is exactly the case that stalls the interior point.
+    Guesses the active inequality rows from an interior-point iterate
+    (``_active_set``), solves the KKT system on them (``_active_set_kkt``),
+    and repairs the guess with the primal-dual rule
+    act = {i : z_i - (h_i - G_i x) > 0} until the KKT error meets tol.
+    Returns (x, y, z) or None if no visited active set qualifies; weakly
+    active rows resolve to either side with a zero multiplier, which is
+    exactly the case that stalls the interior point.
     """
-    n = x0.size
-    me = A.shape[0]
-    mi = G.shape[0]
-    s0 = np.maximum(h - G @ x0, 0.0)
-    act = z0 > np.maximum(s0, 1e-10)
+    Q, c, A, G, b, h, x0, z0 = (v[None] for v in (Q, c, A, G, b, h, x0, z0))
+    act = _active_set(G, h, x0, z0)[0]
     seen = set()
     for _ in range(max_rounds):
         key = act.tobytes()
         if key in seen:
             return None
         seen.add(key)
-        Ga = G[act]
-        ma = int(act.sum())
-        K = np.zeros((n + me + ma, n + me + ma))
-        K[:n, :n] = Q
-        K[:n, n:n + me] = A.T
-        K[n:n + me, :n] = A
-        K[:n, n + me:] = Ga.T
-        K[n + me:, :n] = Ga
-        rhs = np.concatenate([-c, b, h[act]])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        x = sol[:n]
-        y = sol[n:n + me]
-        z = np.zeros(mi)
-        z[act] = sol[n + me:]
-        slack = h - G @ x
-        res = max(
-            _amax_abs(Q @ x + c + G.T @ z + A.T @ y),
-            _amax_abs(A @ x - b) if me else 0.0,
-            max(0.0, -_amin(slack)),
-            max(0.0, -_amin(z)),
-            float(np.abs(z * slack).max()) if mi else 0.0)
-        if res <= tol:
-            return x, y, z
+        x, y, z, slack, res = _active_set_kkt(Q, c, A, G, b, h, act)
+        if res[0] <= tol:
+            return x[0], y[0], z[0]
         act = (z - slack) > 0.0
     return None
 
@@ -992,6 +1094,7 @@ class _Stacked:
 
 
 _REG = 1e-12    # primal-dual regularization of every Newton system
+_SEPARATION = 1e-3  # a row is clearly active or inactive when min(z, s) < this * max(z, s)
 _PROX = 1e-3    # proximal shift of a coupled QP's block factorizations, per unit of Q
 _REFINE = 10    # refinement steps of a coupled Newton step, at most
 
@@ -1021,12 +1124,13 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     ``z_init`` warm-starts the inequality multipliers (floored away from
     the boundary).
 
-    An element leaves the loop once it converges or fails, keeping its last
+    An element leaves the loop once it converges, fails or stalls (no
+    improvement of its residual for 30 iterations), keeping its last
     iterate.  From then on the data and iterates of the live elements are
     gathered into smaller arrays and only those are factorized; while every
-    element is live the full arrays are used as they are.  Each element's
-    arithmetic does not depend on which others share its batch; only the
-    stall rule and the iteration cap are batch-wide.
+    element is live the full arrays are used as they are.  Every rule is
+    per element and all elements start at iteration 0, so an element's
+    result does not depend on which others share its batch.
     """
     B, n = c.shape
     me = b.shape[1]
@@ -1043,7 +1147,7 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     res = np.full(B, np.inf)
     best_res = np.full(B, np.inf)
     best_x, best_y, best_z = x.copy(), y.copy(), z.copy()
-    last_improve = 0
+    last_improve = np.zeros(B, dtype=int)
     stuck = np.zeros(B, dtype=bool)  # elements whose last direction was not finite
     # The whole batch's iterates; x, y, z and s below hold the live ones.
     x_all, y_all, z_all = x, y, z
@@ -1067,14 +1171,14 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
             best_x[k] = x[improved]
             best_y[k] = y[improved]
             best_z[k] = z[improved]
-            last_improve = it
+            last_improve[k] = it
         converged = (res_live <= tol) & np.isfinite(res_live)
         iters[live[converged]] = it
-        active = ~converged
         # Ill-conditioning near a degenerate optimum can blow up late
-        # iterates; stop on divergence or a long stall, and fall back to
-        # the best iterate seen for any element that never reached tol.
-        if not active.any() or it >= max_iter or it - last_improve > 30:
+        # iterates; an element stops on divergence or a long stall, and
+        # falls back to the best iterate seen if it never reached tol.
+        active = ~converged & (it - last_improve[live] <= 30)
+        if not active.any() or it >= max_iter:
             break
         it += 1
         mu = comp.mean(axis=1)

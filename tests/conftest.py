@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from rsdd.core import AlgorithmConfig, harmonic_schedule
 from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import build_microgrid_instance, two_agent_demo
+
+# CI runs with --hypothesis-profile=ci: the same draws on every run, and a
+# failing example printed as a blob that @reproduce_failure replays.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsdd.core import AlgorithmConfig, harmonic_schedule
+from rsdd.network_sim import build_graph, run
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 _coupled_form, _coupling_hi, _rho_headroom,
                                 build_random_instance)
@@ -218,6 +220,61 @@ class TestBatch:
         for got, ref in zip(calls[0], clean):
             assert np.array_equal(got[[0, 2]], ref[[0, 2]])
 
+    def test_cold_retry_only_for_unconverged_elements(self, monkeypatch):
+        """A warm start that leaves element 1 unconverged retries that
+        element alone, cold; elements 0 and 2 keep their warm solutions."""
+        def sequence():
+            batch = QpBatch(self.make_forms(3, seed=6))
+            batch.solve(tol=1e-9, warm=True)
+            batch.b_in[:, 0] = 1.5
+            return batch.solve(tol=1e-9, warm=True)
+
+        ref = sequence()
+        calls = []
+        orig_ipm = qp_solver._ipm
+
+        def unconverged_warm(ops, c, b, h, x0, tol, max_iter, z_init=None):
+            out = orig_ipm(ops, c, b, h, x0, tol, max_iter, z_init=z_init)
+            calls.append((len(c), z_init is not None))
+            if z_init is not None:
+                out[3][1] = -1
+            return out
+
+        monkeypatch.setattr(qp_solver, "_ipm", unconverged_warm)
+        got = sequence()
+        assert calls == [(3, False), (3, True), (1, False)]
+        assert_same_solution(got[0], ref[0])
+        assert_same_solution(got[2], ref[2])
+        cold = self.make_forms(3, seed=6)[1]
+        cold.b_in[0] = 1.5
+        monkeypatch.undo()
+        assert_same_solution(got[1], QpBatch([cold]).solve(tol=1e-9)[0])
+
+    def test_stalled_element_leaves_alone(self, monkeypatch):
+        """Element 0's x and y never move, so its residual stops improving
+        once its first step has closed its slack rows; it leaves the loop
+        31 iterations later although element 1, made to creep, still
+        improves, and element 1 goes on alone."""
+        sizes = []
+        orig_kkt = qp_solver._solve_kkt
+
+        def stall_and_creep(K, rhs, n, me):
+            d = orig_kkt(K, rhs, n, me)
+            sizes.append(K.shape[0])
+            if K.shape[0] == 2:
+                d[0] = 0.0
+                d[1] *= 0.05
+            return d
+
+        monkeypatch.setattr(qp_solver, "_solve_kkt", stall_and_creep)
+        try:
+            QpBatch(self.make_forms(2, seed=7)).solve(tol=1e-9)
+        except QpError:
+            pass
+        assert 1 in sizes
+        alone = sizes.index(1)  # two Newton solves per iteration
+        assert set(sizes[:alone]) == {2} and alone <= 2 * 35
+
     def test_determinism(self):
         forms = self.make_forms(3, seed=5)
         a = QpBatch(forms).solve(tol=1e-9)
@@ -253,6 +310,16 @@ def same_shape_batches(draw):
     return forms
 
 
+_SOLUTION_ARRAYS = ("x", "eq_mult", "ineq_mult", "box_lower_mult", "box_upper_mult")
+
+
+def assert_same_solution(sol, ref):
+    for field in _SOLUTION_ARRAYS:
+        assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+    assert sol.objective == ref.objective
+    assert sol.iterations == ref.iterations
+
+
 class TestBatchMembership:
     @settings(max_examples=60, deadline=None)
     @given(same_shape_batches())
@@ -260,25 +327,134 @@ class TestBatchMembership:
         """A batched element is bit-identical to the same QP solved alone,
         and its batched certificate equals the one-form reference.
 
-        The stall rule and the iteration cap are batch-wide, and both act
-        only on elements that do not converge by themselves (polished or
-        failed alone), so draws holding such an element are discarded."""
-        max_iter = 200
+        The stall rule, the iteration cap and the polish act per element,
+        so this holds for elements that end in the polish too, and a batch
+        fails exactly when one of its elements fails alone, naming the
+        first of them."""
         alone = []
         for form in forms:
             try:
-                alone.append(QpBatch([form]).solve(tol=1e-9, max_iter=max_iter)[0])
+                alone.append(QpBatch([form]).solve(tol=1e-9)[0])
             except QpError:
                 alone.append(None)
-        assume(all(a is not None and a.iterations < max_iter for a in alone))
-        batched = QpBatch(forms).solve(tol=1e-9, max_iter=max_iter)
+        failed = [k for k, ref in enumerate(alone) if ref is None]
+        if failed:
+            with pytest.raises(QpError) as info:
+                QpBatch(forms).solve(tol=1e-9)
+            assert info.value.element == failed[0]
+            return
+        batched = QpBatch(forms).solve(tol=1e-9)
         for form, sol, ref in zip(forms, batched, alone):
-            for field in ("x", "eq_mult", "ineq_mult", "box_lower_mult",
-                          "box_upper_mult"):
-                assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
-            assert sol.objective == ref.objective
-            assert sol.iterations == ref.iterations
+            assert_same_solution(sol, ref)
             assert sol.kkt_residual == kkt_residuals(form, sol).max
+
+
+def projection_forms(targets, rhs) -> list[QpStandardForm]:
+    """min 0.5 ||x - target||^2 subject to x1 + x2 <= rhs on [-3, 3]^2:
+    the row is active with multiplier (target sum - rhs) / 2 whenever that
+    is positive, and no box row is active."""
+    return [box_form(np.eye(2), -np.asarray(t, dtype=float), [-3.0, -3.0], [3.0, 3.0],
+                     A_in=[[1.0, 1.0]], b_in=[r]) for t, r in zip(targets, rhs)]
+
+
+class TestWarmActiveSet:
+    def test_unchanged_active_set_needs_no_iterations(self):
+        """Once two warm solves agree on a clearly separated active set, the
+        next one is a single KKT solve on it: 0 iterations, certified at
+        tol, and the cold solve's objective within tol."""
+        targets = [(2.0, 0.0), (1.5, 1.0), (0.0, 2.5)]
+        batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
+        first = batch.solve(tol=1e-9, warm=True)
+        second = batch.solve(tol=1e-9, warm=True)
+        assert min(s.iterations for s in first + second) > 0
+        batch.b_in[:, 0] = [1.01, 0.99, 1.02]  # the same row stays active
+        warm = batch.solve(tol=1e-9, warm=True)
+        cold = QpBatch(projection_forms(targets, [1.01, 0.99, 1.02])).solve(tol=1e-9)
+        for k, (w, c) in enumerate(zip(warm, cold)):
+            assert w.iterations == 0
+            assert w.kkt_residual <= 1e-9
+            assert w.kkt_residual == kkt_residuals(batch._effective_form(k), w).max
+            assert abs(w.objective - c.objective) <= 1e-9
+            assert not w.box_lower_mult.any() and not w.box_upper_mult.any()
+
+    def test_weakly_active_row_keeps_the_interior_point(self):
+        """A row whose multiplier and slack are both small (here the target
+        sits on the row, so both vanish) never passes the gate."""
+        batch = QpBatch(projection_forms([(0.5, 0.5)], [1.0]))
+        for _ in range(4):
+            (sol,) = batch.solve(tol=1e-9, warm=True)
+            assert sol.iterations > 0 and sol.kkt_residual <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_batches(), st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]),
+                                          min_size=2, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_every_warm_solution_is_certified(self, forms, scales, seed):
+        """Over a sequence of perturbed right-hand sides, every warm solution
+        is certified at tol, whether the active-set solve, the warm or the
+        cold interior point or the polish produced it, and each element's
+        sequence is bit-identical to the same sequence solved alone.  The
+        perturbations only loosen rows, so every problem stays feasible."""
+        rng = np.random.default_rng(seed)
+        base = np.stack([f.b_in for f in forms])
+        steps = [base + scale * np.abs(rng.normal(size=base.shape)) for scale in scales]
+        batch = QpBatch(forms)
+        alone = [QpBatch([f]) for f in forms]
+        for b_in in steps:
+            batch.b_in[:] = b_in
+            refs = []
+            for k, single in enumerate(alone):
+                single.b_in[:] = b_in[k]
+                try:
+                    refs.append(single.solve(tol=1e-9, warm=True)[0])
+                except QpError:
+                    refs.append(None)
+            failed = [k for k, ref in enumerate(refs) if ref is None]
+            if failed:
+                with pytest.raises(QpError) as info:
+                    batch.solve(tol=1e-9, warm=True)
+                assert info.value.element == failed[0]
+                return
+            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9, warm=True), refs)):
+                assert_same_solution(sol, ref)
+                assert sol.kkt_residual <= 1e-9
+                assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
+
+
+class TestRegressions:
+    def test_random_200_seed_7_runs_30_updates(self):
+        """random 200 x 2 x 2 seed 7 on a cycle (M = 50, gamma0 = 0.1,
+        p = 0.6) broke down at round 13, agent 29, while one unconverged
+        element sent its whole batch back to a cold start and the stall
+        rule was batch-wide."""
+        problem = build_random_instance(200, 2, 2, 7)
+        cfg = AlgorithmConfig(M=50.0, schedule=harmonic_schedule(0.1, 0.6),
+                              max_iters=30, enable_early_stop=False)
+        trace = run(problem, build_graph("cycle", 200), cfg)
+        assert trace.status == "max-iters" and len(trace.snapshots) == 31
+
+
+class TestBatchValidation:
+    def test_first_bad_form_names_its_fault(self):
+        """The stacked validation raises ``validate_form``'s error for the
+        first bad form of a batch."""
+        good = projection_forms([(1.0, 0.0)], [1.0])[0]
+        not_psd = box_form([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], [-1.0, -1.0],
+                           [1.0, 1.0], A_in=[[1.0, 1.0]], b_in=[1.0])
+        not_finite = box_form(np.eye(2), [np.nan, 0.0], [-1.0, -1.0], [1.0, 1.0],
+                              A_in=[[1.0, 1.0]], b_in=[1.0])
+        crossed = box_form(np.eye(2), [0.0, 0.0], [1.0, -1.0], [-1.0, 1.0],
+                           A_in=[[1.0, 1.0]], b_in=[1.0])
+        for bad in (not_psd, not_finite, crossed):
+            with pytest.raises(ValueError) as ref:
+                validate_form(bad)
+            with pytest.raises(ValueError, match=str(ref.value)):
+                QpBatch([good, bad, not_psd])
+        with pytest.raises(ValueError, match="c has wrong length"):
+            QpBatch([good, box_form(np.eye(2), [0.0], [-1.0, -1.0], [1.0, 1.0])])
+        with pytest.raises(ValueError, match="share their shape"):
+            QpBatch([good, box_form(np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])])
+        QpBatch([good, good])
 
 
 @st.composite
@@ -330,15 +506,10 @@ class TestCoupledSolve:
         """The structured solve agrees with ``solve_qp`` on the dense stack:
         objectives within 1e-9 relative, both certified at tol, and the
         blockwise certificate equal to the one-form reference up to
-        rounding.  Draws on which the dense reference itself breaks down
-        (the interior point's step-length fault) have nothing to compare
-        against and are discarded."""
+        rounding."""
         tol = 1e-10
         dense = form.dense()
-        try:
-            ref = solve_qp(dense, tol=tol)
-        except QpError:
-            assume(False)
+        ref = solve_qp(dense, tol=tol)
         sol = _solve_coupled(form, tol, 200)
         assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
         assert ref.kkt_residual <= tol
