@@ -301,32 +301,6 @@ def validate_form(form: QpStandardForm) -> None:
             raise ValueError("inequality system must be finite")
 
 
-def _validate_forms(forms: list[QpStandardForm]) -> None:
-    """``validate_form`` on every form: the first alone, and the others, when
-    their arrays have the first one's shapes, in one pass over the stacked
-    arrays with one batched ``eigvalsh``.  Should that pass find a fault,
-    each form is checked alone, so the first bad one raises its own error."""
-    def shapes(f):
-        return [None if getattr(f, k) is None else getattr(f, k).shape for k in _FORM_ARRAYS]
-    validate_form(forms[0])
-    sig = shapes(forms[0])
-    rest = forms[1:]
-    if rest and all(shapes(f) == sig for f in rest):
-        stacks = {k: np.stack([getattr(f, k) for f in rest])
-                  for k, v in zip(_FORM_ARRAYS, sig) if v is not None}
-        Q = stacks["Q"]
-        QT = Q.transpose(0, 2, 1)
-        if (all(np.isfinite(v).all() for v in stacks.values())
-                and not (stacks["lb"] > stacks["ub"]).any()
-                and np.abs(Q - QT).max() <= _PSD_TOL):
-            qs = 0.5 * (Q + QT)
-            floor = -_PSD_TOL * np.maximum(1.0, np.abs(qs).max(axis=(1, 2)))
-            if (np.linalg.eigvalsh(qs).min(axis=1) >= floor).all():
-                return
-    for f in rest:
-        validate_form(f)
-
-
 def shape_key(form: QpStandardForm) -> tuple:
     """What the forms of one batch share: dimension, equality and
     inequality row counts, and which variables are pinned (lb == ub)."""
@@ -367,7 +341,8 @@ class QpBatch:
         if not forms:
             raise ValueError("empty batch")
         if validate:
-            _validate_forms(forms)
+            for f in forms:
+                validate_form(f)
         key = shape_key(forms[0])
         if any(shape_key(f) != key for f in forms[1:]):
             raise ValueError("batched problems must share their shape")
@@ -482,26 +457,32 @@ class QpBatch:
         interior point from their last solution, and one it leaves
         unconverged starts again cold.
         """
-        x, z = (v.copy() for v in self._warm)
-        y = np.zeros((len(x), self.me))
-        iters = np.full(len(x), -1)
-        res = np.full(len(x), np.inf)
+        x, z = self._warm
+        y = None
         if self._gate.any():
             k = np.flatnonzero(self._gate)
             xa, ya, za, _, ra = _active_set_kkt(self.Q[k], self.c[k], self.A[k], self.G[k],
                                                 self.b[k], h[k], self._act[k])
             ok = ra <= tol
-            k = k[ok]
-            x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
-        for start, z_init in ((x, z), (x0, None)):
+            if ok.any():
+                k = k[ok]
+                x, z = x.copy(), z.copy()
+                y = np.zeros((len(x), self.me))
+                iters = np.full(len(x), -1)
+                res = np.full(len(x), np.inf)
+                x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
+        if y is None:  # nothing certified: the batch's own arrays, no copies
+            x, y, z, iters, res = _ipm(ops, self.c, self.b, h, x, tol, max_iter, z_init=z)
+            starts = ((x0, None),)
+        else:
+            starts = ((x, z), (x0, None))
+        for start, z_init in starts:
             todo = np.flatnonzero(iters < 0)
             if not todo.size:
                 break
-            every = todo.size == len(x)  # then the batch's own arrays, not copies
-            sub = slice(None) if every else todo
-            x[sub], y[sub], z[sub], iters[sub], res[sub] = _ipm(
-                ops if every else ops.take(todo), self.c[sub], self.b[sub], h[sub],
-                start[sub], tol, max_iter, z_init=None if z_init is None else z_init[sub])
+            x[todo], y[todo], z[todo], iters[todo], res[todo] = _ipm(
+                ops.take(todo), self.c[todo], self.b[todo], h[todo], start[todo], tol,
+                max_iter, z_init=None if z_init is None else z_init[todo])
         return x, y, z, iters, res
 
     def _effective_form(self, k: int) -> QpStandardForm:
@@ -1177,7 +1158,9 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         # Ill-conditioning near a degenerate optimum can blow up late
         # iterates; an element stops on divergence or a long stall, and
         # falls back to the best iterate seen if it never reached tol.
-        active = ~converged & (it - last_improve[live] <= 30)
+        active = ~converged
+        if it > 30:  # no element can have stalled sooner
+            active &= it - last_improve[live] <= 30
         if not active.any() or it >= max_iter:
             break
         it += 1

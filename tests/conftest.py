@@ -10,8 +10,10 @@ from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import build_microgrid_instance, two_agent_demo
 
-# CI runs with --hypothesis-profile=ci: the same draws on every run, and a
-# failing example printed as a blob that @reproduce_failure replays.
+# CI runs with --hypothesis-profile=ci: the same draws on every run, so a
+# CI failure is never a one-off, and a failing example printed as a blob
+# that @reproduce_failure replays.  New draws come from local runs, which
+# keep the default profile.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 

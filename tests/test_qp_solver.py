@@ -436,8 +436,7 @@ class TestRegressions:
 
 class TestBatchValidation:
     def test_first_bad_form_names_its_fault(self):
-        """The stacked validation raises ``validate_form``'s error for the
-        first bad form of a batch."""
+        """A batch raises ``validate_form``'s error for its first bad form."""
         good = projection_forms([(1.0, 0.0)], [1.0])[0]
         not_psd = box_form([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], [-1.0, -1.0],
                            [1.0, 1.0], A_in=[[1.0, 1.0]], b_in=[1.0])
