@@ -130,7 +130,7 @@ def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
                "columns": cols,
                "rows": [[m.t] + _row_values(m) for m in metrics]}
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))  # the C encoder, as in save_trace
     else:
         raise ValueError(f"unknown artifact format '{fmt}'")
 

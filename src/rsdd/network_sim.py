@@ -450,8 +450,10 @@ def trace_from_dict(doc: dict) -> RunTrace:
 
 
 def save_trace(trace: RunTrace, path) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python one, with the same bytes at about 2-4x the time.
     with open(path, "w") as fh:
-        json.dump(trace_to_dict(trace), fh)
+        fh.write(json.dumps(trace_to_dict(trace)))
 
 
 def load_trace(path) -> RunTrace:

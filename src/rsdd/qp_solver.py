@@ -404,8 +404,9 @@ class QpBatch:
         With ``warm=True`` (and a previous solve on this batch) an element
         whose active set has settled is re-solved on it by one KKT solve
         (``_warm_solve``), reported with 0 iterations; the others start the
-        interior-point loop from their last solution, which typically cuts
-        iterations in half when only right-hand sides moved.  An element
+        interior-point loop from their last solution, with slacks and
+        multipliers floored by how far the moved right-hand side left that
+        solution infeasible (see ``_ipm``).  An element
         the warm start leaves unconverged is retried cold before being
         diagnosed, so warm solves are never less robust than cold ones.
         Only warm solves track the active sets, so a cold solve does not
@@ -1102,8 +1103,14 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     whose vectors are flat); ``c``, ``b``, ``h`` and ``x0`` carry a leading
     batch axis.  Returns final (x, y, z, iters, res); iters[k] is the
     iteration at which element k converged, or -1 if it never did.
-    ``z_init`` warm-starts the inequality multipliers (floored away from
-    the boundary).
+
+    Without ``z_init`` the start is cold: slacks ``h - Gx0`` and inequality
+    multipliers are floored at 1.  With ``z_init`` (an element's last
+    multipliers, ``x0`` its last solution) both are floored at
+    ``min(1, max(1e-3, v_k))``, where ``v_k`` is the largest violation of
+    ``G x0 <= h``: an element whose right-hand side barely moved restarts
+    next to its last solution, one whose right-hand side jumped restarts
+    about as well centred as a cold start (Yildirim & Wright, 2002).
 
     An element leaves the loop once it converges, fails or stalls (no
     improvement of its residual for 30 iterations), keeping its last
@@ -1121,8 +1128,11 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         s = np.maximum(h - ops.Gx(x), 1.0)
         z = np.ones((B, mi))
     else:
-        s = np.maximum(h - ops.Gx(x), 1e-3)
-        z = np.maximum(z_init, 1e-3)
+        # The largest violation of G x0 <= h (0 if none), clipped to [1e-3, 1].
+        slack = h - ops.Gx(x)
+        floor = np.clip(-slack.min(axis=1, initial=0.0), 1e-3, 1.0)[:, None]
+        s = np.maximum(slack, floor)
+        z = np.maximum(z_init, floor)
     y = np.zeros((B, me))
     iters = np.full(B, -1, dtype=int)
     res = np.full(B, np.inf)

@@ -405,6 +405,14 @@ class TestTraceSerialization:
         assert json.dumps(trace_to_dict(loaded), sort_keys=True) == \
             json.dumps(trace_to_dict(demo_trace), sort_keys=True)
 
+    def test_file_bytes_match_the_streaming_encoder(self, demo_trace, tmp_path):
+        """The saved file is what json.dump wrote before: the pure-Python
+        encoder's output, byte for byte."""
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        expected = "".join(json.JSONEncoder().iterencode(trace_to_dict(demo_trace)))
+        assert path.read_text() == expected
+
     def test_loaded_trace_checks_clean(self, demo_trace, tmp_path):
         path = tmp_path / "trace.json"
         save_trace(demo_trace, path)

@@ -385,6 +385,25 @@ class TestWarmActiveSet:
             (sol,) = batch.solve(tol=1e-9, warm=True)
             assert sol.iterations > 0 and sol.kkt_residual <= 1e-9
 
+    def test_warm_floor_follows_the_violation(self):
+        """A warm interior point floors each element's slacks and multipliers
+        at its last solution's violation of the new rows, clipped to
+        [1e-3, 1]: 1e-3 where the right-hand side did not move, 0.5 where
+        it moved the last solution 0.5 outside its row."""
+        batch = QpBatch(projection_forms([(0.0, 0.0), (3.0, 0.0)], [1.0, 1.0]))
+        batch.solve(tol=1e-9, warm=True)
+        x_prev, z_prev = batch._warm
+        batch.b_in[1, 0] = 0.5
+        ops = qp_solver._Stacked(batch.Q, batch.A, batch.AT, batch.G, batch.GT)
+        _, _, z, _, _ = qp_solver._ipm(ops, batch.c, batch.b, batch._h(), x_prev,
+                                       1e-9, max_iter=0, z_init=z_prev)
+        assert (z_prev[0] < 1e-3).all()
+        assert (z[0] == 1e-3).all()
+        small = z_prev[1] < 1e-3  # every row but the active one
+        assert small.sum() == len(small) - 1
+        assert np.allclose(z[1, small], 0.5, atol=1e-8)
+        assert np.array_equal(z[1, ~small], z_prev[1, ~small])
+
     @settings(max_examples=60, deadline=None)
     @given(same_shape_batches(), st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]),
                                           min_size=2, max_size=6),
@@ -431,6 +450,16 @@ class TestRegressions:
         cfg = AlgorithmConfig(M=50.0, schedule=harmonic_schedule(0.1, 0.6),
                               max_iters=30, enable_early_stop=False)
         trace = run(problem, build_graph("cycle", 200), cfg)
+        assert trace.status == "max-iters" and len(trace.snapshots) == 31
+
+    def test_random_1000_runs_30_updates(self):
+        """random 1000 x 2 x 2 seed 1 on a cycle (M = 50, gamma0 = 0.1,
+        p = 0.6) runs 30 updates; with cold starts only (no warm interior
+        point) it broke down at round 28, agent 358."""
+        problem = build_random_instance(1000, 2, 2, 1)
+        cfg = AlgorithmConfig(M=50.0, schedule=harmonic_schedule(0.1, 0.6),
+                              max_iters=30, enable_early_stop=False)
+        trace = run(problem, build_graph("cycle", 1000), cfg)
         assert trace.status == "max-iters" and len(trace.snapshots) == 31
 
 
