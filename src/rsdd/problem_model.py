@@ -220,7 +220,8 @@ def _coupled_form(agents: list[AgentProblem], forms: list[QpStandardForm],
 
 
 def _check_agent(i: int, agent: AgentProblem, s_dim: int, findings: list[str]) -> bool:
-    """Append findings for agent i; return True when shapes permit solves."""
+    """Append findings for agent i; return True when its shapes and values
+    permit solves."""
     ok = True
     n = agent.dim
     ls = agent.local_set
@@ -238,6 +239,20 @@ def _check_agent(i: int, agent: AgentProblem, s_dim: int, findings: list[str]) -
         ok = False
     elif np.any(ls.lb > ls.ub):
         findings.append(f"agent {i}: empty box (lb > ub)")
+        ok = False
+    # Every numeric field but the box, named as in the problem file.
+    fields = [("cost_quadratic", agent.cost_quadratic), ("cost_linear", agent.cost_linear),
+              ("cost_constant", agent.cost_constant),
+              ("local_set.a_eq", ls.a_eq), ("local_set.b_eq", ls.b_eq),
+              ("local_set.a_in", ls.a_in), ("local_set.b_in", ls.b_in),
+              ("coupling.mat", agent.coupling.mat), ("coupling.vec", agent.coupling.vec)]
+    for k, hinge in enumerate(agent.cost_hinges):
+        fields += [(f"cost_hinges[{k}].scale", hinge.scale),
+                   (f"cost_hinges[{k}].coeffs", hinge.coeffs),
+                   (f"cost_hinges[{k}].offset", hinge.offset)]
+    non_finite = [name for name, v in fields if v is not None and not np.isfinite(v).all()]
+    if non_finite:
+        findings.append(f"agent {i}: non-finite values in {', '.join(non_finite)}")
         ok = False
     if ok and agent.cost_quadratic.shape == (n, n):
         q = agent.cost_quadratic
@@ -365,6 +380,9 @@ def validate_problem(problem: ConstraintCoupledProblem) -> ValidationReport:
             if x.shape != (agent.dim,):
                 findings.append(f"slater_point component {i} has wrong length")
                 return report
+            if not np.isfinite(x).all():
+                findings.append(f"slater_point component {i} is not finite")
+                continue
             if np.any(x <= ls.lb) or np.any(x >= ls.ub):
                 findings.append(f"slater_point component {i} not strictly inside its box")
             if ls.a_eq is not None and np.abs(ls.a_eq @ x - ls.b_eq).max() > 1e-8:

@@ -329,12 +329,14 @@ class QpBatch:
 
     All forms in a batch must agree on their ``shape_key``.
 
-    Each element's result is bit-identical to solving it alone, through the
-    same sequence of solves: the warm start's active-set solve, the stall
-    rule, the cold retry and the polish all act per element, finished
-    elements leave the interior-point loop, and the KKT certificates of the
-    batch are computed together, in the same order of operations as
-    ``kkt_residuals``.
+    Each element goes through one sequence of attempts (see ``solve``): on
+    a warm solve the active-set try, then the interior point from its last
+    solution and then cold, then the polish, and last the diagnosis.  Each
+    attempt, and the interior point's stall rule, acts per element,
+    finished elements leave the interior-point loop, and the KKT
+    certificates of the batch are computed together, in the same order of
+    operations as ``kkt_residuals``, so each element's result is
+    bit-identical to solving it alone.
     """
 
     def __init__(self, forms: list[QpStandardForm], validate: bool = True):
@@ -401,31 +403,58 @@ class QpBatch:
               warm: bool = False) -> list[PrimalDualSolution]:
         """Solve all batched problems.
 
-        With ``warm=True`` (and a previous solve on this batch) an element
-        whose active set has settled is re-solved on it by one KKT solve
-        (``_warm_solve``), reported with 0 iterations; the others start the
-        interior-point loop from their last solution, with slacks and
-        multipliers floored by how far the moved right-hand side left that
-        solution infeasible (see ``_ipm``).  An element
-        the warm start leaves unconverged is retried cold before being
-        diagnosed, so warm solves are never less robust than cold ones.
+        Each element goes through one sequence of attempts, and each attempt
+        runs on the elements that no earlier one converged:
+
+        1. On a warm solve (``warm=True`` after an earlier solve of this
+           batch) only, the active-set try: an element the gate admits (the
+           same active set in its last two warm solutions, every row of the
+           last clearly active or inactive, and no more active rows than
+           free directions) is re-solved on that active set by one KKT
+           solve, and keeps the result, with 0 iterations, if it passes tol.
+        2. The interior point (``_ipm``), from each start in turn: on a warm
+           solve first from the element's last solution, with slacks and
+           multipliers floored by how far the moved right-hand side left
+           that solution infeasible, then cold.  A warm solve is thus never
+           less robust than a cold one.
+        3. The polish (``_polish``), an active-set crossover from the
+           interior point's best iterate.
+        4. ``_diagnose`` of the first element still unconverged, which raises.
+
         Only warm solves track the active sets, so a cold solve does not
         depend on earlier ones.
         """
         h = self._h()
         x0 = 0.5 * (self.lb + self.ub)
+        B = len(self.forms)
         if self.mi == 0:
             # Every variable pinned: x is fixed, multipliers from stationarity.
-            B = len(self.forms)
             y = np.stack([np.linalg.lstsq(self.AT[k], -(self.Q[k] @ x0[k] + self.c[k]),
                                           rcond=None)[0] for k in range(B)])
             return self._unpack(x0, y, np.zeros((B, 0)), np.zeros(B, dtype=int))
         ops = _Stacked(self.Q, self.A, self.AT, self.G, self.GT)
+        x, y, z = np.zeros((B, self.n)), np.zeros((B, self.me)), np.zeros((B, self.mi))
+        iters, res = np.full(B, -1), np.full(B, np.inf)
+        starts = [(x0, None)]
         if warm and self._warm is not None:
-            x, y, z, iters, res = self._warm_solve(ops, h, x0, tol, max_iter)
-        else:
-            x, y, z, iters, res = _ipm(ops, self.c, self.b, h, x0, tol, max_iter)
-        for k in np.where(iters < 0)[0]:
+            starts.insert(0, self._warm)
+            if self._gate.any():
+                k = np.flatnonzero(self._gate)
+                xa, ya, za, _, ra = _active_set_kkt(self.Q[k], self.c[k], self.A[k], self.G[k],
+                                                    self.b[k], h[k], self._act[k])
+                ok = ra <= tol
+                k = k[ok]
+                x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
+        for start, z_init in starts:
+            todo = np.flatnonzero(iters < 0)
+            if todo.size == B:  # the batch's own arrays, no copies
+                x, y, z, iters, res = _ipm(ops, self.c, self.b, h, start, tol, max_iter,
+                                           z_init=z_init)
+            elif todo.size:
+                x[todo], y[todo], z[todo], iters[todo], res[todo] = _ipm(
+                    ops.take(todo), self.c[todo], self.b[todo], h[todo], start[todo], tol,
+                    max_iter, z_init=None if z_init is None else z_init[todo])
+        for k in np.flatnonzero(iters < 0):
             # Degenerate optima (weakly active rows) can stall the interior
             # point above tol; an active-set crossover from the best iterate
             # usually lands on the exact solution.
@@ -434,7 +463,7 @@ class QpBatch:
             if fix is not None:
                 x[k], y[k], z[k] = fix
                 iters[k] = max_iter
-        failed = np.where(iters < 0)[0]
+        failed = np.flatnonzero(iters < 0)
         if failed.size:
             k = int(failed[0])
             self._diagnose(k, x0[k], h[k], int(max_iter), float(res[k]))
@@ -446,45 +475,6 @@ class QpBatch:
             self._gate = clear & same & (act.sum(axis=1) <= self.n - self.me)
             self._act = act
         return self._unpack(x, y, z, iters)
-
-    def _warm_solve(self, ops, h, x0, tol, max_iter):
-        """``_ipm``'s output for a warm solve, element by element.
-
-        An element the gate admits (the same active set in its last two
-        solutions, every row of the last clearly active or inactive, and
-        no more active rows than free directions) is first re-solved by
-        one KKT solve on that active set, and keeps the
-        result, with 0 iterations, if it passes tol.  The others start the
-        interior point from their last solution, and one it leaves
-        unconverged starts again cold.
-        """
-        x, z = self._warm
-        y = None
-        if self._gate.any():
-            k = np.flatnonzero(self._gate)
-            xa, ya, za, _, ra = _active_set_kkt(self.Q[k], self.c[k], self.A[k], self.G[k],
-                                                self.b[k], h[k], self._act[k])
-            ok = ra <= tol
-            if ok.any():
-                k = k[ok]
-                x, z = x.copy(), z.copy()
-                y = np.zeros((len(x), self.me))
-                iters = np.full(len(x), -1)
-                res = np.full(len(x), np.inf)
-                x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
-        if y is None:  # nothing certified: the batch's own arrays, no copies
-            x, y, z, iters, res = _ipm(ops, self.c, self.b, h, x, tol, max_iter, z_init=z)
-            starts = ((x0, None),)
-        else:
-            starts = ((x, z), (x0, None))
-        for start, z_init in starts:
-            todo = np.flatnonzero(iters < 0)
-            if not todo.size:
-                break
-            x[todo], y[todo], z[todo], iters[todo], res[todo] = _ipm(
-                ops.take(todo), self.c[todo], self.b[todo], h[todo], start[todo], tol,
-                max_iter, z_init=None if z_init is None else z_init[todo])
-        return x, y, z, iters, res
 
     def _effective_form(self, k: int) -> QpStandardForm:
         """Form ``k`` with the batch's current right-hand sides.
@@ -1104,13 +1094,14 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     batch axis.  Returns final (x, y, z, iters, res); iters[k] is the
     iteration at which element k converged, or -1 if it never did.
 
-    Without ``z_init`` the start is cold: slacks ``h - Gx0`` and inequality
-    multipliers are floored at 1.  With ``z_init`` (an element's last
-    multipliers, ``x0`` its last solution) both are floored at
-    ``min(1, max(1e-3, v_k))``, where ``v_k`` is the largest violation of
-    ``G x0 <= h``: an element whose right-hand side barely moved restarts
-    next to its last solution, one whose right-hand side jumped restarts
-    about as well centred as a cold start (Yildirim & Wright, 2002).
+    The start floors the slacks ``h - Gx0`` and the inequality multipliers
+    ``z_init`` per element.  With ``z_init`` (an element's last multipliers,
+    ``x0`` its last solution) the floor is ``min(1, max(1e-3, v_k))``, where
+    ``v_k`` is the largest violation of ``G x0 <= h``: an element whose
+    right-hand side barely moved restarts next to its last solution, one
+    whose right-hand side jumped restarts about as well centred as a cold
+    start (Yildirim & Wright, 2002).  Without ``z_init`` the start is cold:
+    zero multipliers and a floor of 1.
 
     An element leaves the loop once it converges, fails or stalls (no
     improvement of its residual for 30 iterations), keeping its last
@@ -1122,17 +1113,14 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     """
     B, n = c.shape
     me = b.shape[1]
-    mi = h.shape[1]
     x = x0.copy()
-    if z_init is None:
-        s = np.maximum(h - ops.Gx(x), 1.0)
-        z = np.ones((B, mi))
-    else:
-        # The largest violation of G x0 <= h (0 if none), clipped to [1e-3, 1].
-        slack = h - ops.Gx(x)
+    slack = h - ops.Gx(x)
+    if z_init is None:  # cold: floor 1, zero multipliers
+        floor, z_init = 1.0, np.zeros_like(slack)
+    else:  # the largest violation of G x0 <= h (0 if none), clipped to [1e-3, 1]
         floor = np.clip(-slack.min(axis=1, initial=0.0), 1e-3, 1.0)[:, None]
-        s = np.maximum(slack, floor)
-        z = np.maximum(z_init, floor)
+    s = np.maximum(slack, floor)
+    z = np.maximum(z_init, floor)
     y = np.zeros((B, me))
     iters = np.full(B, -1, dtype=int)
     res = np.full(B, np.inf)

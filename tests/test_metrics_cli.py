@@ -20,7 +20,8 @@ from rsdd.network_sim import build_graph, run, save_trace
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
-                                problem_from_dict)
+                                problem_from_dict, problem_to_dict,
+                                two_agent_demo)
 
 
 def tiny_pair() -> ConstraintCoupledProblem:
@@ -455,6 +456,20 @@ class TestCli:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "invalid-input"
         assert "validation failed" in err["message"]
+
+    def test_non_finite_problem_file_is_invalid_input(self, tmp_path, capsys):
+        # json.load reads NaN, so a problem file can carry one; validation
+        # must reject it before any solve can break down on it.
+        doc = problem_to_dict(two_agent_demo())
+        doc["agents"][1]["cost_linear"] = [float("nan")]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path), "--iters", "5", "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "invalid-input"
+        assert "agent 1: non-finite values in cost_linear" in err["message"]
 
 
 def _env_with_src() -> dict:

@@ -52,6 +52,19 @@ class TestDemoValues:
         assert hinge.value(np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
+def rich_agent(Q=((1.0, 0.0), (0.0, 1.0)), c=(0.0, 0.0), const=0.0, scale=1.0,
+               coeffs=(1.0, 0.0), offset=-0.5, a_eq=((1.0, -1.0),), b_eq=(0.0,),
+               a_in=((1.0, 1.0),), b_in=(1.5,), mat=((1.0, 1.0),), vec=(-1.0,)):
+    """A two-variable agent with every numeric field a problem file can
+    hold: a hinge, local equality and inequality rows, and one coupling
+    row; (0.25, 0.25) is strictly inside its set."""
+    return AgentProblem(dim=2, cost_quadratic=Q, cost_linear=c, cost_constant=const,
+                        cost_hinges=[Hinge(scale, coeffs, offset)],
+                        local_set=LocalSet(lb=np.zeros(2), ub=np.ones(2), a_eq=a_eq,
+                                           b_eq=b_eq, a_in=a_in, b_in=b_in),
+                        coupling=AffineMap(mat, vec))
+
+
 class TestValidation:
     def test_single_agent_clean(self):
         problem = ConstraintCoupledProblem(agents=[simple_agent()],
@@ -134,6 +147,39 @@ class TestValidation:
             slater_point=[np.array([2.0]), np.array([2.0])])
         report = validate_problem(shifted)
         assert any("margin" in f for f in report.findings)
+
+    @pytest.mark.parametrize("field, poison", [
+        ("cost_quadratic", {"Q": [[np.inf, 0.0], [0.0, 1.0]]}),
+        ("cost_linear", {"c": [np.nan, 0.0]}),
+        ("cost_constant", {"const": np.nan}),
+        ("cost_hinges[0].scale", {"scale": np.nan}),
+        ("cost_hinges[0].coeffs", {"coeffs": [np.nan, 0.0]}),
+        ("cost_hinges[0].offset", {"offset": -np.inf}),
+        ("local_set.a_eq", {"a_eq": [[1.0, np.nan]]}),
+        ("local_set.b_eq", {"b_eq": [np.nan]}),
+        ("local_set.a_in", {"a_in": [[np.inf, 1.0]]}),
+        ("local_set.b_in", {"b_in": [np.nan]}),
+        ("coupling.mat", {"mat": [[np.nan, 1.0]]}),
+        ("coupling.vec", {"vec": [np.inf]}),
+    ])
+    def test_non_finite_field_named(self, field, poison):
+        """One finding for the agent, naming the field, before any solve."""
+        report = validate_problem(ConstraintCoupledProblem(
+            [rich_agent(), rich_agent(**poison)], 1, slater_point=[np.full(2, 0.25)] * 2))
+        assert report.findings == [f"agent 1: non-finite values in {field}"]
+        assert report.slater == "unverified"
+
+    def test_non_finite_fields_in_one_finding(self):
+        report = validate_problem(ConstraintCoupledProblem(
+            [rich_agent(c=[np.nan, 0.0], vec=[np.nan]), rich_agent()], 1))
+        assert report.findings == [
+            "agent 0: non-finite values in cost_linear, coupling.vec"]
+
+    def test_non_finite_slater_point(self):
+        report = validate_problem(ConstraintCoupledProblem(
+            [rich_agent(), rich_agent()], 1,
+            slater_point=[np.full(2, 0.25), np.array([np.nan, 0.25])]))
+        assert report.findings == ["slater_point component 1 is not finite"]
 
 
 class TestRandomInstances:

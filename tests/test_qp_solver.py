@@ -222,7 +222,9 @@ class TestBatch:
 
     def test_cold_retry_only_for_unconverged_elements(self, monkeypatch):
         """A warm start that leaves element 1 unconverged retries that
-        element alone, cold; elements 0 and 2 keep their warm solutions."""
+        element alone, cold; elements 0 and 2 keep their warm solutions.
+        When the cold retry leaves it unconverged too, the polish runs once,
+        for element 1 alone, from the cold retry's iterate."""
         def sequence():
             batch = QpBatch(self.make_forms(3, seed=6))
             batch.solve(tol=1e-9, warm=True)
@@ -230,25 +232,51 @@ class TestBatch:
             return batch.solve(tol=1e-9, warm=True)
 
         ref = sequence()
-        calls = []
+        calls, outs = [], []
         orig_ipm = qp_solver._ipm
+        fail_cold_retry = False
 
-        def unconverged_warm(ops, c, b, h, x0, tol, max_iter, z_init=None):
+        def unconverged(ops, c, b, h, x0, tol, max_iter, z_init=None):
             out = orig_ipm(ops, c, b, h, x0, tol, max_iter, z_init=z_init)
             calls.append((len(c), z_init is not None))
             if z_init is not None:
                 out[3][1] = -1
+            elif fail_cold_retry and len(calls) == 3:
+                out[3][0] = -1
+            outs.append([v.copy() for v in out])
             return out
 
-        monkeypatch.setattr(qp_solver, "_ipm", unconverged_warm)
+        monkeypatch.setattr(qp_solver, "_ipm", unconverged)
         got = sequence()
         assert calls == [(3, False), (3, True), (1, False)]
         assert_same_solution(got[0], ref[0])
         assert_same_solution(got[2], ref[2])
         cold = self.make_forms(3, seed=6)[1]
         cold.b_in[0] = 1.5
-        monkeypatch.undo()
-        assert_same_solution(got[1], QpBatch([cold]).solve(tol=1e-9)[0])
+        with monkeypatch.context() as m:
+            m.setattr(qp_solver, "_ipm", orig_ipm)
+            assert_same_solution(got[1], QpBatch([cold]).solve(tol=1e-9)[0])
+
+        polished = []
+        orig_polish = qp_solver._polish
+
+        def spy_polish(Q, c, A, b, G, h, x0, z0, tol, **kw):
+            polished.append((c.copy(), x0.copy(), z0.copy()))
+            return orig_polish(Q, c, A, b, G, h, x0, z0, tol, **kw)
+
+        monkeypatch.setattr(qp_solver, "_polish", spy_polish)
+        calls.clear()
+        outs.clear()
+        fail_cold_retry = True
+        got = sequence()
+        assert calls == [(3, False), (3, True), (1, False)]
+        x_retry, _, z_retry, _, _ = outs[2]
+        [(c, x_start, z_start)] = polished
+        assert np.array_equal(c, cold.c)
+        assert np.array_equal(x_start, x_retry[0]) and np.array_equal(z_start, z_retry[0])
+        assert got[1].iterations == 200 and got[1].kkt_residual <= 1e-9
+        assert_same_solution(got[0], ref[0])
+        assert_same_solution(got[2], ref[2])
 
     def test_stalled_element_leaves_alone(self, monkeypatch):
         """Element 0's x and y never move, so its residual stops improving
