@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .problem_model import (AgentProblem, ConstraintCoupledProblem,
                             _coupled_form, _coupling_hi, _rho_headroom)
-from .qp_solver import QpBatch, QpError, lift_hinges, shape_groups
+from .qp_solver import QpBatch, QpError, lift_hinges
 
 
 @dataclass
@@ -152,24 +151,15 @@ class LocalStepResult:
     mu: np.ndarray
 
 
-class _Group(NamedTuple):
-    """Agents whose relaxed local QPs share one dense shape, solved as one
-    batch, with their coupling data stacked in batch order."""
-
-    batch: QpBatch
-    agents: list[int]
-    coupling_vec: np.ndarray  # (k, S)
-    coupling_hi: np.ndarray   # (k, S)
-
-
 class LocalSolverPool:
-    """Solves the relaxed local problems of all agents each round, batching
-    agents whose QPs share one ``shape_key``.  Agents of one group may
-    differ in their primary dimension.
+    """Solves the relaxed local problems of all agents each round, as one
+    ``QpBatch`` whose element k is agent k's QP, whatever its shape.
 
     Agent i's relaxed local problem is the relaxed problem of agent i
     alone: its hinge-lifted QP, the relaxation variable rho last, and the S
     coupling rows last, their right-hand side moved by the edge shift.
+    ``groups`` holds the one (batch, agents) pair, for callers that map a
+    batch element to its agent.
     """
 
     def __init__(self, problem: ConstraintCoupledProblem, M: float,
@@ -177,15 +167,22 @@ class LocalSolverPool:
         if M <= 0:
             raise ValueError("M must be positive")
         self.tol = tol
-        self.dims = [a.dim for a in problem.agents]
-        his = [_coupling_hi([a]) for a in problem.agents]
+        agents = problem.agents
+        self.dims = [a.dim for a in agents]
+        self._coupling_vec = np.stack([a.coupling.vec for a in agents])
+        self._row_hi = np.stack([_coupling_hi([a]) for a in agents])
         forms = [_coupled_form([a], [lift_hinges(a)],
                                extra=(M, 0.0, _rho_headroom(hi, 0.0)))[0].dense()
-                 for a, hi in zip(problem.agents, his)]
-        self.groups = [_Group(QpBatch([forms[i] for i in idx]), idx,
-                              np.stack([problem.agents[i].coupling.vec for i in idx]),
-                              np.stack([his[i] for i in idx]))
-                       for idx in shape_groups(forms)]
+                 for a, hi in zip(agents, self._row_hi)]
+        self.batch = QpBatch(forms)
+        self.groups = [(self.batch, list(range(len(agents))))]
+        # Where each agent's coupling right-hand sides (its last S rows) and
+        # rho's upper bound (its last column) sit in the batch's arrays.
+        s_dim = problem.coupling_dim
+        rows = self.batch.row
+        self._rhs_at = (rows[:, None],
+                        np.array([[f.b_in.size - s_dim] for f in forms]) + np.arange(s_dim))
+        self._rho_at = (rows, np.array([f.dim - 1 for f in forms]))
 
     def solve_all(self, shifts: np.ndarray) -> list[LocalStepResult]:
         """One round's local steps at the (N, S) edge-variable ``shifts``.
@@ -193,22 +190,16 @@ class LocalSolverPool:
         A failed local QP is re-raised with the agent it belongs to.
         """
         s_dim = shifts.shape[1]
-        out: list[LocalStepResult | None] = [None] * len(self.dims)
-        for g in self.groups:
-            shift = shifts[g.agents]
-            g.batch.b_in[:, -s_dim:] = -(g.coupling_vec + shift)
-            g.batch.ub[:, -1] = _rho_headroom(g.coupling_hi, shift)
-            try:
-                sols = g.batch.solve(tol=self.tol, warm=True)
-            except QpError as exc:
-                if exc.element is not None:
-                    exc.agent = g.agents[exc.element]
-                raise
-            for i, sol in zip(g.agents, sols):
-                out[i] = LocalStepResult(x=sol.x[:self.dims[i]],
-                                         rho=float(sol.x[-1]),
-                                         mu=sol.ineq_mult[-s_dim:])
-        return out  # type: ignore[return-value]
+        self.batch.b_in[self._rhs_at] = -(self._coupling_vec + shifts)
+        self.batch.ub[self._rho_at] = _rho_headroom(self._row_hi, shifts)
+        try:
+            sols = self.batch.solve(tol=self.tol, warm=True)
+        except QpError as exc:
+            exc.agent = exc.element
+            raise
+        return [LocalStepResult(x=sol.x[:dim], rho=float(sol.x[-1]),
+                                mu=sol.ineq_mult[-s_dim:])
+                for dim, sol in zip(self.dims, sols)]
 
 
 def _combine_shift(lambda_out: dict[int, np.ndarray],

@@ -14,8 +14,7 @@ import numpy as np
 
 from .problem_model import (ConstraintCoupledProblem, _coupled_form,
                             _coupling_hi, _rho_headroom, problem_hash)
-from .qp_solver import (QpBatch, QpError, _opposite_pairs, lift_hinges,
-                        shape_groups, solve_qp)
+from .qp_solver import QpBatch, QpError, _opposite_pairs, lift_hinges, solve_qp
 
 @dataclass
 class OracleResult:
@@ -124,8 +123,8 @@ def dual_terms(problem: ConstraintCoupledProblem, mus,
 
     Returns q, (K, N) with q[k, i] = q_i(mus[k]), and the minimizers x,
     (K, sum of the agents' dims) in agent order; the dual function is
-    q(mu) = sum_i q_i(mu).  The forms of one shape are solved as one
-    batch, and a failed QP is re-raised with the agent it belongs to.
+    q(mu) = sum_i q_i(mu).  All N * K forms are solved as one batch, and
+    a failed QP is re-raised with the agent it belongs to.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 2 or mus.shape[1] != problem.coupling_dim:
@@ -145,15 +144,14 @@ def dual_terms(problem: ConstraintCoupledProblem, mus,
     starts = np.cumsum([0] + [a.dim for a in agents]).tolist()
     q = np.empty((K, len(agents)))
     x = np.empty((K, starts[-1]))
-    for idx in shape_groups(forms):
-        try:
-            sols = QpBatch([forms[j] for j in idx], validate=False).solve(tol=tol)
-        except QpError as exc:
-            if exc.element is not None:
-                exc.agent = idx[exc.element] // K
-            raise
-        for j, sol in zip(idx, sols):
-            i, k = divmod(j, K)
-            q[k, i] = sol.objective
-            x[k, starts[i]:starts[i + 1]] = sol.x[:agents[i].dim]
+    try:
+        sols = QpBatch(forms, validate=False).solve(tol=tol) if forms else []
+    except QpError as exc:
+        if exc.element is not None:
+            exc.agent = exc.element // K
+        raise
+    for j, sol in enumerate(sols):
+        i, k = divmod(j, K)
+        q[k, i] = sol.objective
+        x[k, starts[i]:starts[i + 1]] = sol.x[:agents[i].dim]
     return q, x

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qp_solver import (CoupledForm, QpBatch, QpError, QpInfeasibleError,
-                        QpStandardForm, shape_groups, solve_qp)
+                        QpStandardForm, solve_qp)
 
 _SLATER_MARGIN = 1e-8
 _FEAS_TOL = 1e-6
@@ -298,26 +298,28 @@ def _local_form(agent: AgentProblem) -> QpStandardForm:
 def _local_set_findings(agents: list[AgentProblem]) -> list[str]:
     """Findings for the local sets that are empty or could not be checked.
 
-    The local sets that share a ``shape_key`` are checked as one
-    ``QpBatch``.  A batch that raises names only its first failed element,
-    so its agents are then checked one at a time; every failing agent is
-    named, in agent order.
+    All local sets are checked as one ``QpBatch``.  A batch that raises
+    names its first failed element, in agent order, and every agent before
+    it passed; that agent is re-checked alone for its finding, and the
+    agents after it as a batch again, so every failing agent is named, in
+    agent order.
     """
     forms = [_local_form(a) for a in agents]
-    suspects = []
-    for idx in shape_groups(forms):
-        try:
-            QpBatch([forms[i] for i in idx], validate=False).solve(tol=1e-8)
-        except QpError:
-            suspects += idx
     findings = []
-    for i in sorted(suspects):
+    start = 0
+    while start < len(forms):
+        try:
+            QpBatch(forms[start:], validate=False).solve(tol=1e-8)
+            break
+        except QpError as exc:
+            i = start + exc.element
         try:
             solve_qp(forms[i], tol=1e-8, validate=False)
         except QpInfeasibleError:
             findings.append(f"agent {i}: local set is empty")
         except QpError as exc:
             findings.append(f"agent {i}: local feasibility check failed ({exc})")
+        start = i + 1
     return findings
 
 

@@ -9,14 +9,15 @@ Dense Mehrotra predictor-corrector interior-point solver for
 
 Every variable is box bounded, so bounded feasible problems always have a
 primal-dual pair.  The KKT residual attached to a solution is recomputed
-from the returned values, never read from solver internals.  Problems that
-share a sparsity-free dense shape can be solved as a batch (one interior
-point loop over a leading batch axis), which is what the network simulator
-uses to step all agents of one shape at once.  Elements leave the loop as
-they converge or fail, so the Newton steps run on the unfinished ones only,
-and the certificates of a batch are recomputed in one vectorized pass.  A
-warm re-solve first tries each settled element's previous active set by
-one batched KKT solve, and keeps what passes tol.
+from the returned values, never read from solver internals.  Problems of
+any dense shapes can be solved as a batch (one interior point loop over a
+leading batch axis, the vectors padded to the widest shape and each
+shape's matrices kept unpadded), which is what the network simulator uses
+to step all agents at once.  Elements leave the loop as they converge or
+fail, so the Newton steps run on the unfinished ones only, and the
+certificates of each shape are recomputed in one vectorized pass.  A warm
+re-solve first tries each settled element's previous active set by one
+batched KKT solve per shape, and keeps what passes tol.
 """
 
 from __future__ import annotations
@@ -265,40 +266,84 @@ def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
+def _row_mean(v: np.ndarray) -> np.ndarray:
+    return v.mean(axis=1)
+
+
 def validate_form(form: QpStandardForm) -> None:
     """Raise ValueError on any malformed field of ``form``."""
-    n = form.dim
-    if form.Q.shape != (n, n):
-        raise ValueError("Q must be square")
+    _validate_forms([form])
+
+
+def _validate_forms(forms: list[QpStandardForm]) -> None:
+    """Raise ``validate_form``'s ValueError for the first malformed form.
+
+    The forms whose arrays share their shapes are checked as one stack
+    (``_checks``); a form's fault is the first check it fails.
+    """
+    layouts: dict[tuple, list[int]] = {}
+    for k, f in enumerate(forms):
+        layouts.setdefault(tuple(None if v is None else v.shape
+                                 for v in (getattr(f, name) for name in _FORM_ARRAYS)),
+                           []).append(k)
+    faults = []
+    for idx in layouts.values():
+        fault: dict[int, str] = {}
+        for message, failed in _checks([forms[k] for k in idx]):
+            for j in np.flatnonzero(np.broadcast_to(failed, (len(idx),))):
+                fault.setdefault(idx[j], message)
+            if len(fault) == len(idx):
+                break
+        faults += fault.items()
+    if faults:
+        raise ValueError(min(faults)[1])
+
+
+def _checks(forms: list[QpStandardForm]):
+    """The checks of ``validate_form`` in order, over forms whose arrays
+    share their shapes: (message, failed) pairs, ``failed`` one flag per
+    form.  A shape check fails for every form alike, and ends the checks."""
+    f0, K = forms[0], len(forms)
+    n = f0.dim
+    stacks: dict[str, np.ndarray] = {}
+
+    def stack(name):
+        if name not in stacks:
+            stacks[name] = np.stack([getattr(f, name) for f in forms])
+        return stacks[name]
+
+    def finite(*names):
+        return np.logical_and.reduce([np.isfinite(stack(name)).reshape(K, -1).all(axis=1)
+                                      for name in names])
+
+    if f0.Q.shape != (n, n):
+        yield "Q must be square", True
+        return
     for name in ("c", "lb", "ub"):
-        v = getattr(form, name)
-        if v.shape != (n,):
-            raise ValueError(f"{name} has wrong length")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
-    if not np.all(np.isfinite(form.Q)):
-        raise ValueError("Q must be finite")
-    if np.any(form.lb > form.ub):
-        raise ValueError("lb must not exceed ub")
-    if np.abs(form.Q - form.Q.T).max() > _PSD_TOL:
-        raise ValueError("Q must be symmetric")
-    qs = 0.5 * (form.Q + form.Q.T)
-    if qs.size and np.linalg.eigvalsh(qs).min() < -_PSD_TOL * max(1.0, np.abs(qs).max()):
-        raise ValueError("Q must be positive semidefinite")
-    if (form.A_eq is None) != (form.b_eq is None):
-        raise ValueError("A_eq and b_eq must be given together")
-    if form.A_eq is not None:
-        if form.A_eq.shape[1] != n or form.A_eq.shape[0] != form.b_eq.shape[0]:
-            raise ValueError("equality system has inconsistent shape")
-        if not (np.all(np.isfinite(form.A_eq)) and np.all(np.isfinite(form.b_eq))):
-            raise ValueError("equality system must be finite")
-    if (form.A_in is None) != (form.b_in is None):
-        raise ValueError("A_in and b_in must be given together")
-    if form.A_in is not None:
-        if form.A_in.shape[1] != n or form.A_in.shape[0] != form.b_in.shape[0]:
-            raise ValueError("inequality system has inconsistent shape")
-        if not (np.all(np.isfinite(form.A_in)) and np.all(np.isfinite(form.b_in))):
-            raise ValueError("inequality system must be finite")
+        if getattr(f0, name).shape != (n,):
+            yield f"{name} has wrong length", True
+            return
+        yield f"{name} must be finite", ~finite(name)
+    q_finite = finite("Q")
+    yield "Q must be finite", ~q_finite
+    yield "lb must not exceed ub", (stack("lb") > stack("ub")).any(axis=1)
+    Q = np.where(q_finite[:, None, None], stack("Q"), 0.0)  # only finite ones are left
+    yield "Q must be symmetric", np.abs(Q - Q.transpose(0, 2, 1)).max(
+        axis=(1, 2), initial=0.0) > _PSD_TOL
+    qs = 0.5 * (Q + Q.transpose(0, 2, 1))
+    if n:
+        yield "Q must be positive semidefinite", np.linalg.eigvalsh(qs).min(axis=1) < (
+            -_PSD_TOL * np.maximum(1.0, np.abs(qs).max(axis=(1, 2))))
+    for a, b, kind in (("A_eq", "b_eq", "equality"), ("A_in", "b_in", "inequality")):
+        mat, rhs = getattr(f0, a), getattr(f0, b)
+        if (mat is None) != (rhs is None):
+            yield f"{a} and {b} must be given together", True
+            return
+        if mat is not None:
+            if mat.shape[1] != n or mat.shape[0] != rhs.shape[0]:
+                yield f"{kind} system has inconsistent shape", True
+                return
+            yield f"{kind} system must be finite", ~finite(a, b)
 
 
 def shape_key(form: QpStandardForm) -> tuple:
@@ -319,36 +364,18 @@ def shape_groups(forms: list[QpStandardForm]) -> list[list[int]]:
     return list(groups.values())
 
 
-class QpBatch:
-    """A stack of same-shape QPs solved by one interior-point loop.
+class _Shape:
+    """The forms of one ``shape_key``, stacked: the data of their matvecs,
+    Newton systems, active-set solves and certificates.
 
-    Low-level repeated-solve API: the constituent matrices are assembled
-    once; callers may overwrite entries of ``b_in`` and ``ub`` between
-    ``solve`` calls (the relaxed local problems of the distributed method
-    only change their coupling right-hand side from round to round).
-
-    All forms in a batch must agree on their ``shape_key``.
-
-    Each element goes through one sequence of attempts (see ``solve``): on
-    a warm solve the active-set try, then the interior point from its last
-    solution and then cold, then the polish, and last the diagnosis.  Each
-    attempt, and the interior point's stall rule, acts per element,
-    finished elements leave the interior-point loop, and the KKT
-    certificates of the batch are computed together, in the same order of
-    operations as ``kkt_residuals``, so each element's result is
-    bit-identical to solving it alone.
+    The internal equality system is the forms' equality rows, then one row
+    per pinned variable; the inequality system G is the forms' inequality
+    rows, then the lower and upper box rows of the free variables.  Only
+    h changes between repeated solves.
     """
 
-    def __init__(self, forms: list[QpStandardForm], validate: bool = True):
-        if not forms:
-            raise ValueError("empty batch")
-        if validate:
-            for f in forms:
-                validate_form(f)
-        key = shape_key(forms[0])
-        if any(shape_key(f) != key for f in forms[1:]):
-            raise ValueError("batched problems must share their shape")
-        n, m_eq, m_in, _ = key
+    def __init__(self, forms: list[QpStandardForm]):
+        n, m_eq, m_in, _ = shape_key(forms[0])
         fixed = np.abs(forms[0].ub - forms[0].lb) <= _FIX_TOL
         self.forms = forms
         self.n = n
@@ -368,7 +395,6 @@ class QpBatch:
                      if m_in else np.zeros((B, 0)))
         a_in = (np.stack([f.A_in for f in forms])
                 if m_in else np.zeros((B, 0, n)))
-        # Internal equality system: user rows then one row per pinned variable.
         n_fix = int(fixed.sum())
         self.me = m_eq + n_fix
         self.A = np.zeros((B, self.me, n))
@@ -380,8 +406,6 @@ class QpBatch:
             cols = np.where(fixed)[0]
             self.A[:, m_eq + np.arange(n_fix), cols] = 1.0
             self.b[:, m_eq:] = self.lb[:, cols]
-        # Inequality system: user rows, then lower and upper box rows of the
-        # free variables.  Only h changes between repeated solves.
         eye = np.eye(n)[self.free]
         self.mi = m_in + 2 * nf
         self.G = np.concatenate(
@@ -389,146 +413,10 @@ class QpBatch:
             axis=1)
         self.GT = np.ascontiguousarray(self.G.transpose(0, 2, 1))
         self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
-        self._warm: tuple[np.ndarray, np.ndarray] | None = None
-        # Warm solves only: each element's last active set, and whether its
-        # next warm solve tries that active set first.
-        self._act: np.ndarray | None = None
-        self._gate = np.zeros(B, dtype=bool)
 
     def _h(self) -> np.ndarray:
         return np.concatenate(
             [self.b_in, -self.lb[:, self.free], self.ub[:, self.free]], axis=1)
-
-    def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              warm: bool = False) -> list[PrimalDualSolution]:
-        """Solve all batched problems.
-
-        Each element goes through one sequence of attempts, and each attempt
-        runs on the elements that no earlier one converged:
-
-        1. On a warm solve (``warm=True`` after an earlier solve of this
-           batch) only, the active-set try: an element the gate admits (the
-           same active set in its last two warm solutions, every row of the
-           last clearly active or inactive, and no more active rows than
-           free directions) is re-solved on that active set by one KKT
-           solve, and keeps the result, with 0 iterations, if it passes tol.
-        2. The interior point (``_ipm``), from each start in turn: on a warm
-           solve first from the element's last solution, with slacks and
-           multipliers floored by how far the moved right-hand side left
-           that solution infeasible, then cold.  A warm solve is thus never
-           less robust than a cold one.
-        3. The polish (``_polish``), an active-set crossover from the
-           interior point's best iterate.
-        4. ``_diagnose`` of the first element still unconverged, which raises.
-
-        Only warm solves track the active sets, so a cold solve does not
-        depend on earlier ones.
-        """
-        h = self._h()
-        x0 = 0.5 * (self.lb + self.ub)
-        B = len(self.forms)
-        if self.mi == 0:
-            # Every variable pinned: x is fixed, multipliers from stationarity.
-            y = np.stack([np.linalg.lstsq(self.AT[k], -(self.Q[k] @ x0[k] + self.c[k]),
-                                          rcond=None)[0] for k in range(B)])
-            return self._unpack(x0, y, np.zeros((B, 0)), np.zeros(B, dtype=int))
-        ops = _Stacked(self.Q, self.A, self.AT, self.G, self.GT)
-        x, y, z = np.zeros((B, self.n)), np.zeros((B, self.me)), np.zeros((B, self.mi))
-        iters, res = np.full(B, -1), np.full(B, np.inf)
-        starts = [(x0, None)]
-        if warm and self._warm is not None:
-            starts.insert(0, self._warm)
-            if self._gate.any():
-                k = np.flatnonzero(self._gate)
-                xa, ya, za, _, ra = _active_set_kkt(self.Q[k], self.c[k], self.A[k], self.G[k],
-                                                    self.b[k], h[k], self._act[k])
-                ok = ra <= tol
-                k = k[ok]
-                x[k], y[k], z[k], iters[k], res[k] = xa[ok], ya[ok], za[ok], 0, ra[ok]
-        for start, z_init in starts:
-            todo = np.flatnonzero(iters < 0)
-            if todo.size == B:  # the batch's own arrays, no copies
-                x, y, z, iters, res = _ipm(ops, self.c, self.b, h, start, tol, max_iter,
-                                           z_init=z_init)
-            elif todo.size:
-                x[todo], y[todo], z[todo], iters[todo], res[todo] = _ipm(
-                    ops.take(todo), self.c[todo], self.b[todo], h[todo], start[todo], tol,
-                    max_iter, z_init=None if z_init is None else z_init[todo])
-        for k in np.flatnonzero(iters < 0):
-            # Degenerate optima (weakly active rows) can stall the interior
-            # point above tol; an active-set crossover from the best iterate
-            # usually lands on the exact solution.
-            fix = _polish(self.Q[k], self.c[k], self.A[k], self.b[k],
-                          self.G[k], h[k], x[k], z[k], tol)
-            if fix is not None:
-                x[k], y[k], z[k] = fix
-                iters[k] = max_iter
-        failed = np.flatnonzero(iters < 0)
-        if failed.size:
-            k = int(failed[0])
-            self._diagnose(k, x0[k], h[k], int(max_iter), float(res[k]))
-        self._warm = (x.copy(), z.copy())
-        if warm:
-            act, clear = _active_set(self.G, h, x, z)
-            same = self._act is not None and (act == self._act).all(axis=1)
-            # More active rows than free directions cannot be independent.
-            self._gate = clear & same & (act.sum(axis=1) <= self.n - self.me)
-            self._act = act
-        return self._unpack(x, y, z, iters)
-
-    def _effective_form(self, k: int) -> QpStandardForm:
-        """Form ``k`` with the batch's current right-hand sides.
-
-        ``b_in`` and ``ub`` may have been overwritten since construction;
-        a failure report must carry the problem actually solved.
-        """
-        kwargs: dict = {"lb": self.lb[k].copy(), "ub": self.ub[k].copy()}
-        if self.m_in:
-            kwargs["b_in"] = self.b_in[k].copy()
-        return dataclasses.replace(self.forms[k], **kwargs)
-
-    def _diagnose(self, k: int, x0: np.ndarray, h: np.ndarray,
-                  iterations: int, residual: float):
-        """Raise the error of failed element ``k``, tagged with the element
-        and its effective form."""
-        err = self._classify(k, x0, h, iterations, residual)
-        err.element = k
-        err.form = self._effective_form(k)
-        raise err
-
-    def _classify(self, k: int, x0: np.ndarray, h: np.ndarray,
-                  iterations: int, residual: float) -> QpError:
-        """Inconsistent equalities, infeasible, or breakdown."""
-        A, b, G = self.A[k], self.b[k], self.G[k]
-        if self.me:
-            xls, *_ = np.linalg.lstsq(A, b, rcond=None)
-            r = A @ xls - b
-            if np.abs(r).max() > 1e-7 * (1.0 + np.abs(b).max()):
-                cert = -r / np.linalg.norm(r)
-                return QpInfeasibleError(
-                    f"equality system inconsistent (element {k})", certificate=cert)
-        try:
-            t_star, cert = _phase1(A, b, G, h, x0)
-        except QpNumericalError as exc:
-            return QpNumericalError(f"{exc} (element {k})", exc.iterations, exc.residual)
-        if t_star > 1e-6:
-            return QpInfeasibleError(
-                f"no feasible point (element {k}, phase-1 slack {t_star:.3e})",
-                certificate=cert)
-        return QpNumericalError(
-            f"interior-point breakdown on a feasible problem (element {k})",
-            iterations=iterations, residual=residual)
-
-    def _unpack(self, x, y, z, iters) -> list[PrimalDualSolution]:
-        """Solutions with their KKT residuals, certified for the whole batch
-        at once against the current right-hand sides."""
-        eq_mult, ineq_mult, lo, hi, kkt, obj = self._certify(x, y, z)
-        return [PrimalDualSolution(x=x[k], eq_mult=eq_mult[k], ineq_mult=ineq_mult[k],
-                                   box_lower_mult=lo[k], box_upper_mult=hi[k],
-                                   objective=objective, kkt_residual=residual,
-                                   iterations=it)
-                for k, (objective, residual, it) in enumerate(zip(
-                    obj.tolist(), kkt.tolist(), iters.tolist()))]
 
     def _certify(self, x, y, z, grad_rest=None):
         """Multipliers (equality, inequality, lower and upper box), KKT
@@ -581,6 +469,245 @@ class QpBatch:
         obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q, x))
                + np.einsum("bi,bi->b", self.c, x))
         return eq_mult, ineq_mult, lo, hi, kkt, obj + self.offset
+
+
+class QpBatch:
+    """QPs of any shapes solved by one interior-point loop.
+
+    Low-level repeated-solve API: the constituent matrices are assembled
+    once; callers may overwrite entries of ``b_in`` and ``ub`` between
+    ``solve`` calls (the relaxed local problems of the distributed method
+    only change their coupling right-hand side from round to round).
+
+    The forms of one ``shape_key`` make one ``_Shape`` (``shapes``, in the
+    order their first form appears), whose matrices are stacked unpadded.
+    Each shape's elements are consecutive rows of the batch, in input
+    order; row ``row[k]`` holds form ``k``.  The batch's vectors (``c``,
+    ``b``, ``lb``, ``ub``, ``b_in`` and the iterates) are padded to the
+    widest shape with entries that change nothing (zero, and one for the
+    slacks and h of pad rows), and each shape's vectors are views into
+    them.  A batch of one shape has neither padding nor reordering: it
+    runs on its shape's own arrays.
+
+    Each element goes through one sequence of attempts (see ``solve``): on
+    a warm solve the active-set try, then the interior point from its last
+    solution and then cold, then the polish, and last the diagnosis.  Each
+    attempt and the interior point's stall and exit rules act per element,
+    and run once over the whole batch; only the matvecs, the Newton
+    systems and the active-set solves go shape by shape.  Finished
+    elements leave the interior-point loop, and each shape's KKT
+    certificates are computed together, in the same order of operations as
+    ``kkt_residuals``, so each element's result is bit-identical to solving
+    it alone.
+    """
+
+    def __init__(self, forms: list[QpStandardForm], validate: bool = True):
+        if not forms:
+            raise ValueError("empty batch")
+        if validate:
+            _validate_forms(forms)
+        self._members = shape_groups(forms)
+        self.forms = forms
+        self.shapes = [_Shape([forms[k] for k in idx]) for idx in self._members]
+        sizes = [len(idx) for idx in self._members]
+        ends = np.cumsum(sizes).tolist()
+        self._rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self._order = np.concatenate(self._members)  # the form in each row
+        self.row = np.argsort(self._order)
+        self._shape_at = np.repeat(np.arange(len(sizes)), sizes)
+        self.n, self.me, self.mi = (max(getattr(sh, w) for sh in self.shapes)
+                                    for w in ("n", "me", "mi"))
+        parts = [_Stacked(sh.Q, sh.A, sh.AT, sh.G, sh.GT) for sh in self.shapes]
+        if len(self.shapes) == 1:
+            (sh,) = self.shapes
+            self.c, self.b, self.lb, self.ub, self.b_in = sh.c, sh.b, sh.lb, sh.ub, sh.b_in
+            self._ops = parts[0]
+        else:
+            B = len(forms)
+            m_in = max(sh.m_in for sh in self.shapes)
+            for name, width in (("c", self.n), ("b", self.me), ("lb", self.n),
+                                ("ub", self.n), ("b_in", m_in)):
+                padded = np.zeros((B, width))
+                for sh, rows in zip(self.shapes, self._rows):
+                    own = getattr(sh, name)
+                    padded[rows, :own.shape[1]] = own
+                    setattr(sh, name, padded[rows, :own.shape[1]])
+                setattr(self, name, padded)
+            pad = np.zeros((B, self.mi))
+            for sh, rows in zip(self.shapes, self._rows):
+                pad[rows, :sh.mi] = 1.0
+            self._ops = _Mixed(parts, self._rows, (self.n, self.me, self.mi), pad)
+        # More active rows than free directions cannot be independent.
+        self._free_dirs = np.repeat([sh.n - sh.me for sh in self.shapes], sizes)
+        self._warm: tuple[np.ndarray, np.ndarray] | None = None
+        # Warm solves only: each element's last active set, and whether its
+        # next warm solve tries that active set first.
+        self._act: np.ndarray | None = None
+        self._gate = np.zeros(len(forms), dtype=bool)
+
+    def _h(self) -> np.ndarray:
+        if len(self.shapes) == 1:
+            return self.shapes[0]._h()
+        h = np.ones((len(self.forms), self.mi))
+        for sh, rows in zip(self.shapes, self._rows):
+            h[rows, :sh.mi] = sh._h()
+        return h
+
+    def _locate(self, k: int) -> tuple[_Shape, int, int]:
+        """The shape of form ``k``, its index in that shape, and its row."""
+        r = int(self.row[k])
+        s = int(self._shape_at[r])
+        return self.shapes[s], r - self._rows[s].start, r
+
+    def solve(self, tol: float = 1e-8, max_iter: int = 200,
+              warm: bool = False) -> list[PrimalDualSolution]:
+        """Solve all batched problems; the solutions are in input order.
+
+        Each element goes through one sequence of attempts, and each attempt
+        runs on the elements that no earlier one converged:
+
+        1. On a warm solve (``warm=True`` after an earlier solve of this
+           batch) only, the active-set try: an element the gate admits (the
+           same active set in its last two warm solutions, every row of the
+           last clearly active or inactive, and no more active rows than
+           free directions) is re-solved on that active set by one KKT
+           solve, and keeps the result, with 0 iterations, if it passes tol.
+        2. The interior point (``_ipm``), from each start in turn: on a warm
+           solve first from the element's last solution, with slacks and
+           multipliers floored by how far the moved right-hand side left
+           that solution infeasible, then cold.  A warm solve is thus never
+           less robust than a cold one.
+        3. The polish (``_polish``), an active-set crossover from the
+           interior point's best iterate.
+        4. ``_diagnose`` of the first element, in input order, still
+           unconverged, which raises.
+
+        An element without inequality rows (every variable pinned) needs
+        none of them: its x is fixed and its multipliers follow from
+        stationarity.  Only warm solves track the active sets, so a cold
+        solve does not depend on earlier ones.
+        """
+        h = self._h()
+        x0 = 0.5 * (self.lb + self.ub)
+        B = len(self.forms)
+        x, y, z = np.zeros((B, self.n)), np.zeros((B, self.me)), np.zeros((B, self.mi))
+        iters, res = np.full(B, -1), np.full(B, np.inf)
+        for sh, rows in zip(self.shapes, self._rows):
+            if sh.mi == 0:
+                xs = x0[rows, :sh.n]
+                x[rows, :sh.n] = xs
+                y[rows, :sh.me] = [np.linalg.lstsq(sh.AT[j], -(sh.Q[j] @ xs[j] + sh.c[j]),
+                                                   rcond=None)[0] for j in range(len(xs))]
+                iters[rows] = 0
+        starts = [(x0, None)]
+        if warm and self._warm is not None:
+            starts.insert(0, self._warm)
+            gate = self._gate & (iters < 0)
+            for sh, rows in zip(self.shapes, self._rows):
+                k = np.flatnonzero(gate[rows])
+                if not k.size:
+                    continue
+                r = rows.start + k
+                xa, ya, za, _, ra = _active_set_kkt(sh.Q[k], sh.c[k], sh.A[k], sh.G[k],
+                                                    sh.b[k], h[r, :sh.mi],
+                                                    self._act[r, :sh.mi])
+                ok = ra <= tol
+                r = r[ok]
+                x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = xa[ok], ya[ok], za[ok]
+                iters[r], res[r] = 0, ra[ok]
+        for start, z_init in starts:
+            todo = iters < 0
+            if todo.all():  # the batch's own arrays, no copies
+                x, y, z, iters, res = _ipm(self._ops, self.c, self.b, h, start, tol,
+                                           max_iter, z_init=z_init)
+            elif todo.any():
+                x[todo], y[todo], z[todo], iters[todo], res[todo] = _ipm(
+                    self._ops.take(todo), self.c[todo], self.b[todo], h[todo], start[todo],
+                    tol, max_iter, z_init=None if z_init is None else z_init[todo])
+        for k in self._order[iters < 0]:
+            # Degenerate optima (weakly active rows) can stall the interior
+            # point above tol; an active-set crossover from the best iterate
+            # usually lands on the exact solution.
+            sh, j, r = self._locate(k)
+            fix = _polish(sh.Q[j], sh.c[j], sh.A[j], sh.b[j], sh.G[j], h[r, :sh.mi],
+                          x[r, :sh.n], z[r, :sh.mi], tol)
+            if fix is not None:
+                x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = fix
+                iters[r] = max_iter
+        failed = self._order[iters < 0]
+        if failed.size:
+            k = int(failed.min())
+            sh, _, r = self._locate(k)
+            self._diagnose(k, x0[r, :sh.n], h[r, :sh.mi], int(max_iter), float(res[r]))
+        self._warm = (x.copy(), z.copy())
+        if warm:
+            act, clear = _active_set(h - self._ops.Gx(x), z)
+            same = self._act is not None and (act == self._act).all(axis=1)
+            self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
+            self._act = act
+        return self._unpack(x, y, z, iters)
+
+    def _effective_form(self, k: int) -> QpStandardForm:
+        """Form ``k`` with the batch's current right-hand sides.
+
+        ``b_in`` and ``ub`` may have been overwritten since construction;
+        a failure report must carry the problem actually solved.
+        """
+        sh, j, _ = self._locate(k)
+        kwargs: dict = {"lb": sh.lb[j].copy(), "ub": sh.ub[j].copy()}
+        if sh.m_in:
+            kwargs["b_in"] = sh.b_in[j].copy()
+        return dataclasses.replace(self.forms[k], **kwargs)
+
+    def _diagnose(self, k: int, x0: np.ndarray, h: np.ndarray,
+                  iterations: int, residual: float):
+        """Raise the error of failed form ``k``, tagged with the element
+        and its effective form; ``x0`` and ``h`` are the element's own."""
+        err = self._classify(k, x0, h, iterations, residual)
+        err.element = k
+        err.form = self._effective_form(k)
+        raise err
+
+    def _classify(self, k: int, x0: np.ndarray, h: np.ndarray,
+                  iterations: int, residual: float) -> QpError:
+        """Inconsistent equalities, infeasible, or breakdown."""
+        sh, j, _ = self._locate(k)
+        A, b, G = sh.A[j], sh.b[j], sh.G[j]
+        if sh.me:
+            xls, *_ = np.linalg.lstsq(A, b, rcond=None)
+            r = A @ xls - b
+            if np.abs(r).max() > 1e-7 * (1.0 + np.abs(b).max()):
+                cert = -r / np.linalg.norm(r)
+                return QpInfeasibleError(
+                    f"equality system inconsistent (element {k})", certificate=cert)
+        try:
+            t_star, cert = _phase1(A, b, G, h, x0)
+        except QpNumericalError as exc:
+            return QpNumericalError(f"{exc} (element {k})", exc.iterations, exc.residual)
+        if t_star > 1e-6:
+            return QpInfeasibleError(
+                f"no feasible point (element {k}, phase-1 slack {t_star:.3e})",
+                certificate=cert)
+        return QpNumericalError(
+            f"interior-point breakdown on a feasible problem (element {k})",
+            iterations=iterations, residual=residual)
+
+    def _unpack(self, x, y, z, iters) -> list[PrimalDualSolution]:
+        """Solutions in input order with their KKT residuals, certified
+        shape by shape against the current right-hand sides."""
+        sols: list = [None] * len(self.forms)
+        its = iters.tolist()
+        for sh, rows, members in zip(self.shapes, self._rows, self._members):
+            xs = x[rows, :sh.n]
+            eq_mult, ineq_mult, lo, hi, kkt, obj = sh._certify(xs, y[rows, :sh.me],
+                                                               z[rows, :sh.mi])
+            for j, (k, objective, residual) in enumerate(zip(members, obj.tolist(),
+                                                             kkt.tolist())):
+                sols[k] = PrimalDualSolution(
+                    x=xs[j], eq_mult=eq_mult[j], ineq_mult=ineq_mult[j],
+                    box_lower_mult=lo[j], box_upper_mult=hi[j], objective=objective,
+                    kkt_residual=residual, iterations=its[rows.start + j])
+        return sols
 
 
 def solve_qp(form: QpStandardForm | CoupledForm, tol: float = 1e-8,
@@ -643,7 +770,7 @@ class _Coupled:
     x is [each group's blocks, v], y is [each group's equality rows], and
     z, s and h are [each group's inequality rows, v's lower and upper box
     rows, the S coupling rows].  Blocks that share a ``shape_key`` form a
-    group, held as a ``QpBatch``, whose Newton systems are factorized as
+    group, held as a ``_Shape``, whose Newton systems are factorized as
     one batch.  The Newton step eliminates the blocks and solves the S x S
     Schur complement of the coupling rows (Woodbury), bordered by v's row
     when v exists, so no n_total x n_total matrix is ever formed.  The
@@ -651,7 +778,10 @@ class _Coupled:
     entry of the blocks' Q.
     """
 
-    def __init__(self, groups: list[QpBatch], coupling: list[np.ndarray], has_v: bool):
+    pad = None
+    mean = staticmethod(_row_mean)
+
+    def __init__(self, groups: list[_Shape], coupling: list[np.ndarray], has_v: bool):
         self.groups = groups
         self.C = coupling                                  # (B, S, n) per group
         self.CT = [np.ascontiguousarray(m.transpose(0, 2, 1)) for m in coupling]
@@ -873,7 +1003,7 @@ def _solve_coupled(form: CoupledForm, tol: float, max_iter: int) -> PrimalDualSo
     instead, with its polish and its phase-1 diagnosis of a failure.
     """
     members = shape_groups(form.blocks)
-    groups = [QpBatch([form.blocks[k] for k in idx], validate=False) for idx in members]
+    groups = [_Shape([form.blocks[k] for k in idx]) for idx in members]
     ops = _Coupled(groups, [np.stack([form.coupling[k] for k in idx]) for idx in members],
                    form.extra is not None)
     v_cost, v_lb, v_ub = form.extra if form.extra is not None else (0.0, 0.0, 0.0)
@@ -956,11 +1086,11 @@ def _solve_kkt(K, rhs, n, me):
     return out
 
 
-def _active_set(G, h, x, z):
+def _active_set(slack, z):
     """The active rows of batched iterates, z_i > max(s_i, 1e-10) with
-    s = max(h - Gx, 0), and whether each element separates every row
-    clearly: min(z_i, s_i) < _SEPARATION * max(z_i, s_i)."""
-    s = np.maximum(h - _mv(G, x), 0.0)
+    s = max(h - Gx, 0) from ``slack`` = h - Gx, and whether each element
+    separates every row clearly: min(z_i, s_i) < _SEPARATION * max(z_i, s_i)."""
+    s = np.maximum(slack, 0.0)
     act = z > np.maximum(s, 1e-10)
     clear = (np.minimum(z, s) < _SEPARATION * np.maximum(z, s)).all(axis=-1)
     return act, clear
@@ -1020,7 +1150,7 @@ def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
     exactly the case that stalls the interior point.
     """
     Q, c, A, G, b, h, x0, z0 = (v[None] for v in (Q, c, A, G, b, h, x0, z0))
-    act = _active_set(G, h, x0, z0)[0]
+    act = _active_set(h - _mv(G, x0), z0)[0]
     seen = set()
     for _ in range(max_rounds):
         key = act.tobytes()
@@ -1036,7 +1166,11 @@ def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
 
 class _Stacked:
     """The constraint operators of a batch of same-shape QPs, one dense
-    array per element: the matvecs and Newton systems of ``_ipm``."""
+    array per element: the matvecs and Newton systems of ``_ipm``.  Its
+    vectors have no pad rows (``pad``), so each mean is a row mean."""
+
+    pad = None
+    mean = staticmethod(_row_mean)
 
     def __init__(self, Q, A, AT, G, GT):
         self.data = (Q, A, AT, G, GT)
@@ -1060,6 +1194,82 @@ class _Stacked:
             rhs[:, :n] = -(rd + self.GTz((z * rg - rc) / s))
             d = _solve_kkt(K, rhs, n, me)
             dx, dy = d[:, :n], d[:, n:]
+            ds = -rg - self.Gx(dx)
+            return dx, dy, ds, (-rc - z * ds) / s
+        return step
+
+
+class _Mixed:
+    """The operators of a batch of several shapes: each shape's
+    ``_Stacked`` acts on its consecutive ``rows`` and on its own columns of
+    vectors padded to ``width`` = (n, me, mi), the widest shape's.  Every
+    product is zero in the pad columns.  ``pad`` is 1 on each element's
+    own inequality rows and 0 on its pad rows, and ``mean`` averages each
+    element's own rows only, so an element's arithmetic is the same as in
+    a batch of its shape alone."""
+
+    def __init__(self, parts: list[_Stacked], rows: list[slice],
+                 width: tuple[int, int, int], pad: np.ndarray):
+        self.parts, self.rows, self.width, self.pad = parts, rows, width, pad
+
+    def _apply(self, which: int, v: np.ndarray, width: int) -> np.ndarray:
+        out = np.zeros((len(v), width))
+        for part, rows in zip(self.parts, self.rows):
+            m = part.data[which]
+            np.matmul(m, v[rows, :m.shape[2], None], out=out[rows, :m.shape[1], None])
+        return out
+
+    def Qx(self, x):
+        return self._apply(0, x, self.width[0])
+
+    def Ax(self, x):
+        return self._apply(1, x, self.width[1])
+
+    def ATy(self, y):
+        return self._apply(2, y, self.width[0])
+
+    def Gx(self, x):
+        return self._apply(3, x, self.width[2])
+
+    def GTz(self, z):
+        return self._apply(4, z, self.width[0])
+
+    def mean(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(len(v))
+        for part, rows in zip(self.parts, self.rows):
+            out[rows] = v[rows, :part.data[3].shape[1]].mean(axis=1)
+        return out
+
+    def take(self, keep: np.ndarray) -> "_Mixed":
+        """The rows where the boolean ``keep`` holds."""
+        parts, rows, start = [], [], 0
+        for part, r in zip(self.parts, self.rows):
+            k = keep[r]
+            count = int(k.sum())
+            if count:
+                parts.append(part if count == len(k) else part.take(k))
+                rows.append(slice(start, start + count))
+                start += count
+        return _Mixed(parts, rows, self.width, self.pad[keep])
+
+    def newton(self, z, s, rd, rp, rg):
+        """The Newton step of ``_Stacked.newton``, factorized shape by shape."""
+        w = z / s
+        systems = []
+        for part, rows in zip(self.parts, self.rows):
+            Q, A, AT, G, GT = part.data
+            n, me = Q.shape[-1], A.shape[1]
+            rhs = np.empty((Q.shape[0], n + me))
+            rhs[:, n:] = -rp[rows, :me]
+            systems.append((_kkt_matrix(Q, A, AT, G, GT, w[rows, :G.shape[1]]), rhs, n, me))
+
+        def step(rc):
+            r = -(rd + self.GTz((z * rg - rc) / s))
+            dx, dy = np.zeros_like(rd), np.zeros_like(rp)
+            for rows, (K, rhs, n, me) in zip(self.rows, systems):
+                rhs[:, :n] = r[rows, :n]
+                d = _solve_kkt(K, rhs, n, me)
+                dx[rows, :n], dy[rows, :me] = d[:, :n], d[:, n:]
             ds = -rg - self.Gx(dx)
             return dx, dy, ds, (-rc - z * ds) / s
         return step
@@ -1089,10 +1299,19 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     """Batched Mehrotra predictor-corrector loop over the live elements.
 
     ``ops`` applies the element's Q, A, A', G and G' and makes its Newton
-    steps (``_Stacked`` for a batch, ``_Coupled`` for one coupled QP
-    whose vectors are flat); ``c``, ``b``, ``h`` and ``x0`` carry a leading
-    batch axis.  Returns final (x, y, z, iters, res); iters[k] is the
-    iteration at which element k converged, or -1 if it never did.
+    steps (``_Stacked`` for a batch of one shape, ``_Mixed`` for several,
+    ``_Coupled`` for one coupled QP whose vectors are flat); ``c``, ``b``,
+    ``h`` and ``x0`` carry a leading batch axis.  Returns final (x, y, z,
+    iters, res); iters[k] is the iteration at which element k converged,
+    or -1 if it never did.
+
+    Everything but the operators runs once per iteration over all live
+    elements.  Under ``_Mixed`` the vectors are padded to the widest shape:
+    pad entries of x, y, z, c and b are 0 and those of s and h are 1, so
+    every residual, step length and test reads 0 or inf there.  ``ops.pad``
+    masks the floor and the centring target sigma mu on pad rows, which
+    keeps them at s = 1 and z = 0, and ``ops.mean`` takes mu over each
+    element's own rows.
 
     The start floors the slacks ``h - Gx0`` and the inequality multipliers
     ``z_init`` per element.  With ``z_init`` (an element's last multipliers,
@@ -1119,6 +1338,8 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         floor, z_init = 1.0, np.zeros_like(slack)
     else:  # the largest violation of G x0 <= h (0 if none), clipped to [1e-3, 1]
         floor = np.clip(-slack.min(axis=1, initial=0.0), 1e-3, 1.0)[:, None]
+    if ops.pad is not None:  # pad rows start, and stay, at s = 1 and z = 0
+        floor = floor * ops.pad
     s = np.maximum(slack, floor)
     z = np.maximum(z_init, floor)
     y = np.zeros((B, me))
@@ -1162,7 +1383,7 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         if not active.any() or it >= max_iter:
             break
         it += 1
-        mu = comp.mean(axis=1)
+        mu = ops.mean(comp)
         active &= np.isfinite(mu) & (mu <= 1e18) & np.isfinite(res_live) & ~stuck \
             & ~((res_live > 1e4 * best_res[live]) & (res_live > 1.0))
         if not active.any():
@@ -1180,11 +1401,14 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         dx, dy, ds, dz = newton(comp)
         ap = _max_step(s, ds)
         ad = _max_step(z, dz)
-        mu_aff = ((s + ap[:, None] * ds) * (z + ad[:, None] * dz)).mean(axis=1)
+        mu_aff = ops.mean((s + ap[:, None] * ds) * (z + ad[:, None] * dz))
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma = np.clip((mu_aff / mu) ** 3, 1e-10, 0.99)
         sigma = np.where(np.isfinite(sigma), sigma, 0.5)
-        rc_vec = comp + ds * dz - (sigma * mu)[:, None]
+        target = (sigma * mu)[:, None]
+        if ops.pad is not None:
+            target = target * ops.pad
+        rc_vec = comp + ds * dz - target
         dx, dy, ds, dz = newton(rc_vec)
         ap = 0.995 * _max_step(s, ds)
         ad = 0.995 * _max_step(z, dz)

@@ -10,8 +10,10 @@ from rsdd.core import (AlgorithmConfig, LocalSolverPool, explicit_schedule,
                        step_size, validate_schedule)
 from rsdd.oracle import dual_terms
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
-                                ConstraintCoupledProblem,
-                                build_random_instance, two_agent_demo)
+                                ConstraintCoupledProblem, _coupling_hi,
+                                _rho_headroom, build_random_instance,
+                                two_agent_demo)
+from rsdd.qp_solver import QpBatch
 
 
 def unit_agent(g_offset: float = 0.0) -> AgentProblem:
@@ -209,7 +211,8 @@ class TestSolverPool:
 
     def test_mixed_primary_dims_share_a_group(self):
         # 2 variables with 1 hinge and 3 variables with 1 local row both
-        # lift to 4 columns (with rho) and 2 + S inequality rows.
+        # lift to 4 columns (with rho) and 2 + S inequality rows: one shape
+        # of the pool's one batch.
         hinged = AgentProblem(
             dim=2, cost_quadratic=np.diag([2.0, 1.0]), cost_linear=[0.5, -1.0],
             cost_hinges=[Hinge(2.0, [1.0, 1.0], -0.5)],
@@ -222,7 +225,7 @@ class TestSolverPool:
             coupling=AffineMap([[1.0, -1.0, 2.0]], [0.2]))
         problem = ConstraintCoupledProblem(agents=[hinged, plain], coupling_dim=1)
         pool = LocalSolverPool(problem, M=10.0, tol=1e-9)
-        assert len(pool.groups) == 1
+        assert len(pool.groups) == 1 and len(pool.batch.shapes) == 1
         shifts = np.array([[0.7], [-1.3]])
         results = pool.solve_all(shifts)
         for agent, shift, res in zip(problem.agents, shifts, results):
@@ -231,6 +234,30 @@ class TestSolverPool:
             assert np.abs(res.x - x).max() <= 1e-10
             assert abs(res.rho - rho) <= 1e-10
             assert np.abs(res.mu - mu).max() <= 1e-10
+
+    def test_warm_rounds_match_each_agent_alone(self, microgrid):
+        """Five warm rounds of the microgrid's pool, whose 10 agents have 4
+        shapes in one batch, give every agent bit for bit what its own
+        form gives when solved alone, warm, through the same shifts."""
+        pool = LocalSolverPool(microgrid, M=15.0)
+        assert len(pool.batch.shapes) == 4
+        s_dim = microgrid.coupling_dim
+        alone = [QpBatch([form]) for form in pool.batch.forms]
+        rng = np.random.default_rng(3)
+        shifts = np.zeros((microgrid.n_agents, s_dim))
+        certified = 0
+        for step in (0.0, 0.3, 1e-6, 1e-6, 1e-6):
+            shifts = shifts + step * rng.normal(size=shifts.shape)
+            results = pool.solve_all(shifts)
+            for agent, single, shift, res in zip(microgrid.agents, alone, shifts, results):
+                single.b_in[0, -s_dim:] = -(agent.coupling.vec + shift)
+                single.ub[0, -1] = _rho_headroom(_coupling_hi([agent]), shift)
+                (sol,) = single.solve(tol=pool.tol, warm=True)
+                assert np.array_equal(res.x, sol.x[:agent.dim])
+                assert res.rho == sol.x[-1]
+                assert np.array_equal(res.mu, sol.ineq_mult[-s_dim:])
+                certified += sol.iterations == 0
+        assert certified  # some active-set tries certified, in the batch too
 
 
 class TestConfig:

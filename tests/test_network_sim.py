@@ -282,34 +282,39 @@ class TestRun:
         assert trace.snapshots == []
 
     def test_solver_failure_names_the_agent(self, microgrid, monkeypatch):
-        # The microgrid's agents fall into 4 shape groups.  Element 1 of the
-        # three-agent group is diagnosed as failed; the error must name its
-        # agent, the element and the round.
+        # The microgrid's 10 agents have 4 shapes and are one batch, whose
+        # element k is agent k.  Agent 5's element (a shape of three) is
+        # diagnosed as failed; the error must name the agent, the element
+        # and the round, and carry the agent's own form.
         pool = LocalSolverPool(microgrid, M=15.0)
-        assert len(pool.groups) == 4
-        group = next(g for g in pool.groups if len(g.agents) == 3)
-        agent = group.agents[1]
+        assert len(pool.groups) == 1 and len(pool.batch.shapes) == 4
+        assert pool.groups[0][1] == list(range(10))
+        agent = 5
         orig = QpBatch.solve
 
-        def fail_element_1(self, tol=1e-8, max_iter=200, warm=False):
-            if len(self.forms) != 3:
+        def fail_agent(self, tol=1e-8, max_iter=200, warm=False):
+            if not warm:  # only the local steps are warm
                 return orig(self, tol=tol, max_iter=max_iter, warm=warm)
-            x0 = 0.5 * (self.lb[1] + self.ub[1])
-            self._diagnose(1, x0, self._h()[1], max_iter, 1.0)
+            shape, j, _ = self._locate(agent)
+            x0 = 0.5 * (shape.lb[j] + shape.ub[j])
+            self._diagnose(agent, x0, shape._h()[j], max_iter, 1.0)
 
-        monkeypatch.setattr(QpBatch, "solve", fail_element_1)
+        monkeypatch.setattr(QpBatch, "solve", fail_agent)
         cfg = short_config(M=15.0, schedule=harmonic_schedule(0.02, 0.6))
         with pytest.raises(SimulationError) as info:
             run(microgrid, build_graph("cycle", 10), cfg)
         message = str(info.value)
         assert "iteration 0" in message
         assert f"agent {agent}:" in message
-        assert "element 1" in message
+        assert f"element {agent}" in message
         cause = info.value.__cause__
         assert isinstance(cause, QpError)
-        assert (cause.element, cause.agent) == (1, agent)
-        # Round 0 has zero edge variables, so the failed QP is the template.
-        assert np.array_equal(cause.form.b_in, group.batch.forms[1].b_in)
+        assert (cause.element, cause.agent) == (agent, agent)
+        # Round 0 has zero edge variables, so the failed QP, which `rsdd
+        # run --trace` saves, is the agent's template, unpadded.
+        template = pool.batch.forms[agent]
+        for name in ("Q", "c", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in"):
+            assert np.array_equal(getattr(cause.form, name), getattr(template, name)), name
 
 
 class TestMessages:

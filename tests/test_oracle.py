@@ -16,8 +16,7 @@ from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
                                 _coupled_form, build_random_instance,
                                 problem_hash, two_agent_demo, validate_problem)
-from rsdd.qp_solver import (QpBatch, QpError, QpStandardForm, lift_hinges,
-                            shape_groups, solve_qp)
+from rsdd.qp_solver import QpBatch, QpError, QpStandardForm, lift_hinges, solve_qp
 
 
 def demo_with_coupling_offset(b_total: float) -> ConstraintCoupledProblem:
@@ -310,24 +309,26 @@ class TestDualTerms:
         assert q.shape == (0, 2) and x.shape == (0, 2)
 
     def test_solver_failure_names_the_agent(self, microgrid, monkeypatch):
-        # In the batch of a group of three agents at K = 5 multipliers,
-        # element K + 1 is the group's second agent at the second multiplier.
+        # The N * K forms at K = 5 multipliers are one batch, agent by
+        # agent, over the microgrid's 4 shapes: element 5 K + 1 is agent 5
+        # at the second multiplier.
         K = 5
-        group = next(idx for idx in shape_groups(
-            [lift_hinges(a) for a in microgrid.agents]) if len(idx) == 3)
+        element = 5 * K + 1
         orig = QpBatch.solve
 
         def fail_element(self, tol=1e-8, max_iter=200, warm=False):
-            if len(self.forms) != 3 * K:
+            if len(self.forms) != microgrid.n_agents * K:
                 return orig(self, tol=tol, max_iter=max_iter, warm=warm)
-            x0 = 0.5 * (self.lb[K + 1] + self.ub[K + 1])
-            self._diagnose(K + 1, x0, self._h()[K + 1], max_iter, 1.0)
+            assert len(self.shapes) == 4
+            shape, j, _ = self._locate(element)
+            x0 = 0.5 * (shape.lb[j] + shape.ub[j])
+            self._diagnose(element, x0, shape._h()[j], max_iter, 1.0)
 
         monkeypatch.setattr(QpBatch, "solve", fail_element)
         with pytest.raises(QpError) as info:
             dual_terms(microgrid, np.full((K, microgrid.coupling_dim), 0.5))
-        assert (info.value.element, info.value.agent) == (K + 1, group[1])
-        assert str(info.value).startswith(f"agent {group[1]}: ")
+        assert (info.value.element, info.value.agent) == (element, 5)
+        assert str(info.value).startswith("agent 5: ")
 
 
 class TestBruteForce:

@@ -102,9 +102,10 @@ class TestValidation:
         assert any("empty" in f for f in report.findings)
 
     def test_every_empty_local_set_named(self):
-        # Agents 0 and 2 share a shape and are checked as one batch; the
-        # batch fails on agent 0, and agent 1's own batch fails too.  Both
-        # empty sets are named, in agent order, and agent 2 is not.
+        # The three local sets (two shapes) are checked as one batch, which
+        # fails on agent 0; the batch of agents 1 and 2 then fails on agent
+        # 1, and agent 2's passes.  Both empty sets are named, in agent
+        # order, and agent 2 is not.
         def pinned_by(value, dim):
             return simple_agent(dim=dim, local_set=LocalSet(
                 lb=np.zeros(dim), ub=np.ones(dim), a_eq=np.ones((1, dim)), b_eq=[value]))

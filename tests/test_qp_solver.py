@@ -153,12 +153,6 @@ class TestBatch:
             assert np.allclose(sol.x, single.x, atol=1e-8)
             assert sol.objective == pytest.approx(single.objective, abs=1e-9)
 
-    def test_batch_rejects_mixed_shapes(self):
-        forms = self.make_forms(2)
-        forms.append(box_form([[2.0]], [0.0], [-1.0], [1.0]))
-        with pytest.raises(ValueError):
-            QpBatch(forms)
-
     def test_rhs_update_and_warm_start(self):
         """Editing b_in between solves reuses the assembled batch; a warm
         second solve must agree with a cold one bit-for-bit on x."""
@@ -173,6 +167,26 @@ class TestBatch:
         cold = cold_batch.solve(tol=1e-10)
         for w, c in zip(warm, cold):
             assert np.allclose(w.x, c.x, atol=1e-9)
+
+    def test_mixed_batch_names_first_failure_in_input_order(self):
+        """Forms 1 and 2 are infeasible.  The batch holds shape A's forms 0
+        and 2 in its rows 0 and 1 and shape B's form 1 in row 2, and must
+        still name form 1, with its own form, and not the first failed
+        row."""
+        def one_var(b_in):
+            return box_form([[2.0]], [0.0], [-5.0], [5.0],
+                            A_in=[[1.0], [-1.0]], b_in=b_in)
+        infeasible_pair = self.make_forms(1)[0]
+        infeasible_pair.b_in = np.array([-1e3])
+        forms = [one_var([1.0, 1.0]), infeasible_pair, one_var([-1.0, -1.0])]
+        batch = QpBatch(forms)
+        assert [len(sh.forms) for sh in batch.shapes] == [2, 1]
+        assert batch.row.tolist() == [0, 2, 1]
+        with pytest.raises(QpInfeasibleError) as info:
+            batch.solve(tol=1e-9)
+        assert info.value.element == 1
+        assert np.array_equal(info.value.form.b_in, infeasible_pair.b_in)
+        assert np.array_equal(info.value.form.Q, infeasible_pair.Q)
 
     def test_shape_groups_in_first_seen_order(self):
         pair = self.make_forms(2)
@@ -312,18 +326,10 @@ class TestBatch:
             assert sa.objective == sb.objective
 
 
-@st.composite
-def same_shape_batches(draw):
-    """1-12 feasible QPs of one shape: a PSD cost, box rows (some variables
-    optionally pinned), inequality rows and optional equality rows, all
-    anchored at a point inside the box."""
-    count = draw(st.integers(1, 12))
-    n = draw(st.integers(1, 5))
-    m_in = draw(st.integers(1, 4))
-    m_eq = draw(st.integers(0, min(2, n - 1)))
-    pinned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    pinned[0] = False  # keep one free variable, so box rows always exist
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def shape_forms(rng, count, n, m_in, m_eq, pinned) -> list[QpStandardForm]:
+    """``count`` feasible QPs of one shape: a PSD cost, box rows (the
+    ``pinned`` variables fixed), ``m_in`` inequality rows and ``m_eq``
+    equality rows, all anchored at a point inside the box."""
     forms = []
     for _ in range(count):
         basis = rng.normal(size=(n, n))
@@ -333,9 +339,41 @@ def same_shape_batches(draw):
         a_in = rng.normal(size=(m_in, n))
         a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
         forms.append(box_form(basis.T @ basis / n, rng.normal(size=n), lb, ub,
-                              A_in=a_in, b_in=a_in @ inside + rng.uniform(0.0, 1.0, m_in),
+                              A_in=a_in if m_in else None,
+                              b_in=a_in @ inside + rng.uniform(0.0, 1.0, m_in) if m_in else None,
                               A_eq=a_eq, b_eq=a_eq @ inside if m_eq else None))
     return forms
+
+
+@st.composite
+def same_shape_batches(draw):
+    """1-12 feasible QPs of one shape (``shape_forms``) with inequality
+    rows and at least one free variable, so box rows always exist."""
+    count = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 5))
+    m_in = draw(st.integers(1, 4))
+    m_eq = draw(st.integers(0, min(2, n - 1)))
+    pinned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pinned[0] = False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shape_forms(rng, count, n, m_in, m_eq, pinned)
+
+
+@st.composite
+def mixed_shape_batches(draw):
+    """2-4 shapes of 1-4 feasible QPs each (``shape_forms``), interleaved.
+    The shapes differ in dimension (1-5) or inequality rows (0-3), and any
+    variable may be pinned: a shape with every variable pinned and no
+    inequality rows has no interior point to run."""
+    dims = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)),
+                         min_size=2, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forms = []
+    for n, m_in in dims:
+        m_eq = draw(st.integers(0, min(2, n - 1)))
+        pinned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        forms += shape_forms(rng, draw(st.integers(1, 4)), n, m_in, m_eq, pinned)
+    return [forms[k] for k in draw(st.permutations(range(len(forms))))]
 
 
 _SOLUTION_ARRAYS = ("x", "eq_mult", "ineq_mult", "box_lower_mult", "box_upper_mult")
@@ -346,6 +384,28 @@ def assert_same_solution(sol, ref):
         assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
     assert sol.objective == ref.objective
     assert sol.iterations == ref.iterations
+
+
+def assert_batch_matches_alone(forms):
+    """Each element of ``QpBatch(forms)`` is bit-identical to the same QP
+    solved alone and certified as ``kkt_residuals`` certifies it; the
+    batch fails exactly when an element fails alone, naming the first."""
+    alone = []
+    for form in forms:
+        try:
+            alone.append(QpBatch([form]).solve(tol=1e-9)[0])
+        except QpError:
+            alone.append(None)
+    failed = [k for k, ref in enumerate(alone) if ref is None]
+    if failed:
+        with pytest.raises(QpError) as info:
+            QpBatch(forms).solve(tol=1e-9)
+        assert info.value.element == failed[0]
+        return
+    batched = QpBatch(forms).solve(tol=1e-9)
+    for form, sol, ref in zip(forms, batched, alone):
+        assert_same_solution(sol, ref)
+        assert sol.kkt_residual == kkt_residuals(form, sol).max
 
 
 class TestBatchMembership:
@@ -359,22 +419,52 @@ class TestBatchMembership:
         so this holds for elements that end in the polish too, and a batch
         fails exactly when one of its elements fails alone, naming the
         first of them."""
-        alone = []
-        for form in forms:
-            try:
-                alone.append(QpBatch([form]).solve(tol=1e-9)[0])
-            except QpError:
-                alone.append(None)
-        failed = [k for k, ref in enumerate(alone) if ref is None]
-        if failed:
-            with pytest.raises(QpError) as info:
-                QpBatch(forms).solve(tol=1e-9)
-            assert info.value.element == failed[0]
-            return
-        batched = QpBatch(forms).solve(tol=1e-9)
-        for form, sol, ref in zip(forms, batched, alone):
-            assert_same_solution(sol, ref)
-            assert sol.kkt_residual == kkt_residuals(form, sol).max
+        assert_batch_matches_alone(forms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_shape_batches())
+    def test_mixed_shapes_share_one_batch(self, forms):
+        """QPs of several shapes, interleaved, are one batch: each element
+        is bit-identical to solving it alone, its certificate is the
+        one-form reference's, and a failing batch names its first failing
+        element in input order, although the batch solves its shapes'
+        elements as consecutive rows."""
+        batch = QpBatch(forms)
+        assert len(batch.shapes) == len({qp_solver.shape_key(f) for f in forms}) >= 2
+        assert_batch_matches_alone(forms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_shape_batches(), st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]),
+                                           min_size=2, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_mixed_warm_sequence_matches_alone(self, forms, scales, seed):
+        """Warm re-solves of a mixed batch, over perturbed right-hand sides
+        written through ``row``, keep every element bit-identical to the
+        same sequence solved alone: the active-set tries, the warm and cold
+        interior points and the polish act per element across shapes."""
+        rng = np.random.default_rng(seed)
+        batch = QpBatch(forms)
+        alone = [QpBatch([f]) for f in forms]
+        for scale in scales:
+            refs = []
+            for k, (form, single) in enumerate(zip(forms, alone)):
+                if form.b_in is not None:
+                    b_in = form.b_in + scale * np.abs(rng.normal(size=form.b_in.shape))
+                    batch.b_in[batch.row[k], :b_in.size] = b_in
+                    single.b_in[0] = b_in
+                try:
+                    refs.append(single.solve(tol=1e-9, warm=True)[0])
+                except QpError:
+                    refs.append(None)
+            failed = [k for k, ref in enumerate(refs) if ref is None]
+            if failed:
+                with pytest.raises(QpError) as info:
+                    batch.solve(tol=1e-9, warm=True)
+                assert info.value.element == failed[0]
+                return
+            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9, warm=True), refs)):
+                assert_same_solution(sol, ref)
+                assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
 
 
 def projection_forms(targets, rhs) -> list[QpStandardForm]:
@@ -422,8 +512,7 @@ class TestWarmActiveSet:
         batch.solve(tol=1e-9, warm=True)
         x_prev, z_prev = batch._warm
         batch.b_in[1, 0] = 0.5
-        ops = qp_solver._Stacked(batch.Q, batch.A, batch.AT, batch.G, batch.GT)
-        _, _, z, _, _ = qp_solver._ipm(ops, batch.c, batch.b, batch._h(), x_prev,
+        _, _, z, _, _ = qp_solver._ipm(batch._ops, batch.c, batch.b, batch._h(), x_prev,
                                        1e-9, max_iter=0, z_init=z_prev)
         assert (z_prev[0] < 1e-3).all()
         assert (z[0] == 1e-3).all()
@@ -508,9 +597,10 @@ class TestBatchValidation:
                 QpBatch([good, bad, not_psd])
         with pytest.raises(ValueError, match="c has wrong length"):
             QpBatch([good, box_form(np.eye(2), [0.0], [-1.0, -1.0], [1.0, 1.0])])
-        with pytest.raises(ValueError, match="share their shape"):
-            QpBatch([good, box_form(np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])])
+        with pytest.raises(ValueError, match="empty batch"):
+            QpBatch([])
         QpBatch([good, good])
+        QpBatch([good, box_form(np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])])
 
 
 @st.composite
