@@ -105,14 +105,19 @@ def _run_traced(problem, graph, config, trace_path):
     return trace
 
 
+def _check_iters(args) -> None:
+    """Reject ``--iters`` below 1 before anything is solved."""
+    if args.iters < 1:
+        raise ValueError("--iters must be at least 1")
+
+
 def _cmd_run(args) -> int:
+    _check_iters(args)
     seed = _resolve_seed(args.seed)
     problem = _validated(_load_problem_arg(args, seed))
     graph = build_graph(args.topology, problem.n_agents, p=args.p, seed=seed)
     oracle = solve_centralized(problem)
     m_price = args.M if args.M is not None else oracle.suggested_m
-    if args.iters < 1:
-        raise ValueError("--iters must be at least 1")
     config = AlgorithmConfig(
         M=m_price, schedule=harmonic_schedule(args.gamma0, args.exponent),
         max_iters=args.iters - 1,
@@ -169,6 +174,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    _check_iters(args)
     problem = two_agent_demo()
     res = solve_centralized(problem)
     print(f"f_star = {res.f_star:.6g}")

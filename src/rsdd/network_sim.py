@@ -28,8 +28,8 @@ from .core import (_SOLVER_TOL, _STOP_COST_CHANGE, _STOP_SUM_RHO,
                    _STOP_VIOLATION, _STOP_WINDOW, AlgorithmConfig,
                    LocalSolverPool, lambda_update, schedule_from_dict,
                    step_size, validate_schedule)
-from .problem_model import (ConstraintCoupledProblem, problem_from_dict,
-                            problem_hash, problem_to_dict)
+from .problem_model import (ConstraintCoupledProblem, problem_dict_hash,
+                            problem_from_dict, problem_to_dict)
 from .qp_solver import QpError
 
 _CONSISTENCY_TOL = 1e-9
@@ -264,8 +264,8 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
     status = "max-iters"
 
     def make_trace(final_status: str, rounds: int) -> RunTrace:
-        return RunTrace(problem=problem_to_dict(problem),
-                        problem_hash=problem_hash(problem),
+        doc = problem_to_dict(problem)
+        return RunTrace(problem=doc, problem_hash=problem_dict_hash(doc),
                         graph=graph, config=config.to_dict(),
                         snapshots=snapshots, status=final_status,
                         iterations=rounds, warnings=warnings_log)

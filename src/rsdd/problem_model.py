@@ -735,8 +735,12 @@ def load_problem(path: str) -> ConstraintCoupledProblem:
 def problem_hash(problem: ConstraintCoupledProblem) -> str:
     """Content hash of the canonical JSON form (used to join runs, oracle
     results and metrics that must refer to the same problem)."""
-    blob = json.dumps(problem_to_dict(problem), sort_keys=True,
-                      separators=(",", ":"))
+    return problem_dict_hash(problem_to_dict(problem))
+
+
+def problem_dict_hash(doc: dict) -> str:
+    """``problem_hash`` of the problem whose ``problem_to_dict`` is ``doc``."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

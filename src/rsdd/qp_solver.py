@@ -16,8 +16,9 @@ shape's matrices kept unpadded), which is what the network simulator uses
 to step all agents at once.  Elements leave the loop as they converge or
 fail, so the Newton steps run on the unfinished ones only, and the
 certificates of each shape are recomputed in one vectorized pass.  A warm
-re-solve first tries each settled element's previous active set by one
-batched KKT solve per shape, and keeps what passes tol.
+re-solve first tries each settled element's previous active set, with the
+inverse of that active set's KKT matrix kept from its last try, and keeps
+what passes tol.
 """
 
 from __future__ import annotations
@@ -371,7 +372,9 @@ class _Shape:
     The internal equality system is the forms' equality rows, then one row
     per pinned variable; the inequality system G is the forms' inequality
     rows, then the lower and upper box rows of the free variables.  Only
-    h changes between repeated solves.
+    h changes between repeated solves, so each element's active-set KKT
+    matrix is a function of its active set alone, and ``_active_set_try``
+    keeps it and its inverse from one warm solve to the next.
     """
 
     def __init__(self, forms: list[QpStandardForm]):
@@ -383,7 +386,7 @@ class _Shape:
         self.m_eq = m_eq
         self.fixed = fixed
         self.free = ~fixed
-        nf = int(self.free.sum())
+        nf = self.nf = int(self.free.sum())
         B = len(forms)
         self.Q = np.stack([0.5 * (f.Q + f.Q.T) for f in forms])
         self.Q_form = np.stack([f.Q for f in forms])  # certificates grade these
@@ -413,62 +416,87 @@ class _Shape:
             axis=1)
         self.GT = np.ascontiguousarray(self.G.transpose(0, 2, 1))
         self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
+        self._K = None  # the active-set KKT cache, made by the first try
 
     def _h(self) -> np.ndarray:
         return np.concatenate(
             [self.b_in, -self.lb[:, self.free], self.ub[:, self.free]], axis=1)
 
-    def _certify(self, x, y, z, grad_rest=None):
+    def _certify(self, x, y, z, grad_rest=None, k=slice(None)):
         """Multipliers (equality, inequality, lower and upper box), KKT
-        residuals and objectives of every element, in one pass.
+        residuals and objectives of the elements ``k`` (all by default) at
+        their iterates ``x``, ``y`` and ``z``, in one pass.
 
-        Computes what ``kkt_residuals`` computes for each element, in the
-        same order of operations, so the two agree bit for bit.
-        ``grad_rest`` adds the gradient of rows outside the batch (the
-        coupling rows of a coupled QP) last.
+        Computes the gradient, slacks and products of ``kkt_residuals``
+        for each element, in the same order of operations, and takes the
+        largest of the same terms (a maximum is exact in any order), so
+        the two agree bit for bit.  ``grad_rest`` adds the gradient of
+        rows outside the batch (the coupling rows of a coupled QP) last.
         """
-        B = len(self.forms)
-        m_in, m_eq = self.m_in, self.m_eq
-        nf = int(self.free.sum())
-        lo = np.zeros((B, self.n))
-        hi = np.zeros((B, self.n))
-        lo[:, self.free] = z[:, m_in:m_in + nf]
-        hi[:, self.free] = z[:, m_in + nf:]
-        if self.fixed.any():
+        m_in, m_eq, nf = self.m_in, self.m_eq, self.nf
+        lb, ub, c = self.lb[k], self.ub[k], self.c[k]
+        eq_mult, ineq_mult = y[:, :m_eq], z[:, :m_in]
+        lo, hi = z[:, m_in:m_in + nf], z[:, m_in + nf:]
+        if nf < self.n:
+            lo, hi = np.zeros_like(x), np.zeros_like(x)
+            lo[:, self.free], hi[:, self.free] = z[:, m_in:m_in + nf], z[:, m_in + nf:]
             theta = y[:, m_eq:]
             lo[:, self.fixed] = np.maximum(0.0, -theta)
             hi[:, self.fixed] = np.maximum(0.0, theta)
-        eq_mult = y[:, :m_eq]
-        ineq_mult = z[:, :m_in]
-        grad = _mv(self.Q_form, x) + self.c - lo + hi
-        primal = np.zeros(B)
-        comp = np.zeros(B)
-        dual = np.maximum(0.0, np.maximum(-lo.min(axis=1), -hi.min(axis=1)))
+        grad = _mv(self.Q_form[k], x) + c - lo + hi
+        terms = [lb - x, x - ub, -lo, -hi, np.abs(lo * (x - lb)), np.abs(hi * (ub - x))]
         if m_eq:
-            a_eq = self.A[:, :m_eq]
+            a_eq = self.A[k, :m_eq]
             grad = grad + _mv(a_eq.transpose(0, 2, 1), eq_mult)
-            primal = np.maximum(primal, _amax_abs(_mv(a_eq, x) - self.b[:, :m_eq]))
+            terms.append(np.abs(_mv(a_eq, x) - self.b[k, :m_eq]))
         if m_in:
-            a_in = self.G[:, :m_in]
+            a_in = self.G[k, :m_in]
             grad = grad + _mv(a_in.transpose(0, 2, 1), ineq_mult)
-            slack = self.b_in - _mv(a_in, x)
-            primal = np.maximum(primal, np.maximum(0.0, -slack.min(axis=1)))
-            dual = np.maximum(dual, -ineq_mult.min(axis=1))
-            comp = np.maximum(comp, _amax_abs(ineq_mult * slack))
+            slack = self.b_in[k] - _mv(a_in, x)
+            terms += [-slack, -ineq_mult, np.abs(ineq_mult * slack)]
         if grad_rest is not None:
             grad = grad + grad_rest
-        primal = np.maximum.reduce([primal,
-                                    np.maximum(0.0, (self.lb - x).max(axis=1)),
-                                    np.maximum(0.0, (x - self.ub).max(axis=1))])
-        comp = np.maximum.reduce([comp, _amax_abs(lo * (x - self.lb)),
-                                  _amax_abs(hi * (self.ub - x))])
-        kkt = np.maximum.reduce([_amax_abs(grad), primal,
-                                 np.maximum(0.0, dual), comp])
+        terms.append(np.abs(grad))
+        kkt = np.concatenate(terms, axis=1).max(axis=1, initial=0.0)
         # Two-operand products only: a three-operand einsum sums in an
         # order that depends on the batch size.
-        obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q, x))
-               + np.einsum("bi,bi->b", self.c, x))
-        return eq_mult, ineq_mult, lo, hi, kkt, obj + self.offset
+        obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q[k], x))
+               + np.einsum("bi,bi->b", c, x))
+        return eq_mult, ineq_mult, lo, hi, kkt, obj + self.offset[k]
+
+    def _active_set_try(self, k, h, act):
+        """The KKT points of elements ``k`` on their active rows ``act``,
+        at right-hand sides ``h``, and their certificates (``_certify``).
+
+        Each element keeps its last ``_active_set_system`` and that
+        system's inverse, keyed by the active set they belong to: Q, A and
+        G never change, and ``b_in`` and ``ub`` enter only the right-hand
+        side.  A try on the kept active set (a hit) is the two matvecs of
+        ``_active_set_point``; the other elements' systems (misses) are
+        built and inverted together first.  Hits and misses run the same
+        arithmetic on the same matrices, so a result does not depend on
+        when its system was built.  The gate admits no more active rows
+        than free directions, so every system has 2n rows.
+        """
+        if self._K is None:
+            B, N, W = len(self.forms), 2 * self.n, self.n - self.me
+            self._key, self._built = np.zeros((B, self.mi), dtype=bool), np.zeros(B, dtype=bool)
+            self._K, self._Kinv = np.empty((B, N, N)), np.empty((B, N, N))
+            self._held, self._on = np.empty((B, W), dtype=np.intp), np.empty((B, W), dtype=bool)
+        miss = ~(self._built[k] & (self._key[k] == act).all(axis=1))
+        if miss.any():
+            j = k[miss]
+            K, self._held[j], self._on[j] = _active_set_system(self.Q[j], self.A[j], self.G[j],
+                                                               act[miss])
+            self._K[j] = K
+            self._Kinv[j] = _solve_kkt(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape),
+                                       self.n, K.shape[-1] - self.n)
+            self._key[j], self._built[j] = act[miss], True
+        if len(k) == len(self.forms):  # every element: views, no copies
+            k = slice(None)
+        x, y, z = _active_set_point(self._K[k], partial(_mv, self._Kinv[k]), self.c[k],
+                                    self.b[k], h, self._held[k], self._on[k])
+        return x, y, z, self._certify(x, y, z, k=k)
 
 
 class QpBatch:
@@ -498,7 +526,15 @@ class QpBatch:
     elements leave the interior-point loop, and each shape's KKT
     certificates are computed together, in the same order of operations as
     ``kkt_residuals``, so each element's result is bit-identical to solving
-    it alone.
+    it alone.  An element is certified once per solve: the active-set try
+    accepts on the certificate that the solution then reports.
+
+    Each element's active-set KKT matrix and its inverse are kept, keyed
+    by the active set, from one warm solve to the next (``_Shape`` holds
+    them): while an element's active set holds, its try is two batched
+    matvecs with no assembly and no factorization.  Unlike the interior
+    point's matrices, which change every iteration, one inversion serves
+    every solve on the same active set.
     """
 
     def __init__(self, forms: list[QpStandardForm], validate: bool = True):
@@ -567,11 +603,15 @@ class QpBatch:
         runs on the elements that no earlier one converged:
 
         1. On a warm solve (``warm=True`` after an earlier solve of this
-           batch) only, the active-set try: an element the gate admits (the
-           same active set in its last two warm solutions, every row of the
-           last clearly active or inactive, and no more active rows than
-           free directions) is re-solved on that active set by one KKT
-           solve, and keeps the result, with 0 iterations, if it passes tol.
+           batch) only, the active-set try (``_Shape._active_set_try``): an
+           element the gate admits (the same active set in its last two
+           warm solutions, every row of the last clearly active or
+           inactive, and no more active rows than free directions) is
+           re-solved on that active set, by the inverse of its KKT matrix,
+           kept from its last try on that active set or else built and
+           inverted now.  It keeps the result, with 0 iterations, if the
+           result's certificate (``_Shape._certify``, the residual the
+           solution reports) passes tol.
         2. The interior point (``_ipm``), from each start in turn: on a warm
            solve first from the element's last solution, with slacks and
            multipliers floored by how far the moved right-hand side left
@@ -600,21 +640,25 @@ class QpBatch:
                                                    rcond=None)[0] for j in range(len(xs))]
                 iters[rows] = 0
         starts = [(x0, None)]
+        certified: list = [None] * len(self.shapes)  # each shape's (k, certificate)
         if warm and self._warm is not None:
             starts.insert(0, self._warm)
             gate = self._gate & (iters < 0)
-            for sh, rows in zip(self.shapes, self._rows):
+            for s, (sh, rows) in enumerate(zip(self.shapes, self._rows)):
                 k = np.flatnonzero(gate[rows])
                 if not k.size:
                     continue
                 r = rows.start + k
-                xa, ya, za, _, ra = _active_set_kkt(sh.Q[k], sh.c[k], sh.A[k], sh.G[k],
-                                                    sh.b[k], h[r, :sh.mi],
-                                                    self._act[r, :sh.mi])
-                ok = ra <= tol
-                r = r[ok]
-                x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = xa[ok], ya[ok], za[ok]
-                iters[r], res[r] = 0, ra[ok]
+                xa, ya, za, cert = sh._active_set_try(k, h[r, :sh.mi], self._act[r, :sh.mi])
+                ok = cert[4] <= tol
+                if not ok.any():
+                    continue
+                if not ok.all():
+                    k, r, xa, ya, za = k[ok], r[ok], xa[ok], ya[ok], za[ok]
+                    cert = tuple(v[ok] for v in cert)
+                x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = xa, ya, za
+                iters[r], res[r] = 0, cert[4]
+                certified[s] = (k, cert)
         for start, z_init in starts:
             todo = iters < 0
             if todo.all():  # the batch's own arrays, no copies
@@ -645,7 +689,7 @@ class QpBatch:
             same = self._act is not None and (act == self._act).all(axis=1)
             self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
             self._act = act
-        return self._unpack(x, y, z, iters)
+        return self._unpack(x, y, z, iters, certified)
 
     def _effective_form(self, k: int) -> QpStandardForm:
         """Form ``k`` with the batch's current right-hand sides.
@@ -692,21 +736,31 @@ class QpBatch:
             f"interior-point breakdown on a feasible problem (element {k})",
             iterations=iterations, residual=residual)
 
-    def _unpack(self, x, y, z, iters) -> list[PrimalDualSolution]:
+    def _unpack(self, x, y, z, iters, certified) -> list[PrimalDualSolution]:
         """Solutions in input order with their KKT residuals, certified
-        shape by shape against the current right-hand sides."""
+        shape by shape against the current right-hand sides.
+
+        ``certified`` holds, per shape, None or the elements ``k`` that the
+        active-set try certified and their certificate, which is reused:
+        only the other elements are certified here.
+        """
         sols: list = [None] * len(self.forms)
         its = iters.tolist()
-        for sh, rows, members in zip(self.shapes, self._rows, self._members):
-            xs = x[rows, :sh.n]
-            eq_mult, ineq_mult, lo, hi, kkt, obj = sh._certify(xs, y[rows, :sh.me],
-                                                               z[rows, :sh.mi])
-            for j, (k, objective, residual) in enumerate(zip(members, obj.tolist(),
-                                                             kkt.tolist())):
-                sols[k] = PrimalDualSolution(
-                    x=xs[j], eq_mult=eq_mult[j], ineq_mult=ineq_mult[j],
-                    box_lower_mult=lo[j], box_upper_mult=hi[j], objective=objective,
-                    kkt_residual=residual, iterations=its[rows.start + j])
+        for sh, rows, members, done in zip(self.shapes, self._rows, self._members,
+                                           certified):
+            xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
+            parts = [] if done is None else [done]
+            rest = slice(None) if done is None else np.delete(np.arange(len(members)), done[0])
+            if done is None or rest.size:
+                parts.append((np.arange(len(members))[rest],
+                              sh._certify(xs[rest], ys[rest], zs[rest], k=rest)))
+            for k, (eq_mult, ineq_mult, lo, hi, kkt, obj) in parts:
+                for i, (j, objective, residual) in enumerate(zip(k.tolist(), obj.tolist(),
+                                                                 kkt.tolist())):
+                    sols[members[j]] = PrimalDualSolution(
+                        x=xs[j], eq_mult=eq_mult[i], ineq_mult=ineq_mult[i],
+                        box_lower_mult=lo[i], box_upper_mult=hi[i], objective=objective,
+                        kkt_residual=residual, iterations=its[rows.start + j])
         return sols
 
 
@@ -1068,7 +1122,7 @@ def _solve_kkt(K, rhs, n, me):
         return np.linalg.solve(K, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    out = np.empty_like(rhs)
+    out = np.empty(rhs.shape)
     diag = np.arange(n + me)
     for k in range(K.shape[0]):
         try:
@@ -1096,9 +1150,10 @@ def _active_set(slack, z):
     return act, clear
 
 
-def _active_set_kkt(Q, c, A, G, b, h, act):
-    """Each element's KKT point on its active rows ``act``, by one batched
-    solve, with its slacks h - Gx and its KKT error.
+def _active_set_system(Q, A, G, act):
+    """Each element's KKT matrix on its active rows ``act``, with the rows
+    of G it holds (``order``, active rows first) and which of them are
+    active (``on``): the one builder of the active-set tries and polish.
 
     The system is ``_kkt_matrix``'s with each element's active rows of G
     appended to its equality rows, and padded by rows that read -z = 0 to
@@ -1108,26 +1163,43 @@ def _active_set_kkt(Q, c, A, G, b, h, act):
     100 unknowns from which LAPACK runs multithreaded, whose idle threads
     spin on the other cores.
     """
-    n = c.shape[1]
-    me = b.shape[1]
+    n, me = Q.shape[-1], A.shape[1]
     order = np.argsort(~act, axis=1, kind="stable")[:, :max(n - me, act.sum(axis=1).max())]
     rows = (np.arange(len(act))[:, None], order)  # each element's active rows first
     on = act[rows]  # False on padding rows
     E = np.concatenate([A, G[rows] * on[:, :, None]], axis=1)
     ET = E.transpose(0, 2, 1)
-    K = _kkt_matrix(Q, E, ET, E[:, :0], ET[:, :, :0], h[:, :0])  # nothing condensed
+    K = _kkt_matrix(Q, E, ET, E[:, :0], ET[:, :, :0], np.zeros((len(act), 0)))
     diag = K.reshape(len(K), -1)[:, ::K.shape[-1] + 1]
     diag[:, n + me:] -= ~on
+    return K, order, on
+
+
+def _active_set_point(K, solve, c, b, h, order, on):
+    """The KKT point (x, y, z) of each ``_active_set_system`` K at the
+    right-hand sides c, b and h; ``solve(rhs)`` applies K's inverse."""
+    n, me = c.shape[1], b.shape[1]
+    rows = (np.arange(len(order))[:, None], order)
     rhs = np.concatenate([-c, b, h[rows] * on], axis=1)
-    d = _solve_kkt(K, rhs, n, E.shape[1])
+    d = solve(rhs)
     # One refinement step against the unshifted system: the shift alone
     # leaves an active row the slack -_REG z_i, whose complementarity
     # _REG z_i^2 passes 1e-9 once z_i passes about 30.
     shift = np.where(np.arange(K.shape[-1]) < n, _REG, -_REG)
-    d += _solve_kkt(K, rhs - _mv(K, d) + shift * d, n, E.shape[1])
-    x, y = d[:, :n], d[:, n:n + me]
+    d += solve(rhs - _mv(K, d) + shift * d)
     z = np.zeros_like(h)
     z[rows] = np.where(on, d[:, n + me:], 0.0)
+    return d[:, :n], d[:, n:n + me], z
+
+
+def _active_set_kkt(Q, c, A, G, b, h, act):
+    """Each element's KKT point on its active rows ``act``, by one batched
+    solve of its ``_active_set_system``, with its slacks h - Gx and its KKT
+    error."""
+    K, order, on = _active_set_system(Q, A, G, act)
+    n = c.shape[1]
+    x, y, z = _active_set_point(K, partial(_solve_kkt, K, n=n, me=K.shape[-1] - n),
+                                c, b, h, order, on)
     slack = h - _mv(G, x)
     res = np.maximum.reduce([
         _amax_abs(_mv(Q, x) + c + _mv(G.transpose(0, 2, 1), z) + _mv(A.transpose(0, 2, 1), y)),

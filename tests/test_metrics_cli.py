@@ -440,6 +440,25 @@ class TestCli:
         assert json.loads(captured.err.strip().splitlines()[-1])["error"] \
             == "solver"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--demo", "--topology", "path", "--iters", "0"],
+        ["demo", "--iters", "0"]], ids=["run", "demo"])
+    def test_iters_below_one_rejected_before_any_solve(self, argv, monkeypatch,
+                                                       capsys):
+        from rsdd import cli as climod
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved before --iters was checked")
+
+        for name in ("validate_problem", "solve_centralized", "run"):
+            monkeypatch.setattr(climod, name, never)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+            "error": "invalid-input", "message": "--iters must be at least 1"}
+
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         # An instance with an empty local set fails validation up front.
         doc = {"format": "rsdd-problem", "version": 1, "coupling_dim": 1,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rsdd.core import AlgorithmConfig
+from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 MicrogridConfig, ProblemFormatError,
@@ -12,8 +14,9 @@ from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 build_microgrid_instance,
                                 build_random_instance, load_problem,
                                 microgrid_config_from_dict,
-                                microgrid_config_to_dict, problem_from_dict,
-                                problem_hash, problem_to_dict, save_problem,
+                                microgrid_config_to_dict, problem_dict_hash,
+                                problem_from_dict, problem_hash,
+                                problem_to_dict, save_problem,
                                 two_agent_demo, validate_problem)
 
 
@@ -324,6 +327,16 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ProblemFormatError, match="JSON"):
             load_problem(str(path))
+
+    def test_hash_of_the_dict_is_the_problem_hash(self, demo):
+        """``problem_dict_hash`` of a problem's dict is its ``problem_hash``,
+        pinned for the demo, and a run's trace carries that hash."""
+        doc = problem_to_dict(demo)
+        assert problem_dict_hash(doc) == problem_hash(demo) == (
+            "8286854bf6b42e0c99a29293d241302c1d26b03818a82f1a73a9727fcb8dcfa6")
+        trace = run(demo, build_graph("path", 2), AlgorithmConfig(M=10.0, max_iters=1))
+        assert trace.problem == doc
+        assert trace.problem_hash == problem_hash(demo)
 
     def test_hash_changes_with_data(self, demo):
         other = two_agent_demo()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rsdd.core import AlgorithmConfig, harmonic_schedule
 from rsdd.network_sim import build_graph, run
+from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 _coupled_form, _coupling_hi, _rho_headroom,
                                 build_random_instance)
@@ -556,8 +557,139 @@ class TestWarmActiveSet:
                 assert sol.kkt_residual <= 1e-9
                 assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
 
+    @staticmethod
+    def spy_on_the_cache(monkeypatch):
+        """The active sets handed to the builder, and the count of
+        ``_solve_kkt`` calls, which every inversion and factorization makes."""
+        built, solves = [], []
+        orig_system, orig_solve = qp_solver._active_set_system, qp_solver._solve_kkt
+
+        def system(Q, A, G, act):
+            built.append(act.copy())
+            return orig_system(Q, A, G, act)
+
+        def solve(*args, **kwargs):
+            solves.append(1)
+            return orig_solve(*args, **kwargs)
+
+        monkeypatch.setattr(qp_solver, "_active_set_system", system)
+        monkeypatch.setattr(qp_solver, "_solve_kkt", solve)
+        return built, solves
+
+    def test_cache_hit_builds_and_inverts_nothing(self, monkeypatch):
+        """The first try on an active set builds and inverts its system;
+        the next try on it builds and inverts nothing, and its point is
+        the uncached ``_active_set_kkt`` point within 1e-12, certified."""
+        built, solves = self.spy_on_the_cache(monkeypatch)
+        targets = [(2.0, 0.0), (1.5, 1.0), (0.0, 2.5)]
+        batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
+        for rhs in ([1.0] * 3, [1.0] * 3, [1.01, 0.99, 1.02]):
+            batch.b_in[:, 0] = rhs
+            batch.solve(tol=1e-9, warm=True)
+        assert [len(act) for act in built] == [3]
+        built.clear()
+        solves.clear()
+        batch.b_in[:, 0] = [1.02, 0.98, 1.03]
+        hits = batch.solve(tol=1e-9, warm=True)
+        assert built == [] and solves == []
+        (sh,) = batch.shapes
+        act = batch._act
+        x, y, z, _, res = qp_solver._active_set_kkt(sh.Q, sh.c, sh.A, sh.G, sh.b,
+                                                    batch._h(), act)
+        assert (res <= 1e-9).all()
+        for k, sol in enumerate(hits):
+            assert sol.iterations == 0
+            assert sol.kkt_residual <= 1e-9
+            assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
+            assert np.allclose(sol.x, x[k], rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.ineq_mult, z[k, :1], rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.box_lower_mult, z[k, 1:3], rtol=0.0, atol=1e-12)
+            assert np.allclose(sol.box_upper_mult, z[k, 3:], rtol=0.0, atol=1e-12)
+
+    def test_flipped_active_set_is_rebuilt(self, monkeypatch):
+        """Element 1's row turns inactive: its try on the old active set
+        fails, the interior point solves it twice, and its next try, on
+        the new active set, builds that element's system alone, while
+        element 0 keeps its cached one; both certify with 0 iterations."""
+        built, _ = self.spy_on_the_cache(monkeypatch)
+        batch = QpBatch(projection_forms([(2.0, 0.0), (2.0, 0.0)], [1.0, 1.0]))
+        iterations = []
+        for rhs in ([1.0, 1.0], [1.0, 1.0], [1.01, 1.01], [1.02, 3.0], [1.03, 3.01],
+                    [1.04, 3.02]):
+            batch.b_in[:, 0] = rhs
+            iterations.append([sol.iterations for sol in batch.solve(tol=1e-9, warm=True)])
+        assert [it[0] for it in iterations[2:]] == [0, 0, 0, 0]
+        assert [it[1] > 0 for it in iterations[2:]] == [False, True, True, False]
+        assert [act.tolist() for act in built] == [
+            [[True, False, False, False, False]] * 2,
+            [[False, False, False, False, False]]]
+
+    def test_mixed_warm_hits_and_misses_match_alone(self, monkeypatch):
+        """Two shapes, each with an element whose row stays active and one
+        whose row turns inactive: in the last solves some elements hit
+        their cached systems while others miss, and every element's
+        sequence is bit-identical to the same sequence solved alone."""
+        built, _ = self.spy_on_the_cache(monkeypatch)
+        tried = []
+        orig_try = qp_solver._Shape._active_set_try
+
+        def spy_try(sh, k, h, act):
+            tried.append(len(k))
+            return orig_try(sh, k, h, act)
+
+        monkeypatch.setattr(qp_solver._Shape, "_active_set_try", spy_try)
+        flat = [box_form(np.eye(3), [-1.0, -1.0, -1.0], [-3.0] * 3, [3.0] * 3,
+                         A_in=[[1.0, 1.0, 1.0]], b_in=[1.0])]
+        forms = [projection_forms([(2.0, 0.0)], [1.0])[0], flat[0],
+                 projection_forms([(2.0, 0.0)], [1.0])[0], flat[0]]
+        steps = [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.01, 1.01, 1.01, 1.01],
+                 [1.02, 1.02, 3.0, 5.0], [1.03, 1.03, 3.01, 5.01], [1.04, 1.04, 3.02, 5.02],
+                 [1.05, 1.05, 3.03, 5.03]]
+        batch = QpBatch(forms)
+        alone = [QpBatch([f]) for f in forms]
+        for step, rhs in enumerate(steps):
+            for k, single in enumerate(alone):
+                batch.b_in[batch.row[k], 0] = single.b_in[0, 0] = rhs[k]
+            refs = [single.solve(tol=1e-9, warm=True)[0] for single in alone]
+            tried.clear()
+            built.clear()
+            sols = batch.solve(tol=1e-9, warm=True)
+            for k, (sol, ref) in enumerate(zip(sols, refs)):
+                assert_same_solution(sol, ref)
+                assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
+            if step == len(steps) - 2:  # elements 2 and 3 miss, 0 and 1 hit
+                assert tried == [2, 2] and [len(act) for act in built] == [1, 1]
+                assert [sol.iterations for sol in sols] == [0, 0, 0, 0]
+
 
 class TestRegressions:
+    def test_random_3_seed_12_certifies_by_the_try(self, monkeypatch):
+        """random 3 x 2 x 2 seed 12 on a path (suggested M, gamma0 = 0.1,
+        p = 0.6), run to the stopping rule: almost every local solve is
+        certified by the active-set try (0 iterations; 720 of 732), and the
+        interior point runs 6 times in all."""
+        problem = build_random_instance(3, 2, 2, 12)
+        cfg = AlgorithmConfig(M=solve_centralized(problem).suggested_m,
+                              schedule=harmonic_schedule(0.1, 0.6), max_iters=20000)
+        by_try, ipm_calls = [], []
+        orig_solve, orig_ipm = QpBatch.solve, qp_solver._ipm
+
+        def solve(batch, *args, **kwargs):
+            sols = orig_solve(batch, *args, **kwargs)
+            by_try.append(sum(sol.iterations == 0 for sol in sols))
+            return sols
+
+        def ipm(*args, **kwargs):
+            ipm_calls.append(1)
+            return orig_ipm(*args, **kwargs)
+
+        monkeypatch.setattr(QpBatch, "solve", solve)
+        monkeypatch.setattr(qp_solver, "_ipm", ipm)
+        trace = run(problem, build_graph("path", 3), cfg)
+        assert trace.status == "tolerance-met"
+        assert sum(by_try) >= 700
+        assert len(ipm_calls) <= 10
+
     def test_random_200_seed_7_runs_30_updates(self):
         """random 200 x 2 x 2 seed 7 on a cycle (M = 50, gamma0 = 0.1,
         p = 0.6) broke down at round 13, agent 29, while one unconverged
