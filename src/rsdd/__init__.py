@@ -14,17 +14,16 @@ solver (:mod:`rsdd.qp_solver`), centralized reference solutions
 (``rsdd``).
 """
 
-from .core import (AlgorithmConfig, LocalSolverPool,
-                   LocalStepResult, StepSizeSchedule, explicit_schedule,
-                   harmonic_schedule, lambda_update, local_step, step_size,
-                   validate_schedule)
+from .core import (AlgorithmConfig, LocalSolverPool, StepSizeSchedule,
+                   explicit_schedule, harmonic_schedule, lambda_update,
+                   local_step, step_size, validate_schedule)
 from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
-from .network_sim import (Graph, MessageStats, RunTrace, SimulationError,
-                          Snapshot, build_graph, check_trace_invariants,
-                          load_trace, message_stats, run, save_trace)
-from .oracle import (OracleResult, RelaxedResult, dual_terms,
-                     solve_centralized, solve_relaxed_centralized, suggest_m)
+from .network_sim import (Graph, RunTrace, SimulationError, Snapshot,
+                          build_graph, check_trace_invariants, load_trace,
+                          message_stats, run, save_trace)
+from .oracle import (OracleResult, dual_terms, solve_centralized,
+                     solve_relaxed_centralized, suggest_m)
 from .problem_model import (AffineMap, AgentProblem, ConstraintCoupledProblem,
                             Hinge, LocalSet, MicrogridConfig,
                             ProblemFormatError, ValidationReport,
@@ -44,11 +43,10 @@ __all__ = [
     "AffineMap", "AgentProblem", "AlgorithmConfig",
     "ConstraintCoupledProblem", "Graph", "Hinge",
     "IterationMetrics", "KktResiduals", "LocalSet", "LocalSolverPool",
-    "LocalStepResult", "MessageStats", "MicrogridConfig", "OracleResult",
-    "PrimalDualSolution", "ProblemFormatError", "QpBatch", "QpError",
-    "QpInfeasibleError", "QpNumericalError", "QpStandardForm",
-    "RelaxedResult", "RunTrace", "SimulationError", "Snapshot",
-    "StepSizeSchedule", "ValidationReport",
+    "MicrogridConfig", "OracleResult", "PrimalDualSolution",
+    "ProblemFormatError", "QpBatch", "QpError", "QpInfeasibleError",
+    "QpNumericalError", "QpStandardForm", "RunTrace", "SimulationError",
+    "Snapshot", "StepSizeSchedule", "ValidationReport",
     "build_graph", "build_microgrid_instance", "build_random_instance",
     "check_trace_invariants", "compute_metrics", "dual_terms",
     "emit_run_artifact", "explicit_schedule", "harmonic_schedule",

@@ -144,13 +144,6 @@ class AlgorithmConfig:
                 "solver_tol": _SOLVER_TOL}
 
 
-@dataclass
-class LocalStepResult:
-    x: np.ndarray
-    rho: float
-    mu: np.ndarray
-
-
 class LocalSolverPool:
     """Solves the relaxed local problems of all agents each round, as one
     ``QpBatch`` whose element k is agent k's QP, whatever its shape.
@@ -158,8 +151,9 @@ class LocalSolverPool:
     Agent i's relaxed local problem is the relaxed problem of agent i
     alone: its hinge-lifted QP, the relaxation variable rho last, and the S
     coupling rows last, their right-hand side moved by the edge shift.
-    ``groups`` holds the one (batch, agents) pair, for callers that map a
-    batch element to its agent.
+    ``solve_all`` reads each round's x_i, rho_i and mu_i from the batch's
+    certified solutions.  ``groups`` holds the one (batch, agents) pair,
+    for callers that map a batch element to its agent.
     """
 
     def __init__(self, problem: ConstraintCoupledProblem, M: float,
@@ -184,8 +178,11 @@ class LocalSolverPool:
                         np.array([[f.b_in.size - s_dim] for f in forms]) + np.arange(s_dim))
         self._rho_at = (rows, np.array([f.dim - 1 for f in forms]))
 
-    def solve_all(self, shifts: np.ndarray) -> list[LocalStepResult]:
-        """One round's local steps at the (N, S) edge-variable ``shifts``.
+    def solve_all(self, shifts: np.ndarray
+                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """One round's local steps at the (N, S) edge-variable ``shifts``:
+        (xs, rho, mu), the list of each agent's x_i, the (N,) relaxation
+        levels and the (N, S) coupling-row multipliers.
 
         A failed local QP is re-raised with the agent it belongs to.
         """
@@ -197,9 +194,9 @@ class LocalSolverPool:
         except QpError as exc:
             exc.agent = exc.element
             raise
-        return [LocalStepResult(x=sol.x[:dim], rho=float(sol.x[-1]),
-                                mu=sol.ineq_mult[-s_dim:])
-                for dim, sol in zip(self.dims, sols)]
+        return ([sol.x[:dim] for dim, sol in zip(self.dims, sols)],
+                np.array([sol.x[-1] for sol in sols]),
+                np.stack([sol.ineq_mult[-s_dim:] for sol in sols]))
 
 
 def _combine_shift(lambda_out: dict[int, np.ndarray],
@@ -239,6 +236,6 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     s_dim = agent.coupling.mat.shape[0]
     shift = _combine_shift(lambda_out, lambda_in, s_dim)
     pool = LocalSolverPool(ConstraintCoupledProblem([agent], s_dim), M, tol=tol)
-    res = pool.solve_all(shift[None])[0]
-    return res.x, res.rho, res.mu
+    xs, rho, mu = pool.solve_all(shift[None])
+    return xs[0], float(rho[0]), mu[0]
 

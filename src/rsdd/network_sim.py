@@ -272,15 +272,12 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
 
     while True:
         try:
-            results = pool.solve_all(graph.shifts(lam))
+            xs, rho, mu = pool.solve_all(graph.shifts(lam))
         except QpError as exc:
             raise SimulationError(
                 f"local solver failed at iteration {t}: {exc}",
                 make_trace("solver-error", t)) from exc
 
-        xs = [r.x for r in results]
-        rho = np.array([r.rho for r in results])
-        mu = np.stack([r.mu for r in results])
         # edge_step returns a new array, so the snapshot may keep lam itself.
         snapshots.append(Snapshot(t=t, x=xs, rho=rho, mu=mu, lam=lam))
         if config.enable_early_stop:

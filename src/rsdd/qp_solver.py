@@ -18,7 +18,9 @@ fail, so the Newton steps run on the unfinished ones only, and the
 certificates of each shape are recomputed in one vectorized pass.  A warm
 re-solve first tries each settled element's previous active set, with the
 inverse of that active set's KKT matrix kept from its last try, and keeps
-what passes tol.
+what passes tol; an element the interior point leaves unconverged is
+polished on active sets.  Both accept on the certificate that the solution
+then reports.
 """
 
 from __future__ import annotations
@@ -498,6 +500,36 @@ class _Shape:
                                     self.b[k], h, self._held[k], self._on[k])
         return x, y, z, self._certify(x, y, z, k=k)
 
+    def _polish(self, j, h, x0, z0, tol):
+        """Active-set crossover for stalled element ``j`` at right-hand
+        sides ``h``, from its interior-point iterate ``x0``, ``z0``.
+
+        Guesses the active rows from the iterate (``_active_set``), solves
+        the KKT system on them as the active-set try does
+        (``_active_set_system``, ``_active_set_point``), and repairs the
+        guess with the primal-dual rule act = {i : z_i - (h_i - G_i x) > 0}
+        until the certificate (``_certify``) meets tol.  Returns (x, y, z)
+        or None if no visited active set qualifies; weakly active rows
+        resolve to either side with a zero multiplier, which is exactly the
+        case that stalls the interior point.
+        """
+        k = [j]
+        G, h = self.G[k], h[None]
+        act = _active_set(h - _mv(G, x0[None]), z0[None])[0]
+        seen = set()
+        for _ in range(_POLISH_ROUNDS):
+            key = act.tobytes()
+            if key in seen:
+                return None
+            seen.add(key)
+            K, order, on = _active_set_system(self.Q[k], self.A[k], G, act)
+            solve = partial(_solve_kkt, K, n=self.n, me=K.shape[-1] - self.n)
+            x, y, z = _active_set_point(K, solve, self.c[k], self.b[k], h, order, on)
+            if self._certify(x, y, z, k=k)[4][0] <= tol:
+                return x[0], y[0], z[0]
+            act = (z - (h - _mv(G, x))) > 0.0
+        return None
+
 
 class QpBatch:
     """QPs of any shapes solved by one interior-point loop.
@@ -526,8 +558,9 @@ class QpBatch:
     elements leave the interior-point loop, and each shape's KKT
     certificates are computed together, in the same order of operations as
     ``kkt_residuals``, so each element's result is bit-identical to solving
-    it alone.  An element is certified once per solve: the active-set try
-    accepts on the certificate that the solution then reports.
+    it alone.  The active-set try and the polish accept on the
+    certificate that the solution then reports, and a tried element is
+    certified once per solve.
 
     Each element's active-set KKT matrix and its inverse are kept, keyed
     by the active set, from one warm solve to the next (``_Shape`` holds
@@ -617,8 +650,10 @@ class QpBatch:
            multipliers floored by how far the moved right-hand side left
            that solution infeasible, then cold.  A warm solve is thus never
            less robust than a cold one.
-        3. The polish (``_polish``), an active-set crossover from the
-           interior point's best iterate.
+        3. The polish (``_Shape._polish``), an active-set crossover from
+           the interior point's best iterate, built and certified as the
+           active-set try is; it keeps the result, with ``max_iter``
+           iterations, if the certificate passes tol.
         4. ``_diagnose`` of the first element, in input order, still
            unconverged, which raises.
 
@@ -673,8 +708,7 @@ class QpBatch:
             # point above tol; an active-set crossover from the best iterate
             # usually lands on the exact solution.
             sh, j, r = self._locate(k)
-            fix = _polish(sh.Q[j], sh.c[j], sh.A[j], sh.b[j], sh.G[j], h[r, :sh.mi],
-                          x[r, :sh.n], z[r, :sh.mi], tol)
+            fix = sh._polish(j, h[r, :sh.mi], x[r, :sh.n], z[r, :sh.mi], tol)
             if fix is not None:
                 x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = fix
                 iters[r] = max_iter
@@ -801,10 +835,12 @@ def solve_qp(form: QpStandardForm | CoupledForm, tol: float = 1e-8,
 
 
 def _validate_coupled(form: CoupledForm) -> None:
-    """Raise ValueError on a malformed block or coupling row of ``form``."""
+    """Raise ValueError on a malformed part of ``form``: the first malformed
+    block (``_validate_forms``), then the coupling rows, their right-hand
+    side and ``extra``."""
+    _validate_forms(form.blocks)
     s_dim = form.rhs.shape[0]
     for f, mat in zip(form.blocks, form.coupling, strict=True):
-        validate_form(f)
         if mat.shape != (s_dim, f.dim) or not np.all(np.isfinite(mat)):
             raise ValueError("coupling rows have wrong shape or are not finite")
     if not np.all(np.isfinite(form.rhs)):
@@ -1192,50 +1228,6 @@ def _active_set_point(K, solve, c, b, h, order, on):
     return d[:, :n], d[:, n:n + me], z
 
 
-def _active_set_kkt(Q, c, A, G, b, h, act):
-    """Each element's KKT point on its active rows ``act``, by one batched
-    solve of its ``_active_set_system``, with its slacks h - Gx and its KKT
-    error."""
-    K, order, on = _active_set_system(Q, A, G, act)
-    n = c.shape[1]
-    x, y, z = _active_set_point(K, partial(_solve_kkt, K, n=n, me=K.shape[-1] - n),
-                                c, b, h, order, on)
-    slack = h - _mv(G, x)
-    res = np.maximum.reduce([
-        _amax_abs(_mv(Q, x) + c + _mv(G.transpose(0, 2, 1), z) + _mv(A.transpose(0, 2, 1), y)),
-        _amax_abs(_mv(A, x) - b),
-        np.maximum(0.0, -slack.min(axis=1)),
-        np.maximum(0.0, -z.min(axis=1)),
-        _amax_abs(z * slack)])
-    return x, y, z, slack, res
-
-
-def _polish(Q, c, A, b, G, h, x0, z0, tol, max_rounds=50):
-    """Active-set crossover for one stalled element.
-
-    Guesses the active inequality rows from an interior-point iterate
-    (``_active_set``), solves the KKT system on them (``_active_set_kkt``),
-    and repairs the guess with the primal-dual rule
-    act = {i : z_i - (h_i - G_i x) > 0} until the KKT error meets tol.
-    Returns (x, y, z) or None if no visited active set qualifies; weakly
-    active rows resolve to either side with a zero multiplier, which is
-    exactly the case that stalls the interior point.
-    """
-    Q, c, A, G, b, h, x0, z0 = (v[None] for v in (Q, c, A, G, b, h, x0, z0))
-    act = _active_set(h - _mv(G, x0), z0)[0]
-    seen = set()
-    for _ in range(max_rounds):
-        key = act.tobytes()
-        if key in seen:
-            return None
-        seen.add(key)
-        x, y, z, slack, res = _active_set_kkt(Q, c, A, G, b, h, act)
-        if res[0] <= tol:
-            return x[0], y[0], z[0]
-        act = (z - slack) > 0.0
-    return None
-
-
 class _Stacked:
     """The constraint operators of a batch of same-shape QPs, one dense
     array per element: the matvecs and Newton systems of ``_ipm``.  Its
@@ -1351,6 +1343,7 @@ _REG = 1e-12    # primal-dual regularization of every Newton system
 _SEPARATION = 1e-3  # a row is clearly active or inactive when min(z, s) < this * max(z, s)
 _PROX = 1e-3    # proximal shift of a coupled QP's block factorizations, per unit of Q
 _REFINE = 10    # refinement steps of a coupled Newton step, at most
+_POLISH_ROUNDS = 50  # active sets a polish visits, at most
 
 
 def _kkt_matrix(Q, A, AT, G, GT, w, reg=_REG):

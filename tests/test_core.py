@@ -202,12 +202,13 @@ class TestSolverPool:
     def test_pool_matches_local_step(self, demo):
         pool = LocalSolverPool(demo, M=10.0, tol=1e-9)
         shifts = np.array([[0.4], [-0.4]])
-        results = pool.solve_all(shifts)
-        for agent, shift, res in zip(demo.agents, shifts, results):
+        xs, rhos, mus = pool.solve_all(shifts)
+        assert len(xs) == 2 and rhos.shape == (2,) and mus.shape == (2, 1)
+        for agent, shift, pool_x, pool_rho, pool_mu in zip(demo.agents, shifts, xs, rhos, mus):
             x, rho, mu = local_step(agent, {9: shift}, {9: np.zeros(1)}, 10.0)
-            assert np.allclose(res.x, x, atol=1e-7)
-            assert res.rho == pytest.approx(rho, abs=1e-7)
-            assert np.allclose(res.mu, mu, atol=1e-6)
+            assert np.allclose(pool_x, x, atol=1e-7)
+            assert pool_rho == pytest.approx(rho, abs=1e-7)
+            assert np.allclose(pool_mu, mu, atol=1e-6)
 
     def test_mixed_primary_dims_share_a_group(self):
         # 2 variables with 1 hinge and 3 variables with 1 local row both
@@ -227,13 +228,14 @@ class TestSolverPool:
         pool = LocalSolverPool(problem, M=10.0, tol=1e-9)
         assert len(pool.groups) == 1 and len(pool.batch.shapes) == 1
         shifts = np.array([[0.7], [-1.3]])
-        results = pool.solve_all(shifts)
-        for agent, shift, res in zip(problem.agents, shifts, results):
-            assert res.x.shape == (agent.dim,)
+        xs, rhos, mus = pool.solve_all(shifts)
+        for agent, shift, pool_x, pool_rho, pool_mu in zip(problem.agents, shifts,
+                                                           xs, rhos, mus):
+            assert pool_x.shape == (agent.dim,)
             x, rho, mu = local_step(agent, {5: shift}, {5: np.zeros(1)}, 10.0)
-            assert np.abs(res.x - x).max() <= 1e-10
-            assert abs(res.rho - rho) <= 1e-10
-            assert np.abs(res.mu - mu).max() <= 1e-10
+            assert np.abs(pool_x - x).max() <= 1e-10
+            assert abs(pool_rho - rho) <= 1e-10
+            assert np.abs(pool_mu - mu).max() <= 1e-10
 
     def test_warm_rounds_match_each_agent_alone(self, microgrid):
         """Five warm rounds of the microgrid's pool, whose 10 agents have 4
@@ -248,14 +250,15 @@ class TestSolverPool:
         certified = 0
         for step in (0.0, 0.3, 1e-6, 1e-6, 1e-6):
             shifts = shifts + step * rng.normal(size=shifts.shape)
-            results = pool.solve_all(shifts)
-            for agent, single, shift, res in zip(microgrid.agents, alone, shifts, results):
+            xs, rhos, mus = pool.solve_all(shifts)
+            for agent, single, shift, x, rho, mu in zip(microgrid.agents, alone, shifts,
+                                                        xs, rhos, mus):
                 single.b_in[0, -s_dim:] = -(agent.coupling.vec + shift)
                 single.ub[0, -1] = _rho_headroom(_coupling_hi([agent]), shift)
                 (sol,) = single.solve(tol=pool.tol, warm=True)
-                assert np.array_equal(res.x, sol.x[:agent.dim])
-                assert res.rho == sol.x[-1]
-                assert np.array_equal(res.mu, sol.ineq_mult[-s_dim:])
+                assert np.array_equal(x, sol.x[:agent.dim])
+                assert rho == sol.x[-1]
+                assert np.array_equal(mu, sol.ineq_mult[-s_dim:])
                 certified += sol.iterations == 0
         assert certified  # some active-set tries certified, in the batch too
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 _coupled_form, _coupling_hi, _rho_headroom,
                                 build_random_instance)
 from rsdd import qp_solver
-from rsdd.qp_solver import (QpBatch, QpError, QpInfeasibleError,
+from rsdd.qp_solver import (CoupledForm, QpBatch, QpError, QpInfeasibleError,
                             QpNumericalError, QpStandardForm, _solve_coupled,
                             kkt_residuals, lift_hinges, load_form, save_form,
                             shape_groups, solve_qp, validate_form)
@@ -239,9 +240,13 @@ class TestBatch:
         """A warm start that leaves element 1 unconverged retries that
         element alone, cold; elements 0 and 2 keep their warm solutions.
         When the cold retry leaves it unconverged too, the polish runs once,
-        for element 1 alone, from the cold retry's iterate."""
+        for element 1 alone, from the cold retry's iterate, and the result
+        reports the certificate that ``kkt_residuals`` gives it."""
+        batches = []
+
         def sequence():
             batch = QpBatch(self.make_forms(3, seed=6))
+            batches.append(batch)
             batch.solve(tol=1e-9, warm=True)
             batch.b_in[:, 0] = 1.5
             return batch.solve(tol=1e-9, warm=True)
@@ -273,13 +278,13 @@ class TestBatch:
             assert_same_solution(got[1], QpBatch([cold]).solve(tol=1e-9)[0])
 
         polished = []
-        orig_polish = qp_solver._polish
+        orig_polish = qp_solver._Shape._polish
 
-        def spy_polish(Q, c, A, b, G, h, x0, z0, tol, **kw):
-            polished.append((c.copy(), x0.copy(), z0.copy()))
-            return orig_polish(Q, c, A, b, G, h, x0, z0, tol, **kw)
+        def spy_polish(self, j, h, x0, z0, tol):
+            polished.append((self.c[j].copy(), x0.copy(), z0.copy()))
+            return orig_polish(self, j, h, x0, z0, tol)
 
-        monkeypatch.setattr(qp_solver, "_polish", spy_polish)
+        monkeypatch.setattr(qp_solver._Shape, "_polish", spy_polish)
         calls.clear()
         outs.clear()
         fail_cold_retry = True
@@ -290,8 +295,21 @@ class TestBatch:
         assert np.array_equal(c, cold.c)
         assert np.array_equal(x_start, x_retry[0]) and np.array_equal(z_start, z_retry[0])
         assert got[1].iterations == 200 and got[1].kkt_residual <= 1e-9
+        assert got[1].kkt_residual == kkt_residuals(batches[-1]._effective_form(1),
+                                                    got[1]).max
         assert_same_solution(got[0], ref[0])
         assert_same_solution(got[2], ref[2])
+
+    def test_polish_repairs_a_guess_short_of_tol(self):
+        """From a start with no active row, the polish's first guess is the
+        free minimizer, which misses the row by 1e-5; the repair rule makes
+        the row active, and that point passes the certificate at tol."""
+        batch = QpBatch(projection_forms([(0.5 + 5e-6, 0.5 + 5e-6)], [1.0]))
+        (sh,) = batch.shapes
+        x, y, z = sh._polish(0, batch._h()[0], np.zeros(2), np.zeros(sh.mi), 1e-9)
+        _, ineq_mult, _, _, kkt, _ = sh._certify(x[None], y[None], z[None])
+        assert kkt[0] <= 1e-9
+        assert ineq_mult[0, 0] == pytest.approx(5e-6, rel=1e-6)
 
     def test_stalled_element_leaves_alone(self, monkeypatch):
         """Element 0's x and y never move, so its residual stops improving
@@ -579,7 +597,8 @@ class TestWarmActiveSet:
     def test_cache_hit_builds_and_inverts_nothing(self, monkeypatch):
         """The first try on an active set builds and inverts its system;
         the next try on it builds and inverts nothing, and its point is
-        the uncached ``_active_set_kkt`` point within 1e-12, certified."""
+        within 1e-12 of the uncached point, built by ``_active_set_system``
+        and solved by ``_solve_kkt``, which ``_certify`` certifies."""
         built, solves = self.spy_on_the_cache(monkeypatch)
         targets = [(2.0, 0.0), (1.5, 1.0), (0.0, 2.5)]
         batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
@@ -593,10 +612,10 @@ class TestWarmActiveSet:
         hits = batch.solve(tol=1e-9, warm=True)
         assert built == [] and solves == []
         (sh,) = batch.shapes
-        act = batch._act
-        x, y, z, _, res = qp_solver._active_set_kkt(sh.Q, sh.c, sh.A, sh.G, sh.b,
-                                                    batch._h(), act)
-        assert (res <= 1e-9).all()
+        K, order, on = qp_solver._active_set_system(sh.Q, sh.A, sh.G, batch._act)
+        solve = partial(qp_solver._solve_kkt, K, n=sh.n, me=K.shape[-1] - sh.n)
+        x, y, z = qp_solver._active_set_point(K, solve, sh.c, sh.b, batch._h(), order, on)
+        assert (sh._certify(x, y, z)[4] <= 1e-9).all()
         for k, sol in enumerate(hits):
             assert sol.iterations == 0
             assert sol.kkt_residual <= 1e-9
@@ -809,6 +828,37 @@ class TestCoupledSolve:
         assert sol.kkt_residual <= 1e-8
         assert sol.kkt_residual == pytest.approx(kkt_residuals(dense, sol).max,
                                                  rel=1e-9, abs=1e-13)
+
+    def test_malformed_parts_are_rejected(self):
+        """``solve_qp`` of a coupled form rejects its first malformed block,
+        in block order, with ``validate_form``'s message, ahead of the
+        coupling rows; then rows of the wrong shape or not finite, a
+        right-hand side not finite and a trailing variable with lb > ub."""
+        good = projection_forms([(1.0, 0.0)], [1.0])[0]
+        not_psd = box_form([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+        crossed = box_form(np.eye(2), [0.0, 0.0], [1.0, -1.0], [-1.0, 1.0])
+        row = np.ones((1, 2))
+
+        def coupled(blocks, coupling=None, rhs=1.0, extra=None):
+            return CoupledForm(blocks, [row] * len(blocks) if coupling is None else coupling,
+                               np.array([rhs]), extra)
+
+        assert solve_qp(coupled([good, good], extra=(1.0, 0.0, 2.0))).kkt_residual <= 1e-8
+        for blocks in ([good, not_psd, crossed], [good, crossed, not_psd]):
+            with pytest.raises(ValueError) as ref:
+                validate_form(blocks[1])
+            with pytest.raises(ValueError, match=str(ref.value)):
+                solve_qp(coupled(blocks))
+            with pytest.raises(ValueError, match=str(ref.value)):
+                solve_qp(coupled(blocks[:2], [np.ones((2, 2)), row]))
+        for bad in (np.ones((2, 2)), np.ones((1, 3)), np.array([[1.0, np.inf]]),
+                    np.array([[np.nan, 1.0]])):
+            with pytest.raises(ValueError, match="coupling rows have wrong shape"):
+                solve_qp(coupled([good, good], [row, bad]))
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            solve_qp(coupled([good, good], rhs=np.nan))
+        with pytest.raises(ValueError, match="lb <= ub"):
+            solve_qp(coupled([good, good], extra=(1.0, 2.0, 0.0)))
 
     def test_small_stack_is_the_dense_stack(self, demo):
         form, _ = _coupled_form(demo.agents, [lift_hinges(a) for a in demo.agents])
