@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_sim import _CONSISTENCY_TOL, RunTrace, message_stats
+from .network_sim import (_CONSISTENCY_TOL, RunTrace, message_stats,
+                          stack_snapshots)
 from .oracle import OracleResult
-from .problem_model import problem_from_dict
+from .problem_model import agent_total, agent_values, problem_from_dict
 
 _BASE_COLUMNS = ["t", "max_violation", "sum_rho", "cost", "cost_error_norm",
                  "lambda_consistency", "mu_spread"]
@@ -50,9 +51,14 @@ def compute_metrics(trace: RunTrace,
                     oracle: OracleResult) -> list[IterationMetrics]:
     """One IterationMetrics per snapshot; pure function of its inputs.
 
+    Every column is computed over the whole trace at once, from the arrays
+    of ``stack_snapshots`` and ``agent_values``; the rows equal, bit for
+    bit, what evaluating each snapshot on its own gives.
+
     Raises ValueError when the oracle and trace hashes disagree, and
-    AssertionError if the telescoping edge identity is broken (that cannot
-    happen in a genuine trace and indicates corruption).
+    AssertionError, naming the first snapshot at fault, if the telescoping
+    edge identity is broken (that cannot happen in a genuine trace and
+    indicates corruption).
     """
     if trace.problem_hash != oracle.problem_hash:
         raise ValueError("trace and oracle refer to different problems "
@@ -66,31 +72,33 @@ def compute_metrics(trace: RunTrace,
         warnings.warn("optimal cost is zero; reporting absolute cost error",
                       stacklevel=2)
     graph = trace.graph
-    out = []
-    for snap in trace.snapshots:
-        g_per_agent = np.array([agent.g(x)
-                                for agent, x in zip(problem.agents, snap.x)])
-        total_g = np.sum(g_per_agent, axis=0)
-        cost = problem.total_cost(snap.x) + m_price * float(snap.rho.sum())
-        err = abs(cost - f_star) / (abs(f_star) if normalize else 1.0)
+    ts, xs, rho, mu, lam = stack_snapshots(trace)
 
-        consistency = float(np.abs(graph.telescoping_sum(snap.lam)).max())
-        if consistency > _CONSISTENCY_TOL:
-            raise AssertionError(
-                f"iteration {snap.t}: edge-variable consistency "
-                f"{consistency:.3e} exceeds {_CONSISTENCY_TOL:g}")
+    consistency = np.abs(graph.telescoping_sum(lam)).max(axis=1)
+    broken = np.flatnonzero(consistency > _CONSISTENCY_TOL)
+    if broken.size:
+        k = broken[0]
+        raise AssertionError(
+            f"iteration {ts[k]}: edge-variable consistency "
+            f"{consistency[k]:.3e} exceeds {_CONSISTENCY_TOL:g}")
 
-        rest = total_g - g_per_agent
-        tracking = np.abs(graph.shifts(snap.lam) - rest).max(axis=1)
-        spread = float(np.abs(graph.edge_step(0.0, 1.0, snap.mu)).max(
-            initial=0.0))
-
-        out.append(IterationMetrics(
-            t=snap.t, max_violation=float(total_g.max()),
-            sum_rho=float(snap.rho.sum()), cost=cost, cost_error_norm=err,
-            lambda_consistency=consistency, mu_spread=spread,
-            tracking_error=tracking))
-    return out
+    g, f = agent_values(problem, xs)
+    # np.sum over the agents, as a snapshot's own (N, S) sum rounds; the
+    # cost adds the agents in order, as total_cost does.
+    total_g = g.sum(axis=1)
+    sum_rho = rho.sum(axis=1)
+    cost = agent_total(f) + m_price * sum_rho
+    err = np.abs(cost - f_star) / (abs(f_star) if normalize else 1.0)
+    rest = total_g[:, None, :] - g
+    tracking = np.abs(graph.shifts(lam) - rest).max(axis=2)
+    spread = np.abs(graph.edge_step(0.0, 1.0, mu)).max(axis=(1, 2), initial=0.0)
+    return [IterationMetrics(
+        t=t, max_violation=v, sum_rho=r, cost=c, cost_error_norm=e,
+        lambda_consistency=lc, mu_spread=sp, tracking_error=tr)
+        for t, v, r, c, e, lc, sp, tr in zip(
+            ts.tolist(), total_g.max(axis=1).tolist(), sum_rho.tolist(),
+            cost.tolist(), err.tolist(), consistency.tolist(),
+            spread.tolist(), tracking)]
 
 
 def _columns(n_agents: int) -> list[str]:

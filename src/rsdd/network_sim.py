@@ -28,7 +28,8 @@ from .core import (_SOLVER_TOL, _STOP_COST_CHANGE, _STOP_SUM_RHO,
                    _STOP_VIOLATION, _STOP_WINDOW, AlgorithmConfig,
                    LocalSolverPool, lambda_update, schedule_from_dict,
                    step_size, validate_schedule)
-from .problem_model import (ConstraintCoupledProblem, problem_dict_hash,
+from .problem_model import (ConstraintCoupledProblem, agent_total,
+                            agent_values, problem_dict_hash,
                             problem_from_dict, problem_to_dict)
 from .qp_solver import QpError
 
@@ -81,31 +82,38 @@ class Graph:
                 for i in range(self.n_nodes)}
 
     def shifts(self, lam: np.ndarray) -> np.ndarray:
-        """Each node's aggregate sum_j (lambda_ij - lambda_ji) as an (N, S)
-        array, from edge variables ``lam`` of shape (2E, S).
+        """Each node's aggregate sum_j (lambda_ij - lambda_ji) as an
+        (..., N, S) array, from edge variables ``lam`` of shape (..., 2E, S);
+        leading axes, such as a trace's rounds, are carried along.
 
         Each node sums over its neighbours in ascending order, one
         vectorized step per neighbour slot; a reordered sum (reduceat, a
         matmul) would round differently and change the trace.
         """
-        diff = lam - lam[self._rev]
-        out = np.zeros((self.n_nodes, lam.shape[1]))
+        diff = lam - lam[..., self._rev, :]
+        out = np.zeros(lam.shape[:-2] + (self.n_nodes, lam.shape[-1]))
         for nodes, rows in self._slots:
-            out[nodes] += diff[rows]
+            out[..., nodes, :] += diff[..., rows, :]
         return out
 
     def telescoping_sum(self, lam: np.ndarray) -> np.ndarray:
         """sum over directed edges of (lambda_ij - lambda_ji), accumulated
-        in directed-edge order; zero up to rounding for any ``lam``."""
-        diff = lam - lam[self._rev]
-        return np.add.accumulate(np.vstack([np.zeros(lam.shape[1]), diff]))[-1]
+        in directed-edge order; zero up to rounding for any ``lam``.  An
+        (..., 2E, S) input gives an (..., S) result."""
+        diff = lam - lam[..., self._rev, :]
+        zero = np.zeros(lam.shape[:-2] + (1, lam.shape[-1]))
+        return np.add.accumulate(np.concatenate([zero, diff], axis=-2),
+                                 axis=-2)[..., -1, :]
 
-    def edge_step(self, lam: np.ndarray, gamma: float,
+    def edge_step(self, lam: np.ndarray, gamma: float | np.ndarray,
                   mu: np.ndarray) -> np.ndarray:
         """The edge update lambda_ij - gamma * (mu_i - mu_j) on every
-        directed edge, for multipliers ``mu`` of shape (N, S).  With
-        ``lam = 0`` and ``gamma = 1`` it gives -(mu_i - mu_j)."""
-        return lambda_update(lam, gamma, mu[self._src], mu[self._dst])
+        directed edge, for multipliers ``mu`` of shape (..., N, S).  With
+        ``lam = 0`` and ``gamma = 1`` it gives -(mu_i - mu_j).  ``lam``,
+        ``gamma`` and ``mu`` broadcast over leading axes, so one call can
+        step every round of a trace with that round's gamma_t."""
+        return lambda_update(lam, gamma, mu[..., self._src, :],
+                             mu[..., self._dst, :])
 
     def to_dict(self) -> dict:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}
@@ -323,6 +331,27 @@ def message_stats(trace: RunTrace) -> MessageStats:
                         bytes_total=total * 8 * s_dim)
 
 
+def stack_snapshots(trace: RunTrace) -> tuple[np.ndarray, ...]:
+    """A trace's snapshots as whole-trace arrays ``(t, x, rho, mu, lam)``.
+
+    With T snapshots: t has shape (T,); x has shape (T, sum_i dim_i), row t
+    holding x_1, ..., x_N side by side as ``agent_values`` takes them; rho
+    (T, N); mu (T, N, S); lam (T, 2E, S).  Snapshot shapes are those the
+    embedded problem and graph give (``trace_from_dict`` checks them).
+    """
+    snaps = trace.snapshots
+    n_snaps, n_nodes = len(snaps), trace.graph.n_nodes
+    s_dim = int(trace.problem["coupling_dim"])
+    x_dim = sum(int(a["dim"]) for a in trace.problem["agents"])
+    xs = [x for snap in snaps for x in snap.x]
+    return (np.array([snap.t for snap in snaps], dtype=int),
+            (np.concatenate(xs) if xs else np.empty(0)).reshape(n_snaps, x_dim),
+            np.array([snap.rho for snap in snaps]).reshape(n_snaps, n_nodes),
+            np.array([snap.mu for snap in snaps]).reshape(n_snaps, n_nodes, s_dim),
+            np.array([snap.lam for snap in snaps]).reshape(
+                n_snaps, len(trace.graph.directed_edges), s_dim))
+
+
 def check_trace_invariants(trace: RunTrace) -> list[str]:
     """Re-derive the method's per-iteration guarantees from a recorded trace.
 
@@ -334,7 +363,13 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     transition is also replayed against the update rule
     lambda - gamma_t * (mu_i - mu_j), which is what catches a tampered or
     corrupted lambda entry (the telescoping sum alone cancels any
-    single-edge edit).  Also checks the snapshot-count bookkeeping.
+    single-edge edit).  Also checks the bookkeeping: the snapshot count,
+    that snapshot k records t = k, and that every update has a step size
+    in the schedule (an update without one is reported and not replayed).
+
+    Every check runs over the whole trace at once.  Findings come in a
+    fixed order: the bookkeeping; then per snapshot the feasibility,
+    consistency, cap and per-edge spread findings; then the replay.
     Returns human-readable findings; an empty list means the trace is clean.
     """
     findings: list[str] = []
@@ -342,47 +377,68 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     graph = trace.graph
     m_price = float(trace.config["M"])
     s_dim = problem.coupling_dim
-    if len(trace.snapshots) != trace.iterations + 1 \
-            and trace.status != "solver-error":
+    ts, xs, rho, mu, lam = stack_snapshots(trace)
+    n_snaps = ts.size
+    if n_snaps != trace.iterations + 1 and trace.status != "solver-error":
         findings.append(
-            f"snapshot count {len(trace.snapshots)} does not equal "
+            f"snapshot count {n_snaps} does not equal "
             f"iterations+1 = {trace.iterations + 1}")
-    spread_cap = 2.0 * m_price * float(np.sqrt(s_dim))
+    for k in np.flatnonzero(ts != np.arange(n_snaps)).tolist():
+        findings.append(f"snapshot {k} records t = {ts[k]}")
+
+    slack = (agent_total(agent_values(problem, xs)[0])
+             - rho.sum(axis=1)[:, None]).max(axis=1)
+    net = np.abs(graph.telescoping_sum(lam)).max(axis=1)
+    cap = mu.sum(axis=2).max(axis=1)
     # Rows of the directed edges (i, j) with i < j, in graph.edges order.
     forward = [k for k, (i, j) in enumerate(graph.directed_edges) if i < j]
-    for snap in trace.snapshots:
-        t = snap.t
-        total = problem.coupling_total(snap.x)
-        slack = total - float(snap.rho.sum())
-        if slack.max() > _FEAS_SLACK:
+    gaps = np.linalg.norm(graph.edge_step(0.0, 1.0, mu)[:, forward], axis=2)
+    spread_cap = 2.0 * m_price * float(np.sqrt(s_dim))
+    spread = gaps > spread_cap + _MU_CAP_SLACK
+    bad_slack = slack > _FEAS_SLACK
+    bad_net = net > _CONSISTENCY_TOL
+    bad_cap = cap > m_price + _MU_CAP_SLACK
+    for k in np.flatnonzero(bad_slack | bad_net | bad_cap
+                            | spread.any(axis=1)).tolist():
+        t = ts[k]
+        if bad_slack[k]:
             findings.append(
                 f"iteration {t}: aggregate feasibility violated, "
-                f"max_s(sum g - sum rho) = {slack.max():.3e}")
-        net = graph.telescoping_sum(snap.lam)
-        if np.abs(net).max() > _CONSISTENCY_TOL:
+                f"max_s(sum g - sum rho) = {slack[k]:.3e}")
+        if bad_net[k]:
             findings.append(
                 f"iteration {t}: lambda consistency violated, "
-                f"|sum (lambda_ij - lambda_ji)| = {np.abs(net).max():.3e}")
-        cap = snap.mu.sum(axis=1).max()
-        if cap > m_price + _MU_CAP_SLACK:
+                f"|sum (lambda_ij - lambda_ji)| = {net[k]:.3e}")
+        if bad_cap[k]:
             findings.append(
                 f"iteration {t}: multiplier cap violated, "
-                f"max_i mu_i.1 = {cap:.10e} > M = {m_price:g}")
-        gaps = np.linalg.norm(graph.edge_step(0.0, 1.0, snap.mu)[forward],
-                              axis=1)
-        for (i, j), d in zip(graph.edges, gaps):
-            if d > spread_cap + _MU_CAP_SLACK:
-                findings.append(
-                    f"iteration {t}: multiplier spread violated on edge "
-                    f"({i}, {j}): {d:.6e} > {spread_cap:.6e}")
-    schedule = schedule_from_dict(trace.config["schedule"])
-    for prev, snap in zip(trace.snapshots, trace.snapshots[1:]):
-        expect = graph.edge_step(prev.lam, step_size(schedule, prev.t), prev.mu)
-        worst = float(np.abs(snap.lam - expect).max(initial=0.0))
-        if worst > _CONSISTENCY_TOL:
+                f"max_i mu_i.1 = {cap[k]:.10e} > M = {m_price:g}")
+        for e in np.flatnonzero(spread[k]).tolist():
+            i, j = graph.edges[e]
             findings.append(
-                f"iteration {snap.t}: lambda consistency violated, edge "
-                f"update replay differs by {worst:.3e}")
+                f"iteration {t}: multiplier spread violated on edge "
+                f"({i}, {j}): {gaps[k, e]:.6e} > {spread_cap:.6e}")
+
+    schedule = schedule_from_dict(trace.config["schedule"])
+    gammas: list[float] = []
+    missing = None
+    for k in range(n_snaps - 1):
+        try:
+            gammas.append(step_size(schedule, k))
+        except ValueError as exc:
+            missing = (f"update at t = {k}: no recorded step size ({exc}); "
+                       f"{n_snaps - 1 - k} updates not replayed")
+            break
+    n_steps = len(gammas)
+    expect = graph.edge_step(lam[:n_steps], np.array(gammas)[:, None, None],
+                             mu[:n_steps])
+    worst = np.abs(lam[1:n_steps + 1] - expect).max(axis=(1, 2), initial=0.0)
+    for k in np.flatnonzero(worst > _CONSISTENCY_TOL).tolist():
+        findings.append(
+            f"iteration {ts[k + 1]}: lambda consistency violated, edge "
+            f"update replay differs by {worst[k]:.3e}")
+    if missing is not None:
+        findings.append(missing)
     return findings
 
 
@@ -398,7 +454,44 @@ def _snapshot_to_dict(snap: Snapshot, keys: list[str]) -> dict:
             "lambda": dict(zip(keys, snap.lam.tolist()))}
 
 
-def _snapshot_from_dict(doc: dict, keys: list[str], s_dim: int) -> Snapshot:
+def _shape(value) -> tuple | str:
+    try:
+        return np.shape(value)
+    except ValueError:      # ragged nesting
+        return "(ragged)"
+
+
+def _shape_fault(doc: dict, keys: list[str], shapes: list[tuple]) -> str | None:
+    """The first of a snapshot document's x_i, rho, mu and lambda entries
+    whose shape is not the one in ``shapes`` (as _snapshot_from_dict), or
+    None when every shape is right."""
+    *x_shapes, rho_shape, mu_shape, lam_shape = shapes
+    n_agents = len(x_shapes)
+    if len(doc["x"]) != n_agents:
+        return f"x holds {len(doc['x'])} vectors for {n_agents} agents"
+    for i, (v, want) in enumerate(zip(doc["x"], x_shapes)):
+        if _shape(v) != want:
+            return f"x of agent {i} has shape {_shape(v)}, expected {want}"
+    if _shape(doc["rho"]) != rho_shape:
+        return (f"rho has shape {_shape(doc['rho'])}, expected {rho_shape}, "
+                f"one entry per agent")
+    if len(doc["mu"]) != n_agents:
+        return f"mu holds {len(doc['mu'])} rows for {n_agents} agents"
+    for i, row in enumerate(doc["mu"]):
+        if _shape(row) != mu_shape[1:]:
+            return f"mu of agent {i} has shape {_shape(row)}, expected {mu_shape[1:]}"
+    for k in keys:
+        if _shape(doc["lambda"][k]) != lam_shape[1:]:
+            return (f"lambda[{k}] has shape {_shape(doc['lambda'][k])}, "
+                    f"expected {lam_shape[1:]}")
+    return None
+
+
+def _snapshot_from_dict(doc: dict, keys: list[str],
+                        shapes: list[tuple]) -> Snapshot:
+    """``shapes`` holds each agent's x_i shape, then the shapes of rho, mu
+    and lambda; a snapshot whose arrays differ raises a ValueError naming
+    the field."""
     t = int(doc["t"])
     given = doc["lambda"]
     missing = [k for k in keys if k not in given]
@@ -407,12 +500,19 @@ def _snapshot_from_dict(doc: dict, keys: list[str], s_dim: int) -> Snapshot:
         raise ValueError(
             f"snapshot {t}: lambda keys do not match the graph's directed "
             f"edges (missing {missing}, extra {extra})")
-    lam = np.array([given[k] for k in keys], dtype=float)
-    return Snapshot(t=t,
-                    x=[np.asarray(v, dtype=float) for v in doc["x"]],
-                    rho=np.asarray(doc["rho"], dtype=float),
-                    mu=np.asarray(doc["mu"], dtype=float),
-                    lam=lam.reshape(len(keys), s_dim))
+    error = ""
+    try:
+        x = [np.asarray(v, dtype=float) for v in doc["x"]]
+        rho = np.asarray(doc["rho"], dtype=float)
+        mu = np.asarray(doc["mu"], dtype=float)
+        lam = (np.array([given[k] for k in keys], dtype=float) if keys
+               else np.empty(shapes[-1]))
+        fits = [v.shape for v in x] + [rho.shape, mu.shape, lam.shape] == shapes
+    except ValueError as exc:       # ragged nesting, or not numbers
+        fits, error = False, str(exc)
+    if not fits:
+        raise ValueError(f"snapshot {t}: {_shape_fault(doc, keys, shapes) or error}")
+    return Snapshot(t=t, x=x, rho=rho, mu=mu, lam=lam)
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
@@ -431,18 +531,30 @@ def trace_to_dict(trace: RunTrace) -> dict:
 def trace_from_dict(doc: dict) -> RunTrace:
     """Rebuild a trace from its JSON document.  The stored message totals
     and an optional ``messages`` block (written by older versions) are
-    ignored: both follow from the graph and the round count."""
+    ignored: both follow from the graph and the round count.
+
+    Each snapshot's arrays must have the shapes the embedded problem and
+    graph give (x_i of its agent's ``dim``, rho (N,), mu (N, S), each
+    lambda entry (S,)); a ValueError names the snapshot's t, the field and
+    the agent or edge otherwise.
+    """
     if doc.get("format") != "rsdd-trace":
         raise ValueError("not a trace document")
     graph = Graph(n_nodes=int(doc["graph"]["n_nodes"]),
                   edges=[tuple(e) for e in doc["graph"]["edges"]])
     keys = _lambda_keys(graph)
     s_dim = int(doc["problem"]["coupling_dim"])
+    dims = [int(a["dim"]) for a in doc["problem"]["agents"]]
+    if len(dims) != graph.n_nodes:
+        raise ValueError(f"the graph has {graph.n_nodes} nodes for "
+                         f"{len(dims)} agents")
+    shapes = [(d,) for d in dims] + [(len(dims),), (len(dims), s_dim),
+                                     (len(keys), s_dim)]
     return RunTrace(problem=doc["problem"], problem_hash=doc["problem_hash"],
                     graph=graph, config=doc["config"], status=doc["status"],
                     iterations=int(doc["iterations"]),
                     warnings=list(doc.get("warnings", [])),
-                    snapshots=[_snapshot_from_dict(s, keys, s_dim)
+                    snapshots=[_snapshot_from_dict(s, keys, shapes)
                                for s in doc["snapshots"]])
 
 

@@ -155,6 +155,54 @@ class ConstraintCoupledProblem:
         return out
 
 
+def agent_values(problem: ConstraintCoupledProblem,
+                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g_i(x_i) and f_i(x_i) of every agent at every row of ``xs``.
+
+    Row t of ``xs`` holds x_1, ..., x_N side by side, so ``xs`` has shape
+    (T, sum_i dim_i).  Returns g of shape (T, N, S) and f of shape (T, N),
+    bit-identical to ``AgentProblem.g`` and ``.cost`` row by row: agents of
+    one ``dim`` are stacked, and every product is a batched ``@`` taken in
+    the order those methods take it (a reordered sum such as an einsum
+    rounds differently).
+    """
+    agents = problem.agents
+    starts = np.cumsum([0] + [a.dim for a in agents])
+    g = np.empty((xs.shape[0], len(agents), problem.coupling_dim))
+    f = np.empty((xs.shape[0], len(agents)))
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(agents):
+        groups.setdefault(a.dim, []).append(i)
+    for dim, members in groups.items():
+        group = [agents[i] for i in members]
+        # (T, n, dim), C-contiguous: BLAS rounds a strided dot differently.
+        x = np.ascontiguousarray(xs[:, starts[members][:, None] + np.arange(dim)])
+        col = x[..., :, None]
+        g[:, members] = (np.stack([a.coupling.mat for a in group]) @ col)[..., 0] \
+            + np.stack([a.coupling.vec for a in group])
+        quad = (x[..., None, :] @ np.stack([a.cost_quadratic for a in group])) @ col
+        lin = np.stack([a.cost_linear for a in group])[:, None, :] @ col
+        val = 0.5 * quad[..., 0, 0] + lin[..., 0, 0]
+        val += np.array([a.cost_constant for a in group])
+        # Hinges slot by slot: slot k holds each agent's k-th hinge.
+        for k in range(max(len(a.cost_hinges) for a in group)):
+            has = [j for j, a in enumerate(group) if len(a.cost_hinges) > k]
+            hinges = [group[j].cost_hinges[k] for j in has]
+            coeffs = np.stack([h.coeffs for h in hinges])[:, None, :]
+            arg = (coeffs @ col[:, has])[..., 0, 0] + np.array([h.offset for h in hinges])
+            scale = np.array([h.scale for h in hinges])
+            val[:, has] += scale * np.where(arg > 0.0, arg, 0.0)    # max(0.0, arg)
+        f[:, members] = val
+    return g, f
+
+
+def agent_total(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 (the agents) from zero in agent order, as
+    ``total_cost`` and ``coupling_total`` add one row: the running sum's
+    last entry, plus 0.0 so an all-zero sum is +0.0 as it is there."""
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
+
+
 @dataclass
 class ValidationReport:
     """Outcome of validate_problem: empty findings means admissible."""

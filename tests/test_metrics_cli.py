@@ -309,6 +309,30 @@ class TestCli:
         assert err["error"] == "invalid-input"
         assert "snapshot 7" in err["message"]
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda snap: snap["x"][1].extend([0.0, 0.0]), "x of agent 1"),
+        (lambda snap: snap["rho"].append(0.0), "rho"),
+        (lambda snap: snap["mu"][0].append(0.0), "mu of agent 0"),
+        (lambda snap: snap["lambda"]["1,0"].append(0.0), "lambda[1,0]"),
+    ], ids=["x", "rho", "mu", "lambda"])
+    def test_check_snapshot_shapes(self, demo_trace, tmp_path, capsys, edit,
+                                   named):
+        # Snapshot arrays must have the shapes the embedded problem and graph
+        # give: a 3-entry x_i of a 1-dimensional agent is rejected on load.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc["snapshots"][7])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "invalid-input"
+        assert err["message"].startswith(f"snapshot 7: {named} has shape")
+
     def test_check_unreadable_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")

@@ -146,7 +146,35 @@ def edge_cases(draw):
     return graph, lam, mu, draw(_FINITE)
 
 
+@st.composite
+def stacked_edge_cases(draw):
+    """As ``edge_cases``, stacked over T rounds: edge variables (T, 2E, S),
+    multipliers (T, N, S) and one step size per round."""
+    graph, lam, mu, _ = draw(edge_cases())
+    n_rounds = draw(st.integers(0, 4))
+    lam = draw(hnp.arrays(float, (n_rounds,) + lam.shape, elements=_FINITE))
+    mu = draw(hnp.arrays(float, (n_rounds,) + mu.shape, elements=_FINITE))
+    return graph, lam, mu, draw(hnp.arrays(float, n_rounds, elements=_FINITE))
+
+
 class TestEdgeAlgebra:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_edge_cases())
+    def test_leading_axes_match_each_slice(self, case):
+        # A stack of rounds gives, bit for bit, each round's own result.
+        graph, lam, mu, gammas = case
+        shifts = graph.shifts(lam)
+        net = graph.telescoping_sum(lam)
+        step = graph.edge_step(lam, gammas[:, None, None], mu)
+        assert shifts.shape == (len(lam), graph.n_nodes, lam.shape[2])
+        assert net.shape == (len(lam), lam.shape[2])
+        assert step.shape == lam.shape
+        for t in range(len(lam)):
+            assert shifts[t].tobytes() == graph.shifts(lam[t]).tobytes()
+            assert net[t].tobytes() == graph.telescoping_sum(lam[t]).tobytes()
+            assert step[t].tobytes() == \
+                graph.edge_step(lam[t], float(gammas[t]), mu[t]).tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(edge_cases())
     def test_matches_per_edge_loops(self, case):
@@ -401,6 +429,29 @@ class TestTraceChecks:
         findings = check_trace_invariants(trace)
         assert any("snapshot count" in f for f in findings)
 
+    @pytest.fixture(scope="class")
+    def explicit_trace(self, demo):
+        cfg = short_config(schedule=explicit_schedule([0.5] * 5), max_iters=5)
+        with pytest.warns(UserWarning, match="unchecked"):
+            return run(demo, build_graph("path", 2), cfg)
+
+    def test_exhausted_schedule_reported(self, explicit_trace):
+        # A schedule cut to 2 values leaves the updates at t = 2, 3, 4
+        # without a step size: one finding, and no replay of them.
+        doc = json.loads(json.dumps(trace_to_dict(explicit_trace)))
+        doc["config"]["schedule"]["values"] = [0.5, 0.5]
+        assert check_trace_invariants(explicit_trace) == []
+        findings = check_trace_invariants(trace_from_dict(doc))
+        assert len(findings) == 1
+        assert "update at t = 2: no recorded step size" in findings[0]
+        assert "3 updates not replayed" in findings[0]
+
+    def test_wrong_round_number_reported(self, explicit_trace):
+        doc = json.loads(json.dumps(trace_to_dict(explicit_trace)))
+        doc["snapshots"][2]["t"] = 7
+        assert check_trace_invariants(trace_from_dict(doc)) == \
+            ["snapshot 2 records t = 7"]
+
 
 class TestTraceSerialization:
     def test_round_trip_bit_exact(self, demo_trace, tmp_path):
@@ -430,6 +481,12 @@ class TestTraceSerialization:
                                    "phase": "mu", "iteration": 0,
                                    "payload": [0.0]}])
         assert trace_to_dict(trace_from_dict(old)) == doc
+
+    def test_graph_must_match_the_agents(self, demo_trace):
+        doc = json.loads(json.dumps(trace_to_dict(demo_trace)))
+        doc["graph"] = {"n_nodes": 3, "edges": [[0, 1], [1, 2]]}
+        with pytest.raises(ValueError, match="3 nodes for 2 agents"):
+            trace_from_dict(doc)
 
     def test_not_a_trace(self):
         with pytest.raises(ValueError, match="not a trace"):

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsdd.core import AlgorithmConfig
 from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 MicrogridConfig, ProblemFormatError,
-                                ConstraintCoupledProblem,
+                                ConstraintCoupledProblem, agent_total,
+                                agent_values,
                                 build_microgrid_instance,
                                 build_random_instance, load_problem,
                                 microgrid_config_from_dict,
@@ -26,6 +29,66 @@ def simple_agent(dim: int = 1, s_dim: int = 1, **kw) -> AgentProblem:
                     coupling=AffineMap(np.ones((s_dim, dim)), np.zeros(s_dim)))
     defaults.update(kw)
     return AgentProblem(**defaults)
+
+
+@st.composite
+def agent_rows(draw):
+    """A problem of agents with mixed ``dim``, each with or without hinges
+    and a constant, and T rows of stacked x values.  The structure is
+    drawn; the values come from a drawn seed, spread over six decades so
+    that the order of every sum shows in the last bits."""
+    s_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    agents = []
+    for _ in range(draw(st.integers(1, 10))):
+        dim = draw(st.integers(1, 4))
+        q = values(dim, dim)
+        hinges = [Hinge(abs(values()), values(dim), values())
+                  for _ in range(draw(st.integers(0, 3)))]
+        agents.append(AgentProblem(
+            dim=dim, cost_quadratic=q @ q.T, cost_linear=values(dim),
+            cost_constant=values() if draw(st.booleans()) else 0.0,
+            cost_hinges=hinges,
+            local_set=LocalSet(lb=-np.ones(dim), ub=np.ones(dim)),
+            coupling=AffineMap(values(s_dim, dim), values(s_dim))))
+    problem = ConstraintCoupledProblem(agents=agents, coupling_dim=s_dim)
+    return problem, values(draw(st.integers(0, 4)), sum(a.dim for a in agents))
+
+
+def assert_matches_each_agent(problem, xs):
+    """agent_values and agent_total equal the one-agent reference API bit
+    for bit on every row of ``xs``."""
+    g, f = agent_values(problem, xs)
+    n = problem.n_agents
+    assert g.shape == (len(xs), n, problem.coupling_dim)
+    assert f.shape == (len(xs), n)
+    starts = np.cumsum([0] + [a.dim for a in problem.agents])
+    g_total, f_total = agent_total(g), agent_total(f)
+    for t, row in enumerate(xs):
+        x = [row[starts[i]:starts[i + 1]].copy() for i in range(n)]
+        for i, agent in enumerate(problem.agents):
+            assert agent.g(x[i]).tobytes() == g[t, i].tobytes()
+            assert np.float64(agent.cost(x[i])).tobytes() == f[t, i].tobytes()
+        assert problem.coupling_total(x).tobytes() == g_total[t].tobytes()
+        assert np.float64(problem.total_cost(x)).tobytes() == f_total[t].tobytes()
+
+
+class TestAgentValues:
+    @settings(max_examples=100, deadline=None)
+    @given(agent_rows())
+    def test_matches_each_agent(self, case):
+        assert_matches_each_agent(*case)
+
+    def test_microgrid(self, microgrid):
+        # Dims 13 and 26, 13 or 26 hinges on three agents, and coupling
+        # rows in equal and opposite pairs.
+        rng = np.random.default_rng(3)
+        xs = rng.standard_normal((5, sum(a.dim for a in microgrid.agents))) * 5
+        assert_matches_each_agent(microgrid, xs)
 
 
 class TestDemoValues:
