@@ -96,7 +96,7 @@ def step_size(schedule: StepSizeSchedule, t: int) -> float:
     if schedule.kind == "harmonic":
         return schedule.gamma0 / (t + 1) ** schedule.exponent
     if schedule.kind == "explicit":
-        if t >= schedule.values.size:
+        if schedule.values is None or t >= schedule.values.size:
             raise ValueError(f"explicit step-size sequence exhausted at t={t}")
         return float(schedule.values[t])
     raise ValueError(f"unknown schedule kind '{schedule.kind}'")
@@ -152,15 +152,14 @@ class LocalSolverPool:
     alone: its hinge-lifted QP, the relaxation variable rho last, and the S
     coupling rows last, their right-hand side moved by the edge shift.
     ``solve_all`` reads each round's x_i, rho_i and mu_i from the batch's
-    certified solutions.  ``groups`` holds the one (batch, agents) pair,
-    for callers that map a batch element to its agent.
+    solutions, certified at ``_SOLVER_TOL`` (a trace's ``solver_tol``): the
+    first round cold, each later one warm.  ``groups`` holds the one
+    (batch, agents) pair, for callers that map a batch element to its agent.
     """
 
-    def __init__(self, problem: ConstraintCoupledProblem, M: float,
-                 tol: float = 1e-9):
+    def __init__(self, problem: ConstraintCoupledProblem, M: float):
         if M <= 0:
             raise ValueError("M must be positive")
-        self.tol = tol
         agents = problem.agents
         self.dims = [a.dim for a in agents]
         self._coupling_vec = np.stack([a.coupling.vec for a in agents])
@@ -190,7 +189,7 @@ class LocalSolverPool:
         self.batch.b_in[self._rhs_at] = -(self._coupling_vec + shifts)
         self.batch.ub[self._rho_at] = _rho_headroom(self._row_hi, shifts)
         try:
-            sols = self.batch.solve(tol=self.tol, warm=True)
+            sols = self.batch.solve(tol=_SOLVER_TOL)
         except QpError as exc:
             exc.agent = exc.element
             raise
@@ -210,9 +209,10 @@ def _combine_shift(lambda_out: dict[int, np.ndarray],
 
 
 def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
-               lambda_in: dict[int, np.ndarray], M: float,
-               tol: float = 1e-9) -> tuple[np.ndarray, float, np.ndarray]:
-    """Solve one agent's relaxed local problem.
+               lambda_in: dict[int, np.ndarray], M: float
+               ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Solve one agent's relaxed local problem, cold, at ``run``'s local
+    step tolerance ``_SOLVER_TOL`` (a trace's ``solver_tol``).
 
     Parameters
     ----------
@@ -223,8 +223,6 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     M : float
         Relaxation price; must exceed the optimal dual's 1-norm for the
         method's guarantees to apply.
-    tol : float
-        KKT tolerance for the local solve.
 
     Returns
     -------
@@ -235,7 +233,7 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     """
     s_dim = agent.coupling.mat.shape[0]
     shift = _combine_shift(lambda_out, lambda_in, s_dim)
-    pool = LocalSolverPool(ConstraintCoupledProblem([agent], s_dim), M, tol=tol)
+    pool = LocalSolverPool(ConstraintCoupledProblem([agent], s_dim), M)
     xs, rho, mu = pool.solve_all(shift[None])
     return xs[0], float(rho[0]), mu[0]
 

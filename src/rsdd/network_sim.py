@@ -17,6 +17,7 @@ run.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import dataclass, field
@@ -24,10 +25,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (_SOLVER_TOL, _STOP_COST_CHANGE, _STOP_SUM_RHO,
-                   _STOP_VIOLATION, _STOP_WINDOW, AlgorithmConfig,
-                   LocalSolverPool, lambda_update, schedule_from_dict,
-                   step_size, validate_schedule)
+from .core import (_STOP_COST_CHANGE, _STOP_SUM_RHO, _STOP_VIOLATION,
+                   _STOP_WINDOW, AlgorithmConfig, LocalSolverPool,
+                   lambda_update, schedule_from_dict, step_size,
+                   validate_schedule)
 from .problem_model import (ConstraintCoupledProblem, agent_total,
                             agent_values, problem_dict_hash,
                             problem_from_dict, problem_to_dict)
@@ -262,7 +263,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
                 raise ValueError(f"lambda_init[{e}] must have {s_dim} entries")
             lam[index[e]] = v
 
-    pool = LocalSolverPool(problem, config.M, tol=_SOLVER_TOL)
+    pool = LocalSolverPool(problem, config.M)
     snapshots: list[Snapshot] = []
     warnings_log: list[str] = []
     costs: list[float] = []
@@ -516,11 +517,13 @@ def _snapshot_from_dict(doc: dict, keys: list[str],
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
+    """The trace as a JSON document with a copy of its config.  The problem
+    dict, by far the largest part, is shared with the trace, not copied."""
     stats = message_stats(trace)
     keys = _lambda_keys(trace.graph)
     return {"format": "rsdd-trace", "version": 1,
             "problem": trace.problem, "problem_hash": trace.problem_hash,
-            "graph": trace.graph.to_dict(), "config": trace.config,
+            "graph": trace.graph.to_dict(), "config": copy.deepcopy(trace.config),
             "status": trace.status, "iterations": trace.iterations,
             "message_count": stats.total,
             "bytes_estimate": stats.bytes_total,
@@ -536,10 +539,18 @@ def trace_from_dict(doc: dict) -> RunTrace:
     Each snapshot's arrays must have the shapes the embedded problem and
     graph give (x_i of its agent's ``dim``, rho (N,), mu (N, S), each
     lambda entry (S,)); a ValueError names the snapshot's t, the field and
-    the agent or edge otherwise.
+    the agent or edge otherwise, and so does one for a config without a
+    readable ``M`` or ``schedule``.  The trace gets a copy of the config and
+    shares the problem dict, as in ``trace_to_dict``.
     """
     if doc.get("format") != "rsdd-trace":
         raise ValueError("not a trace document")
+    config = copy.deepcopy(doc["config"])
+    for name, read in (("M", float), ("schedule", schedule_from_dict)):
+        try:
+            read(config[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"config field '{name}' is missing or malformed: {exc!r}") from exc
     graph = Graph(n_nodes=int(doc["graph"]["n_nodes"]),
                   edges=[tuple(e) for e in doc["graph"]["edges"]])
     keys = _lambda_keys(graph)
@@ -551,7 +562,7 @@ def trace_from_dict(doc: dict) -> RunTrace:
     shapes = [(d,) for d in dims] + [(len(dims),), (len(dims), s_dim),
                                      (len(keys), s_dim)]
     return RunTrace(problem=doc["problem"], problem_hash=doc["problem_hash"],
-                    graph=graph, config=doc["config"], status=doc["status"],
+                    graph=graph, config=config, status=doc["status"],
                     iterations=int(doc["iterations"]),
                     warnings=list(doc.get("warnings", [])),
                     snapshots=[_snapshot_from_dict(s, keys, shapes)

@@ -15,12 +15,12 @@ leading batch axis, the vectors padded to the widest shape and each
 shape's matrices kept unpadded), which is what the network simulator uses
 to step all agents at once.  Elements leave the loop as they converge or
 fail, so the Newton steps run on the unfinished ones only, and the
-certificates of each shape are recomputed in one vectorized pass.  A warm
-re-solve first tries each settled element's previous active set, with the
-inverse of that active set's KKT matrix kept from its last try, and keeps
-what passes tol; an element the interior point leaves unconverged is
-polished on active sets.  Both accept on the certificate that the solution
-then reports.
+certificates of each shape are recomputed in one vectorized pass.  A
+batch's re-solve is warm: it first tries each settled element's previous
+active set, with the inverse of that active set's KKT matrix kept from its
+last try, and keeps what passes tol; an element the interior point leaves
+unconverged is polished on active sets.  Both accept on the certificate
+that the solution then reports.
 """
 
 from __future__ import annotations
@@ -537,21 +537,20 @@ class QpBatch:
     Low-level repeated-solve API: the constituent matrices are assembled
     once; callers may overwrite entries of ``b_in`` and ``ub`` between
     ``solve`` calls (the relaxed local problems of the distributed method
-    only change their coupling right-hand side from round to round).
+    only change their coupling right-hand side from round to round).  A
+    batch's first solve is cold and each later one warm; a cold re-solve
+    is a new batch.
 
     The forms of one ``shape_key`` make one ``_Shape`` (``shapes``, in the
     order their first form appears), whose matrices are stacked unpadded.
-    Each shape's elements are consecutive rows of the batch, in input
-    order; row ``row[k]`` holds form ``k``.  The batch's vectors (``c``,
-    ``b``, ``lb``, ``ub``, ``b_in`` and the iterates) are padded to the
-    widest shape with entries that change nothing (zero, and one for the
-    slacks and h of pad rows), and each shape's vectors are views into
-    them.  A batch of one shape has neither padding nor reordering: it
-    runs on its shape's own arrays.
+    Each shape's elements are consecutive rows of the batch (``_rows``),
+    in input order: row ``row[k]`` holds form ``k = _order[row[k]]``.  The
+    batch's vectors (``c``, ``b``, ``lb``, ``ub``, ``b_in`` and the
+    iterates) are padded to the widest shape with entries that change
+    nothing (zero, and one for the slacks and h of pad rows), and each
+    shape's vectors are views into them.
 
-    Each element goes through one sequence of attempts (see ``solve``): on
-    a warm solve the active-set try, then the interior point from its last
-    solution and then cold, then the polish, and last the diagnosis.  Each
+    Each element goes through the sequence of attempts of ``solve``.  Each
     attempt and the interior point's stall and exit rules act per element,
     and run once over the whole batch; only the matvecs, the Newton
     systems and the active-set solves go shape by shape.  Finished
@@ -563,7 +562,7 @@ class QpBatch:
     certified once per solve.
 
     Each element's active-set KKT matrix and its inverse are kept, keyed
-    by the active set, from one warm solve to the next (``_Shape`` holds
+    by the active set, from one solve to the next (``_Shape`` holds
     them): while an element's active set holds, its try is two batched
     matvecs with no assembly and no factorization.  Unlike the interior
     point's matrices, which change every iteration, one inversion serves
@@ -575,48 +574,39 @@ class QpBatch:
             raise ValueError("empty batch")
         if validate:
             _validate_forms(forms)
-        self._members = shape_groups(forms)
+        groups = shape_groups(forms)
         self.forms = forms
-        self.shapes = [_Shape([forms[k] for k in idx]) for idx in self._members]
-        sizes = [len(idx) for idx in self._members]
+        self.shapes = [_Shape([forms[k] for k in idx]) for idx in groups]
+        sizes = [len(idx) for idx in groups]
         ends = np.cumsum(sizes).tolist()
         self._rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-        self._order = np.concatenate(self._members)  # the form in each row
+        self._order = np.concatenate(groups)  # the form in each row
         self.row = np.argsort(self._order)
-        self._shape_at = np.repeat(np.arange(len(sizes)), sizes)
         self.n, self.me, self.mi = (max(getattr(sh, w) for sh in self.shapes)
                                     for w in ("n", "me", "mi"))
-        parts = [_Stacked(sh.Q, sh.A, sh.AT, sh.G, sh.GT) for sh in self.shapes]
-        if len(self.shapes) == 1:
-            (sh,) = self.shapes
-            self.c, self.b, self.lb, self.ub, self.b_in = sh.c, sh.b, sh.lb, sh.ub, sh.b_in
-            self._ops = parts[0]
-        else:
-            B = len(forms)
-            m_in = max(sh.m_in for sh in self.shapes)
-            for name, width in (("c", self.n), ("b", self.me), ("lb", self.n),
-                                ("ub", self.n), ("b_in", m_in)):
-                padded = np.zeros((B, width))
-                for sh, rows in zip(self.shapes, self._rows):
-                    own = getattr(sh, name)
-                    padded[rows, :own.shape[1]] = own
-                    setattr(sh, name, padded[rows, :own.shape[1]])
-                setattr(self, name, padded)
-            pad = np.zeros((B, self.mi))
+        B = len(forms)
+        m_in = max(sh.m_in for sh in self.shapes)
+        for name, width in (("c", self.n), ("b", self.me), ("lb", self.n),
+                            ("ub", self.n), ("b_in", m_in)):
+            padded = np.zeros((B, width))
             for sh, rows in zip(self.shapes, self._rows):
-                pad[rows, :sh.mi] = 1.0
-            self._ops = _Mixed(parts, self._rows, (self.n, self.me, self.mi), pad)
+                own = getattr(sh, name)
+                padded[rows, :own.shape[1]] = own
+                setattr(sh, name, padded[rows, :own.shape[1]])
+            setattr(self, name, padded)
+        parts = [_Stacked(sh.Q, sh.A, sh.AT, sh.G, sh.GT) for sh in self.shapes]
+        own = np.arange(self.mi) < np.repeat([sh.mi for sh in self.shapes], sizes)[:, None]
+        self._ops = (parts[0] if len(parts) == 1 else  # one shape has no pad rows
+                     _Mixed(parts, self._rows, (self.n, self.me, self.mi), own * 1.0))
         # More active rows than free directions cannot be independent.
         self._free_dirs = np.repeat([sh.n - sh.me for sh in self.shapes], sizes)
+        # The last solution, each element's active set there, and whether
+        # the next solve tries that active set first.
         self._warm: tuple[np.ndarray, np.ndarray] | None = None
-        # Warm solves only: each element's last active set, and whether its
-        # next warm solve tries that active set first.
         self._act: np.ndarray | None = None
-        self._gate = np.zeros(len(forms), dtype=bool)
+        self._gate = np.zeros(B, dtype=bool)
 
     def _h(self) -> np.ndarray:
-        if len(self.shapes) == 1:
-            return self.shapes[0]._h()
         h = np.ones((len(self.forms), self.mi))
         for sh, rows in zip(self.shapes, self._rows):
             h[rows, :sh.mi] = sh._h()
@@ -625,26 +615,25 @@ class QpBatch:
     def _locate(self, k: int) -> tuple[_Shape, int, int]:
         """The shape of form ``k``, its index in that shape, and its row."""
         r = int(self.row[k])
-        s = int(self._shape_at[r])
+        s = next(s for s, rows in enumerate(self._rows) if r < rows.stop)
         return self.shapes[s], r - self._rows[s].start, r
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              warm: bool = False) -> list[PrimalDualSolution]:
+    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> list[PrimalDualSolution]:
         """Solve all batched problems; the solutions are in input order.
 
-        Each element goes through one sequence of attempts, and each attempt
-        runs on the elements that no earlier one converged:
+        The first solve of a batch is cold; each later one is warm.  Each
+        element goes through one sequence of attempts, and each attempt runs
+        on the elements that no earlier one converged:
 
-        1. On a warm solve (``warm=True`` after an earlier solve of this
-           batch) only, the active-set try (``_Shape._active_set_try``): an
-           element the gate admits (the same active set in its last two
-           warm solutions, every row of the last clearly active or
-           inactive, and no more active rows than free directions) is
-           re-solved on that active set, by the inverse of its KKT matrix,
-           kept from its last try on that active set or else built and
-           inverted now.  It keeps the result, with 0 iterations, if the
-           result's certificate (``_Shape._certify``, the residual the
-           solution reports) passes tol.
+        1. On a warm solve only, the active-set try
+           (``_Shape._active_set_try``): an element the gate admits (the
+           same active set in its last two solutions, every row of the last
+           clearly active or inactive, and no more active rows than free
+           directions) is re-solved on that active set, by the inverse of
+           its KKT matrix, kept from its last try on that active set or
+           else built and inverted now.  It keeps the result, with 0
+           iterations, if the result's certificate (``_Shape._certify``,
+           the residual the solution reports) passes tol.
         2. The interior point (``_ipm``), from each start in turn: on a warm
            solve first from the element's last solution, with slacks and
            multipliers floored by how far the moved right-hand side left
@@ -659,8 +648,8 @@ class QpBatch:
 
         An element without inequality rows (every variable pinned) needs
         none of them: its x is fixed and its multipliers follow from
-        stationarity.  Only warm solves track the active sets, so a cold
-        solve does not depend on earlier ones.
+        stationarity.  Every solve keeps its solution and active sets for
+        the next.
         """
         h = self._h()
         x0 = 0.5 * (self.lb + self.ub)
@@ -676,7 +665,7 @@ class QpBatch:
                 iters[rows] = 0
         starts = [(x0, None)]
         certified: list = [None] * len(self.shapes)  # each shape's (k, certificate)
-        if warm and self._warm is not None:
+        if self._warm is not None:
             starts.insert(0, self._warm)
             gate = self._gate & (iters < 0)
             for s, (sh, rows) in enumerate(zip(self.shapes, self._rows)):
@@ -718,11 +707,10 @@ class QpBatch:
             sh, _, r = self._locate(k)
             self._diagnose(k, x0[r, :sh.n], h[r, :sh.mi], int(max_iter), float(res[r]))
         self._warm = (x.copy(), z.copy())
-        if warm:
-            act, clear = _active_set(h - self._ops.Gx(x), z)
-            same = self._act is not None and (act == self._act).all(axis=1)
-            self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
-            self._act = act
+        act, clear = _active_set(h - self._ops.Gx(x), z)
+        same = self._act is not None and (act == self._act).all(axis=1)
+        self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
+        self._act = act
         return self._unpack(x, y, z, iters, certified)
 
     def _effective_form(self, k: int) -> QpStandardForm:
@@ -780,8 +768,8 @@ class QpBatch:
         """
         sols: list = [None] * len(self.forms)
         its = iters.tolist()
-        for sh, rows, members, done in zip(self.shapes, self._rows, self._members,
-                                           certified):
+        for sh, rows, done in zip(self.shapes, self._rows, certified):
+            members = self._order[rows].tolist()
             xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
             parts = [] if done is None else [done]
             rest = slice(None) if done is None else np.delete(np.arange(len(members)), done[0])

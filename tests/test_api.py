@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import rsdd
 
@@ -35,3 +38,17 @@ def test_numpy_is_the_only_runtime_dependency():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_quickstart_runs():
+    """README.md's "Library quickstart" block runs as printed, and its
+    first line of output is the one its comment gives."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comment = next(line.split("#", 1)[1].strip() for line in block.splitlines()
+                   if line.startswith("print(") and "#" in line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == comment == "tolerance-met 113"

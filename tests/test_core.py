@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from rsdd.core import (AlgorithmConfig, LocalSolverPool, explicit_schedule,
-                       harmonic_schedule, lambda_update, local_step,
-                       step_size, validate_schedule)
+from rsdd.core import (_SOLVER_TOL, AlgorithmConfig, LocalSolverPool,
+                       explicit_schedule, harmonic_schedule, lambda_update,
+                       local_step, step_size, validate_schedule)
 from rsdd.oracle import dual_terms
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 ConstraintCoupledProblem, _coupling_hi,
                                 _rho_headroom, build_random_instance,
                                 two_agent_demo)
-from rsdd.qp_solver import QpBatch
+from rsdd.qp_solver import QpBatch, shape_groups
 
 
 def unit_agent(g_offset: float = 0.0) -> AgentProblem:
@@ -200,7 +202,7 @@ class TestDualSide:
 
 class TestSolverPool:
     def test_pool_matches_local_step(self, demo):
-        pool = LocalSolverPool(demo, M=10.0, tol=1e-9)
+        pool = LocalSolverPool(demo, M=10.0)
         shifts = np.array([[0.4], [-0.4]])
         xs, rhos, mus = pool.solve_all(shifts)
         assert len(xs) == 2 and rhos.shape == (2,) and mus.shape == (2, 1)
@@ -225,7 +227,7 @@ class TestSolverPool:
                                a_in=[[1.0, 1.0, 1.0]], b_in=[1.5]),
             coupling=AffineMap([[1.0, -1.0, 2.0]], [0.2]))
         problem = ConstraintCoupledProblem(agents=[hinged, plain], coupling_dim=1)
-        pool = LocalSolverPool(problem, M=10.0, tol=1e-9)
+        pool = LocalSolverPool(problem, M=10.0)
         assert len(pool.groups) == 1 and len(pool.batch.shapes) == 1
         shifts = np.array([[0.7], [-1.3]])
         xs, rhos, mus = pool.solve_all(shifts)
@@ -238,29 +240,41 @@ class TestSolverPool:
             assert np.abs(pool_mu - mu).max() <= 1e-10
 
     def test_warm_rounds_match_each_agent_alone(self, microgrid):
-        """Five warm rounds of the microgrid's pool, whose 10 agents have 4
-        shapes in one batch, give every agent bit for bit what its own
-        form gives when solved alone, warm, through the same shifts."""
-        pool = LocalSolverPool(microgrid, M=15.0)
-        assert len(pool.batch.shapes) == 4
-        s_dim = microgrid.coupling_dim
-        alone = [QpBatch([form]) for form in pool.batch.forms]
-        rng = np.random.default_rng(3)
-        shifts = np.zeros((microgrid.n_agents, s_dim))
-        certified = 0
-        for step in (0.0, 0.3, 1e-6, 1e-6, 1e-6):
-            shifts = shifts + step * rng.normal(size=shifts.shape)
-            xs, rhos, mus = pool.solve_all(shifts)
-            for agent, single, shift, x, rho, mu in zip(microgrid.agents, alone, shifts,
-                                                        xs, rhos, mus):
-                single.b_in[0, -s_dim:] = -(agent.coupling.vec + shift)
-                single.ub[0, -1] = _rho_headroom(_coupling_hi([agent]), shift)
-                (sol,) = single.solve(tol=pool.tol, warm=True)
-                assert np.array_equal(x, sol.x[:agent.dim])
-                assert rho == sol.x[-1]
-                assert np.array_equal(mu, sol.ineq_mult[-s_dim:])
-                certified += sol.iterations == 0
-        assert certified  # some active-set tries certified, in the batch too
+        """Five rounds of the microgrid's pool, whose 10 agents have 4 shapes
+        in one batch, give every agent bit for bit what its own form gives
+        when solved alone through the same shifts (each batch's first
+        solve cold, the later ones warm).  The agents come once grouped by
+        shape, as built, and once interleaved, so that the batch's rows,
+        where the pool writes each agent's right-hand sides, are not the
+        agents' order."""
+        groups = shape_groups(LocalSolverPool(microgrid, M=15.0).batch.forms)
+        interleaved = [k for column in itertools.zip_longest(*groups)
+                       for k in column if k is not None]
+        mixed = ConstraintCoupledProblem([microgrid.agents[k] for k in interleaved],
+                                         microgrid.coupling_dim)
+        for problem in (microgrid, mixed):
+            pool = LocalSolverPool(problem, M=15.0)
+            assert len(pool.batch.shapes) == 4
+            in_order = np.array_equal(pool.batch.row, np.arange(problem.n_agents))
+            assert in_order == (problem is microgrid)
+            s_dim = problem.coupling_dim
+            alone = [QpBatch([form]) for form in pool.batch.forms]
+            rng = np.random.default_rng(3)
+            shifts = np.zeros((problem.n_agents, s_dim))
+            certified = 0
+            for step in (0.0, 0.3, 1e-6, 1e-6, 1e-6):
+                shifts = shifts + step * rng.normal(size=shifts.shape)
+                xs, rhos, mus = pool.solve_all(shifts)
+                for agent, single, shift, x, rho, mu in zip(problem.agents, alone, shifts,
+                                                            xs, rhos, mus):
+                    single.b_in[0, -s_dim:] = -(agent.coupling.vec + shift)
+                    single.ub[0, -1] = _rho_headroom(_coupling_hi([agent]), shift)
+                    (sol,) = single.solve(tol=_SOLVER_TOL)
+                    assert np.array_equal(x, sol.x[:agent.dim])
+                    assert rho == sol.x[-1]
+                    assert np.array_equal(mu, sol.ineq_mult[-s_dim:])
+                    certified += sol.iterations == 0
+            assert certified  # some active-set tries certified, in the batch too
 
 
 class TestConfig:

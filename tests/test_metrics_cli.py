@@ -333,6 +333,30 @@ class TestCli:
         assert err["error"] == "invalid-input"
         assert err["message"].startswith(f"snapshot 7: {named} has shape")
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda config: config.pop("M"), "'M'"),
+        (lambda config: config.pop("schedule"), "'schedule'"),
+        (lambda config: config.update(schedule=None), "'schedule'"),
+    ], ids=["no-M", "no-schedule", "null-schedule"])
+    def test_check_config_fields(self, demo_trace, tmp_path, capsys, edit, named):
+        # The checker needs the config's M and schedule: a trace without
+        # them is rejected on load, naming the field, not with a traceback.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc["config"])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-input"
+        assert err["message"].startswith(f"config field {named} is missing or malformed")
+
     def test_check_unreadable_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
@@ -414,18 +438,22 @@ class TestCli:
         ["demo", "--iters", "5"]], ids=["run", "demo"])
     def test_failed_local_qp_saved_next_to_trace(self, argv, monkeypatch,
                                                  tmp_path, capsys):
-        # The demo's two agents share one batch of local steps, which are
-        # warm-started; element 1 is diagnosed as failed in round 0, so the
-        # run exits 2 and leaves the QP replayable.  The validation's cold
-        # feasibility batch of the same two agents passes through.
+        # The demo's two agents share one batch of local steps, known by
+        # their forms' Q (rho's column included, whatever M); element 1 is
+        # diagnosed as failed in round 0, so the run exits 2 and leaves the
+        # QP replayable.  The validation's feasibility batch of the same two
+        # agents passes through.
         from rsdd.cli import failed_form_path
+        from rsdd.core import LocalSolverPool
         from rsdd.qp_solver import QpBatch, QpError, load_form, solve_qp
         orig = QpBatch.solve
         raised = []
+        local_steps = LocalSolverPool(two_agent_demo(), M=10.0).batch.forms
 
-        def fail_element_1(self, tol=1e-8, max_iter=200, warm=False):
-            if len(self.forms) != 2 or not warm:
-                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+        def fail_element_1(self, tol=1e-8, max_iter=200):
+            if not (len(self.forms) == len(local_steps) and all(
+                    np.array_equal(f.Q, g.Q) for f, g in zip(self.forms, local_steps))):
+                return orig(self, tol=tol, max_iter=max_iter)
             x0 = 0.5 * (self.lb[1] + self.ub[1])
             try:
                 self._diagnose(1, x0, self._h()[1], max_iter, 1.0)

@@ -320,9 +320,10 @@ class TestRun:
         agent = 5
         orig = QpBatch.solve
 
-        def fail_agent(self, tol=1e-8, max_iter=200, warm=False):
-            if not warm:  # only the local steps are warm
-                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+        def fail_agent(self, tol=1e-8, max_iter=200):
+            if not (len(self.forms) == len(pool.batch.forms) and all(  # the local steps
+                    np.array_equal(f.Q, g.Q) for f, g in zip(self.forms, pool.batch.forms))):
+                return orig(self, tol=tol, max_iter=max_iter)
             shape, j, _ = self._locate(agent)
             x0 = 0.5 * (shape.lb[j] + shape.ub[j])
             self._diagnose(agent, x0, shape._h()[j], max_iter, 1.0)
@@ -437,7 +438,8 @@ class TestTraceChecks:
 
     def test_exhausted_schedule_reported(self, explicit_trace):
         # A schedule cut to 2 values leaves the updates at t = 2, 3, 4
-        # without a step size: one finding, and no replay of them.
+        # without a step size: one finding, and no replay of them.  One
+        # without values leaves every update without one.
         doc = json.loads(json.dumps(trace_to_dict(explicit_trace)))
         doc["config"]["schedule"]["values"] = [0.5, 0.5]
         assert check_trace_invariants(explicit_trace) == []
@@ -445,6 +447,21 @@ class TestTraceChecks:
         assert len(findings) == 1
         assert "update at t = 2: no recorded step size" in findings[0]
         assert "3 updates not replayed" in findings[0]
+        doc["config"]["schedule"]["values"] = None
+        (finding,) = check_trace_invariants(trace_from_dict(doc))
+        assert finding.startswith("update at t = 0: no recorded step size")
+
+    def test_config_copied_both_ways(self, explicit_trace):
+        # A document and the trace it was written from or read into do
+        # not share a config: cutting the document's schedule leaves the
+        # trace clean.
+        doc = trace_to_dict(explicit_trace)
+        del doc["config"]["schedule"]["values"][2:]
+        assert check_trace_invariants(explicit_trace) == []
+        doc = trace_to_dict(explicit_trace)
+        loaded = trace_from_dict(doc)
+        del doc["config"]["schedule"]["values"][2:]
+        assert check_trace_invariants(loaded) == []
 
     def test_wrong_round_number_reported(self, explicit_trace):
         doc = json.loads(json.dumps(trace_to_dict(explicit_trace)))

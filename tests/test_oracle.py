@@ -209,7 +209,7 @@ class TestRelaxed:
         for agent in problem.agents:
             alone = ConstraintCoupledProblem([agent], problem.coupling_dim)
             res = solve_relaxed_centralized(alone, m_price, tol=1e-9)
-            x, rho, _ = local_step(agent, {}, {}, m_price, tol=1e-9)
+            x, rho, _ = local_step(agent, {}, {}, m_price)
             assert np.array_equal(res.xs[0], x)
             assert res.rho == rho
 
@@ -316,9 +316,9 @@ class TestDualTerms:
         element = 5 * K + 1
         orig = QpBatch.solve
 
-        def fail_element(self, tol=1e-8, max_iter=200, warm=False):
+        def fail_element(self, tol=1e-8, max_iter=200):
             if len(self.forms) != microgrid.n_agents * K:
-                return orig(self, tol=tol, max_iter=max_iter, warm=warm)
+                return orig(self, tol=tol, max_iter=max_iter)
             assert len(self.shapes) == 4
             shape, j, _ = self._locate(element)
             x0 = 0.5 * (shape.lb[j] + shape.ub[j])

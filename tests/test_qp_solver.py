@@ -162,7 +162,7 @@ class TestBatch:
         batch = QpBatch(forms)
         batch.solve(tol=1e-10)
         batch.b_in[:, 0] = 1.5
-        warm = batch.solve(tol=1e-10, warm=True)
+        warm = batch.solve(tol=1e-10)
 
         cold_batch = QpBatch(self.make_forms(4, seed=2))
         cold_batch.b_in[:, 0] = 1.5
@@ -247,9 +247,9 @@ class TestBatch:
         def sequence():
             batch = QpBatch(self.make_forms(3, seed=6))
             batches.append(batch)
-            batch.solve(tol=1e-9, warm=True)
+            batch.solve(tol=1e-9)
             batch.b_in[:, 0] = 1.5
-            return batch.solve(tol=1e-9, warm=True)
+            return batch.solve(tol=1e-9)
 
         ref = sequence()
         calls, outs = [], []
@@ -472,16 +472,16 @@ class TestBatchMembership:
                     batch.b_in[batch.row[k], :b_in.size] = b_in
                     single.b_in[0] = b_in
                 try:
-                    refs.append(single.solve(tol=1e-9, warm=True)[0])
+                    refs.append(single.solve(tol=1e-9)[0])
                 except QpError:
                     refs.append(None)
             failed = [k for k, ref in enumerate(refs) if ref is None]
             if failed:
                 with pytest.raises(QpError) as info:
-                    batch.solve(tol=1e-9, warm=True)
+                    batch.solve(tol=1e-9)
                 assert info.value.element == failed[0]
                 return
-            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9, warm=True), refs)):
+            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9), refs)):
                 assert_same_solution(sol, ref)
                 assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
 
@@ -501,11 +501,11 @@ class TestWarmActiveSet:
         tol, and the cold solve's objective within tol."""
         targets = [(2.0, 0.0), (1.5, 1.0), (0.0, 2.5)]
         batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
-        first = batch.solve(tol=1e-9, warm=True)
-        second = batch.solve(tol=1e-9, warm=True)
+        first = batch.solve(tol=1e-9)
+        second = batch.solve(tol=1e-9)
         assert min(s.iterations for s in first + second) > 0
         batch.b_in[:, 0] = [1.01, 0.99, 1.02]  # the same row stays active
-        warm = batch.solve(tol=1e-9, warm=True)
+        warm = batch.solve(tol=1e-9)
         cold = QpBatch(projection_forms(targets, [1.01, 0.99, 1.02])).solve(tol=1e-9)
         for k, (w, c) in enumerate(zip(warm, cold)):
             assert w.iterations == 0
@@ -519,7 +519,7 @@ class TestWarmActiveSet:
         sits on the row, so both vanish) never passes the gate."""
         batch = QpBatch(projection_forms([(0.5, 0.5)], [1.0]))
         for _ in range(4):
-            (sol,) = batch.solve(tol=1e-9, warm=True)
+            (sol,) = batch.solve(tol=1e-9)
             assert sol.iterations > 0 and sol.kkt_residual <= 1e-9
 
     def test_warm_floor_follows_the_violation(self):
@@ -528,7 +528,7 @@ class TestWarmActiveSet:
         [1e-3, 1]: 1e-3 where the right-hand side did not move, 0.5 where
         it moved the last solution 0.5 outside its row."""
         batch = QpBatch(projection_forms([(0.0, 0.0), (3.0, 0.0)], [1.0, 1.0]))
-        batch.solve(tol=1e-9, warm=True)
+        batch.solve(tol=1e-9)
         x_prev, z_prev = batch._warm
         batch.b_in[1, 0] = 0.5
         _, _, z, _, _ = qp_solver._ipm(batch._ops, batch.c, batch.b, batch._h(), x_prev,
@@ -561,16 +561,16 @@ class TestWarmActiveSet:
             for k, single in enumerate(alone):
                 single.b_in[:] = b_in[k]
                 try:
-                    refs.append(single.solve(tol=1e-9, warm=True)[0])
+                    refs.append(single.solve(tol=1e-9)[0])
                 except QpError:
                     refs.append(None)
             failed = [k for k, ref in enumerate(refs) if ref is None]
             if failed:
                 with pytest.raises(QpError) as info:
-                    batch.solve(tol=1e-9, warm=True)
+                    batch.solve(tol=1e-9)
                 assert info.value.element == failed[0]
                 return
-            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9, warm=True), refs)):
+            for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9), refs)):
                 assert_same_solution(sol, ref)
                 assert sol.kkt_residual <= 1e-9
                 assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
@@ -604,12 +604,12 @@ class TestWarmActiveSet:
         batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
         for rhs in ([1.0] * 3, [1.0] * 3, [1.01, 0.99, 1.02]):
             batch.b_in[:, 0] = rhs
-            batch.solve(tol=1e-9, warm=True)
+            batch.solve(tol=1e-9)
         assert [len(act) for act in built] == [3]
         built.clear()
         solves.clear()
         batch.b_in[:, 0] = [1.02, 0.98, 1.03]
-        hits = batch.solve(tol=1e-9, warm=True)
+        hits = batch.solve(tol=1e-9)
         assert built == [] and solves == []
         (sh,) = batch.shapes
         K, order, on = qp_solver._active_set_system(sh.Q, sh.A, sh.G, batch._act)
@@ -636,7 +636,7 @@ class TestWarmActiveSet:
         for rhs in ([1.0, 1.0], [1.0, 1.0], [1.01, 1.01], [1.02, 3.0], [1.03, 3.01],
                     [1.04, 3.02]):
             batch.b_in[:, 0] = rhs
-            iterations.append([sol.iterations for sol in batch.solve(tol=1e-9, warm=True)])
+            iterations.append([sol.iterations for sol in batch.solve(tol=1e-9)])
         assert [it[0] for it in iterations[2:]] == [0, 0, 0, 0]
         assert [it[1] > 0 for it in iterations[2:]] == [False, True, True, False]
         assert [act.tolist() for act in built] == [
@@ -669,10 +669,10 @@ class TestWarmActiveSet:
         for step, rhs in enumerate(steps):
             for k, single in enumerate(alone):
                 batch.b_in[batch.row[k], 0] = single.b_in[0, 0] = rhs[k]
-            refs = [single.solve(tol=1e-9, warm=True)[0] for single in alone]
+            refs = [single.solve(tol=1e-9)[0] for single in alone]
             tried.clear()
             built.clear()
-            sols = batch.solve(tol=1e-9, warm=True)
+            sols = batch.solve(tol=1e-9)
             for k, (sol, ref) in enumerate(zip(sols, refs)):
                 assert_same_solution(sol, ref)
                 assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
