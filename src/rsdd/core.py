@@ -151,10 +151,11 @@ class LocalSolverPool:
     Agent i's relaxed local problem is the relaxed problem of agent i
     alone: its hinge-lifted QP, the relaxation variable rho last, and the S
     coupling rows last, their right-hand side moved by the edge shift.
-    ``solve_all`` reads each round's x_i, rho_i and mu_i from the batch's
-    solutions, certified at ``_SOLVER_TOL`` (a trace's ``solver_tol``): the
-    first round cold, each later one warm.  ``groups`` holds the one
-    (batch, agents) pair, for callers that map a batch element to its agent.
+    ``solve_all`` reads each round's x_i, rho_i and mu_i from the arrays
+    of the batch's solution, certified at ``_SOLVER_TOL`` (a trace's
+    ``solver_tol``): the first round cold, each later one warm.
+    ``groups`` holds the one (batch, agents) pair, for callers that map a
+    batch element to its agent.
     """
 
     def __init__(self, problem: ConstraintCoupledProblem, M: float):
@@ -169,13 +170,16 @@ class LocalSolverPool:
                  for a, hi in zip(agents, self._row_hi)]
         self.batch = QpBatch(forms)
         self.groups = [(self.batch, list(range(len(agents))))]
-        # Where each agent's coupling right-hand sides (its last S rows) and
-        # rho's upper bound (its last column) sit in the batch's arrays.
+        # Each agent's coupling rows are its last S inequality rows and rho
+        # is its last variable.  They sit in the batch's rows, where the
+        # right-hand sides and rho's upper bound are written, and in the
+        # solution's elements, agent by agent, where mu and rho are read.
         s_dim = problem.coupling_dim
-        rows = self.batch.row
-        self._rhs_at = (rows[:, None],
-                        np.array([[f.b_in.size - s_dim] for f in forms]) + np.arange(s_dim))
-        self._rho_at = (rows, np.array([f.dim - 1 for f in forms]))
+        rows, agent = self.batch.row, np.arange(len(agents))
+        coupling = np.array([[f.b_in.size - s_dim] for f in forms]) + np.arange(s_dim)
+        last = np.array([f.dim - 1 for f in forms])
+        self._rhs_at, self._ub_at = (rows[:, None], coupling), (rows, last)
+        self._mu_at, self._rho_at = (agent[:, None], coupling), (agent, last)
 
     def solve_all(self, shifts: np.ndarray
                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -183,19 +187,20 @@ class LocalSolverPool:
         (xs, rho, mu), the list of each agent's x_i, the (N,) relaxation
         levels and the (N, S) coupling-row multipliers.
 
+        The x_i are views of the batch solution's x, new on every solve;
+        rho and mu are gathered from its arrays by index arrays built once.
+        Nothing returned shares memory with the batch or a later round.
         A failed local QP is re-raised with the agent it belongs to.
         """
-        s_dim = shifts.shape[1]
         self.batch.b_in[self._rhs_at] = -(self._coupling_vec + shifts)
-        self.batch.ub[self._rho_at] = _rho_headroom(self._row_hi, shifts)
+        self.batch.ub[self._ub_at] = _rho_headroom(self._row_hi, shifts)
         try:
-            sols = self.batch.solve(tol=_SOLVER_TOL)
+            sol = self.batch.solve(tol=_SOLVER_TOL)
         except QpError as exc:
             exc.agent = exc.element
             raise
-        return ([sol.x[:dim] for dim, sol in zip(self.dims, sols)],
-                np.array([sol.x[-1] for sol in sols]),
-                np.stack([sol.ineq_mult[-s_dim:] for sol in sols]))
+        return ([sol.x[i, :d] for i, d in enumerate(self.dims)], sol.x[self._rho_at],
+                sol.ineq_mult[self._mu_at])
 
 
 def _combine_shift(lambda_out: dict[int, np.ndarray],

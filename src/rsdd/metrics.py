@@ -156,7 +156,7 @@ def load_run_artifact(path) -> list[IterationMetrics]:
             rows = doc["rows"]
         else:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])  # an empty file has no header
             if header[:7] != _BASE_COLUMNS:
                 raise ValueError("not a run artifact CSV")
             rows = [[float(v) for v in row] for row in reader]

@@ -543,7 +543,7 @@ def trace_from_dict(doc: dict) -> RunTrace:
     readable ``M`` or ``schedule``.  The trace gets a copy of the config and
     shares the problem dict, as in ``trace_to_dict``.
     """
-    if doc.get("format") != "rsdd-trace":
+    if not isinstance(doc, dict) or doc.get("format") != "rsdd-trace":
         raise ValueError("not a trace document")
     config = copy.deepcopy(doc["config"])
     for name, read in (("M", float), ("schedule", schedule_from_dict)):

@@ -123,8 +123,9 @@ def dual_terms(problem: ConstraintCoupledProblem, mus,
 
     Returns q, (K, N) with q[k, i] = q_i(mus[k]), and the minimizers x,
     (K, sum of the agents' dims) in agent order; the dual function is
-    q(mu) = sum_i q_i(mu).  All N * K forms are solved as one batch, and
-    a failed QP is re-raised with the agent it belongs to.
+    q(mu) = sum_i q_i(mu).  All N * K forms are solved as one batch, whose
+    solution's objective and x arrays are read as whole arrays, and a
+    failed QP is re-raised with the agent it belongs to.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 2 or mus.shape[1] != problem.coupling_dim:
@@ -141,17 +142,16 @@ def dual_terms(problem: ConstraintCoupledProblem, mus,
             c[:a.dim] += a.coupling.mat.T @ mu
             forms.append(replace(base, c=c,
                                  offset=base.offset + float(mu @ a.coupling.vec)))
-    starts = np.cumsum([0] + [a.dim for a in agents]).tolist()
-    q = np.empty((K, len(agents)))
-    x = np.empty((K, starts[-1]))
+    dims = [a.dim for a in agents]
+    if not forms:
+        return np.empty((K, len(agents))), np.empty((K, sum(dims)))
     try:
-        sols = QpBatch(forms, validate=False).solve(tol=tol) if forms else []
+        sol = QpBatch(forms, validate=False).solve(tol=tol)
     except QpError as exc:
         if exc.element is not None:
             exc.agent = exc.element // K
         raise
-    for j, sol in enumerate(sols):
-        i, k = divmod(j, K)
-        q[k, i] = sol.objective
-        x[k, starts[i]:starts[i + 1]] = sol.x[:agents[i].dim]
-    return q, x
+    # Element i K + k is agent i at mus[k]; x_i is its first dim_i entries.
+    element = np.repeat(np.arange(len(agents)) * K, dims) + np.arange(K)[:, None]
+    column = np.concatenate([np.arange(d) for d in dims])
+    return sol.objective.reshape(len(agents), K).T.copy(), sol.x[element, column]

@@ -187,7 +187,7 @@ def load_form(path) -> QpStandardForm:
     """Read a form written by save_form; load(save(f)) is bit-exact."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "rsdd-qp":
+    if not isinstance(doc, dict) or doc.get("format") != "rsdd-qp":
         raise ValueError("not a QP form document")
     return QpStandardForm(offset=doc["offset"],
                           **{name: doc[name] for name in _FORM_ARRAYS})
@@ -206,6 +206,53 @@ class PrimalDualSolution:
     kkt_residual: float
     iterations: int
     status: str = "optimal"
+
+
+@dataclass
+class BatchSolution:
+    """The solutions of one ``QpBatch.solve``, element k for form k.
+
+    Each field holds ``PrimalDualSolution``'s field of every element with
+    a leading batch axis; x, the multipliers and the box multipliers are
+    padded with zeros to the widest element, whose own widths are
+    ``widths[k]`` = (n, equality rows, inequality rows).  ``sol[k]`` (k
+    negative too) and iteration give each element's ``PrimalDualSolution``:
+    views of its own entries, and Python scalars.  Every array but
+    ``widths`` (the batch's own, read-only) is new on every solve and
+    shares no memory with the batch.
+    """
+
+    x: np.ndarray                # (B, n)
+    eq_mult: np.ndarray          # (B, equality rows)
+    ineq_mult: np.ndarray        # (B, inequality rows)
+    box_lower_mult: np.ndarray   # (B, n)
+    box_upper_mult: np.ndarray   # (B, n)
+    objective: np.ndarray        # (B,)
+    kkt_residual: np.ndarray     # (B,)
+    iterations: np.ndarray       # (B,) int
+    widths: np.ndarray           # (B, 3) int
+
+    def __len__(self) -> int:
+        return len(self.objective)
+
+    def __getitem__(self, k: int) -> PrimalDualSolution:
+        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
+        n, m_eq, m_in = self.widths[k].tolist()
+        return PrimalDualSolution(self.x[k, :n], self.eq_mult[k, :m_eq],
+                                  self.ineq_mult[k, :m_in], self.box_lower_mult[k, :n],
+                                  self.box_upper_mult[k, :n], float(self.objective[k]),
+                                  float(self.kkt_residual[k]), int(self.iterations[k]))
+
+    def _put(self, at, cert) -> None:
+        """Write ``_Shape._certify``'s multipliers, residuals and objectives
+        of one shape's elements into the entries of forms ``at``."""
+        eq_mult, ineq_mult, lo, hi, kkt, obj = cert
+        self.eq_mult[at, :eq_mult.shape[1]] = eq_mult
+        self.ineq_mult[at, :ineq_mult.shape[1]] = ineq_mult
+        self.box_lower_mult[at, :lo.shape[1]] = lo
+        self.box_upper_mult[at, :hi.shape[1]] = hi
+        self.kkt_residual[at] = kkt
+        self.objective[at] = obj
 
 
 @dataclass
@@ -558,8 +605,11 @@ class QpBatch:
     certificates are computed together, in the same order of operations as
     ``kkt_residuals``, so each element's result is bit-identical to solving
     it alone.  The active-set try and the polish accept on the
-    certificate that the solution then reports, and a tried element is
-    certified once per solve.
+    certificate that the solution then reports, and every element is
+    certified once per solve.  ``solve`` returns one ``BatchSolution``: x,
+    the multipliers, objectives, certificates and iteration counts as
+    arrays in input order, written shape by shape, with no per-element
+    object; ``sol[k]`` makes form k's ``PrimalDualSolution`` on demand.
 
     Each element's active-set KKT matrix and its inverse are kept, keyed
     by the active set, from one solve to the next (``_Shape`` holds
@@ -582,12 +632,17 @@ class QpBatch:
         self._rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         self._order = np.concatenate(groups)  # the form in each row
         self.row = np.argsort(self._order)
+        self._at = [self._order[rows] for rows in self._rows]  # each shape's forms
         self.n, self.me, self.mi = (max(getattr(sh, w) for sh in self.shapes)
                                     for w in ("n", "me", "mi"))
+        self._widths = np.repeat([[sh.n, sh.m_eq, sh.m_in] for sh in self.shapes], sizes,
+                                 axis=0)[self.row]  # each form's, as BatchSolution has them
+        self._widths.flags.writeable = False  # every solution shares it
+        # A solution's multiplier widths: the most equality and inequality rows.
+        self._mult_widths = self._widths[:, 1:].max(axis=0).tolist()
         B = len(forms)
-        m_in = max(sh.m_in for sh in self.shapes)
         for name, width in (("c", self.n), ("b", self.me), ("lb", self.n),
-                            ("ub", self.n), ("b_in", m_in)):
+                            ("ub", self.n), ("b_in", self._mult_widths[1])):
             padded = np.zeros((B, width))
             for sh, rows in zip(self.shapes, self._rows):
                 own = getattr(sh, name)
@@ -618,8 +673,9 @@ class QpBatch:
         s = next(s for s, rows in enumerate(self._rows) if r < rows.stop)
         return self.shapes[s], r - self._rows[s].start, r
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> list[PrimalDualSolution]:
-        """Solve all batched problems; the solutions are in input order.
+    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> BatchSolution:
+        """Solve all batched problems: one ``BatchSolution``, whose element
+        k is form k's solution.
 
         The first solve of a batch is cold; each later one is warm.  Each
         element goes through one sequence of attempts, and each attempt runs
@@ -648,8 +704,11 @@ class QpBatch:
 
         An element without inequality rows (every variable pinned) needs
         none of them: its x is fixed and its multipliers follow from
-        stationarity.  Every solve keeps its solution and active sets for
-        the next.
+        stationarity.  An accepted try writes its certificate into the
+        solution at once; the other elements are certified after the last
+        attempt, shape by shape, so every element is certified once.  Every
+        solve keeps its solution and active sets for the next, in arrays
+        the returned solution does not share.
         """
         h = self._h()
         x0 = 0.5 * (self.lb + self.ub)
@@ -663,13 +722,18 @@ class QpBatch:
                 y[rows, :sh.me] = [np.linalg.lstsq(sh.AT[j], -(sh.Q[j] @ xs[j] + sh.c[j]),
                                                    rcond=None)[0] for j in range(len(xs))]
                 iters[rows] = 0
+        m_eq, m_in = self._mult_widths
+        sol = BatchSolution(np.empty((B, self.n)), np.zeros((B, m_eq)),
+                            np.zeros((B, m_in)), np.zeros((B, self.n)),
+                            np.zeros((B, self.n)), np.empty(B), np.empty(B),
+                            np.empty(B, dtype=iters.dtype), self._widths)
         starts = [(x0, None)]
-        certified: list = [None] * len(self.shapes)  # each shape's (k, certificate)
+        uncertified = np.ones(B, dtype=bool)  # the rows no active-set try certified
         if self._warm is not None:
             starts.insert(0, self._warm)
             gate = self._gate & (iters < 0)
-            for s, (sh, rows) in enumerate(zip(self.shapes, self._rows)):
-                k = np.flatnonzero(gate[rows])
+            for sh, rows, at in zip(self.shapes, self._rows, self._at):
+                k = gate[rows].nonzero()[0]
                 if not k.size:
                     continue
                 r = rows.start + k
@@ -681,8 +745,9 @@ class QpBatch:
                     k, r, xa, ya, za = k[ok], r[ok], xa[ok], ya[ok], za[ok]
                     cert = tuple(v[ok] for v in cert)
                 x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = xa, ya, za
-                iters[r], res[r] = 0, cert[4]
-                certified[s] = (k, cert)
+                iters[r] = 0
+                sol._put(at[k], cert)
+                uncertified[r] = False
         for start, z_init in starts:
             todo = iters < 0
             if todo.all():  # the batch's own arrays, no copies
@@ -706,12 +771,23 @@ class QpBatch:
             k = int(failed.min())
             sh, _, r = self._locate(k)
             self._diagnose(k, x0[r, :sh.n], h[r, :sh.mi], int(max_iter), float(res[r]))
-        self._warm = (x.copy(), z.copy())
+        for sh, rows, at in zip(self.shapes, self._rows, self._at):
+            # The rest are certified against the current right-hand sides.
+            k = uncertified[rows].nonzero()[0]
+            if not k.size:
+                continue
+            if k.size == len(at):  # every element: views, no copies
+                k = slice(None)
+            xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
+            sol._put(at[k], sh._certify(xs[k], ys[k], zs[k], k=k))
+        np.take(x, self.row, axis=0, out=sol.x)
+        np.take(iters, self.row, out=sol.iterations)
+        self._warm = (x, z)  # no copies: the solution holds none of their memory
         act, clear = _active_set(h - self._ops.Gx(x), z)
         same = self._act is not None and (act == self._act).all(axis=1)
         self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
         self._act = act
-        return self._unpack(x, y, z, iters, certified)
+        return sol
 
     def _effective_form(self, k: int) -> QpStandardForm:
         """Form ``k`` with the batch's current right-hand sides.
@@ -757,34 +833,6 @@ class QpBatch:
         return QpNumericalError(
             f"interior-point breakdown on a feasible problem (element {k})",
             iterations=iterations, residual=residual)
-
-    def _unpack(self, x, y, z, iters, certified) -> list[PrimalDualSolution]:
-        """Solutions in input order with their KKT residuals, certified
-        shape by shape against the current right-hand sides.
-
-        ``certified`` holds, per shape, None or the elements ``k`` that the
-        active-set try certified and their certificate, which is reused:
-        only the other elements are certified here.
-        """
-        sols: list = [None] * len(self.forms)
-        its = iters.tolist()
-        for sh, rows, done in zip(self.shapes, self._rows, certified):
-            members = self._order[rows].tolist()
-            xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
-            parts = [] if done is None else [done]
-            rest = slice(None) if done is None else np.delete(np.arange(len(members)), done[0])
-            if done is None or rest.size:
-                parts.append((np.arange(len(members))[rest],
-                              sh._certify(xs[rest], ys[rest], zs[rest], k=rest)))
-            for k, (eq_mult, ineq_mult, lo, hi, kkt, obj) in parts:
-                for i, (j, objective, residual) in enumerate(zip(k.tolist(), obj.tolist(),
-                                                                 kkt.tolist())):
-                    sols[members[j]] = PrimalDualSolution(
-                        x=xs[j], eq_mult=eq_mult[i], ineq_mult=ineq_mult[i],
-                        box_lower_mult=lo[i], box_upper_mult=hi[i], objective=objective,
-                        kkt_residual=residual, iterations=its[rows.start + j])
-        return sols
-
 
 def solve_qp(form: QpStandardForm | CoupledForm, tol: float = 1e-8,
              max_iter: int = 200, validate: bool = True) -> PrimalDualSolution:

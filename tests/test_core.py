@@ -276,6 +276,37 @@ class TestSolverPool:
                     certified += sol.iterations == 0
             assert certified  # some active-set tries certified, in the batch too
 
+    def test_rounds_share_no_memory(self, microgrid):
+        """A trace keeps each round's (xs, rho, mu) as they are returned, so
+        they must never share memory with the batch's warm start (``_warm``,
+        ``_act``), and later rounds, whether the active-set try or the
+        interior point solves them, must not write into them."""
+        pool = LocalSolverPool(microgrid, M=15.0)
+        rng = np.random.default_rng(3)
+        shifts = np.zeros((microgrid.n_agents, microgrid.coupling_dim))
+        xs, rho, mu = pool.solve_all(shifts)
+        kept = [*xs, rho, mu]
+        copies = [a.copy() for a in kept]
+        certified = 0
+        orig_solve = pool.batch.solve
+
+        def solve(*args, **kwargs):
+            nonlocal certified
+            sol = orig_solve(*args, **kwargs)
+            certified += int((sol.iterations == 0).sum())
+            return sol
+
+        pool.batch.solve = solve
+        for step in (0.3, 1e-6, 1e-6, 1e-6, 0.3):
+            for a in kept:
+                for state in (*pool.batch._warm, pool.batch._act):
+                    assert not np.shares_memory(a, state)
+            shifts = shifts + step * rng.normal(size=shifts.shape)
+            pool.solve_all(shifts)
+        assert certified  # the try wrote some rounds
+        for a, copy in zip(kept, copies):
+            assert np.array_equal(a, copy)
+
 
 class TestConfig:
     def test_defaults_and_dict(self):

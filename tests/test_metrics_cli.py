@@ -223,6 +223,14 @@ class TestArtifacts:
         with pytest.raises(ValueError, match="not a run artifact"):
             load_run_artifact(bad_csv)
 
+    def test_load_rejects_empty_file(self, tmp_path):
+        # An empty file has no header row: a ValueError, not the reader's
+        # StopIteration (a RuntimeError inside a generator).
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="not a run artifact CSV"):
+            load_run_artifact(empty)
+
 
 class TestCli:
     def test_demo_end_to_end(self, tmp_path, capsys):
@@ -365,6 +373,19 @@ class TestCli:
         assert code == 1
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("top", ["[1, 2]", "null", '"rsdd-trace"'])
+    def test_check_non_object_trace(self, tmp_path, capsys, top):
+        # Valid JSON whose top level is not an object is not a trace.
+        path = tmp_path / "list.json"
+        path.write_text(top)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "invalid-input",
+                                        "message": "not a trace document"}
 
     def test_unknown_flag(self, capsys):
         code = main(["run", "--demo", "--bogus"])

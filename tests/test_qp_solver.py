@@ -503,7 +503,7 @@ class TestWarmActiveSet:
         batch = QpBatch(projection_forms(targets, [1.0, 1.0, 1.0]))
         first = batch.solve(tol=1e-9)
         second = batch.solve(tol=1e-9)
-        assert min(s.iterations for s in first + second) > 0
+        assert min(s.iterations for s in [*first, *second]) > 0
         batch.b_in[:, 0] = [1.01, 0.99, 1.02]  # the same row stays active
         warm = batch.solve(tol=1e-9)
         cold = QpBatch(projection_forms(targets, [1.01, 0.99, 1.02])).solve(tol=1e-9)
@@ -679,6 +679,73 @@ class TestWarmActiveSet:
             if step == len(steps) - 2:  # elements 2 and 3 miss, 0 and 1 hit
                 assert tried == [2, 2] and [len(act) for act in built] == [1, 1]
                 assert [sol.iterations for sol in sols] == [0, 0, 0, 0]
+
+    def test_batch_solution_protocol(self):
+        """A warm solve of a mixed batch whose rows are not its input order,
+        in which the try certifies element 0 of shape A's elements 0 and 2
+        and element 1 of shape B's elements 1 and 3: ``sols[k]`` is form
+        k's solution, bit for bit as solved alone, certified as
+        ``kkt_residuals`` certifies it, and indexing (negative too),
+        iteration, ``len`` and the arrays all agree."""
+        flat = box_form(np.eye(3), [-1.0, -1.0, -1.0], [-3.0] * 3, [3.0] * 3,
+                        A_in=[[1.0, 1.0, 1.0]], b_in=[1.0])
+        forms = [projection_forms([(2.0, 0.0)], [1.0])[0], flat,
+                 projection_forms([(2.0, 0.0)], [1.0])[0], flat]
+        batch = QpBatch(forms)
+        assert batch.row.tolist() == [0, 2, 1, 3]
+        alone = [QpBatch([f]) for f in forms]
+        for rhs in ([1.0] * 4, [1.0] * 4, [1.01] * 4, [1.02, 1.02, 3.0, 5.0]):
+            for k, single in enumerate(alone):
+                batch.b_in[batch.row[k], 0] = single.b_in[0, 0] = rhs[k]
+            refs = [single.solve(tol=1e-9)[0] for single in alone]
+            sols = batch.solve(tol=1e-9)
+        assert sols.iterations[[0, 1]].tolist() == [0, 0]
+        assert (sols.iterations[[2, 3]] > 0).all()
+        assert len(sols) == 4 and len(list(sols)) == 4
+        for k, (sol, ref) in enumerate(zip(sols, refs)):
+            assert_same_solution(sol, ref)
+            assert_same_solution(sols[k], ref)
+            assert_same_solution(sols[k - 4], ref)
+            assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
+            assert sol.kkt_residual == sols.kkt_residual[k] <= 1e-9
+            for one in (sol, sols[k]):
+                assert [type(one.objective), type(one.kkt_residual),
+                        type(one.iterations)] == [float, float, int]
+            assert sol.iterations == sols.iterations[k]
+            n, m_eq, m_in = sols.widths[k]
+            assert (n, m_eq, m_in) == (forms[k].dim, 0, 1)
+            assert np.array_equal(sols.x[k, :n], sol.x) and not sols.x[k, n:].any()
+            assert np.array_equal(sols.ineq_mult[k, :m_in], sol.ineq_mult)
+        with pytest.raises(IndexError):
+            sols[4]
+        with pytest.raises(IndexError):
+            sols[-5]
+        one = alone[0].solve(tol=1e-9)
+        (only,) = one
+        assert_same_solution(only, one[-1])
+
+    def test_solution_shares_no_memory_with_the_batch(self):
+        """Every array of a solution is its own: none shares memory with
+        the warm start the batch keeps (``_warm``, ``_act``) or with another
+        solve's solution, and later solves leave it as it was."""
+        flat = box_form(np.eye(3), [-1.0, -1.0, -1.0], [-3.0] * 3, [3.0] * 3,
+                        A_in=[[1.0, 1.0, 1.0]], b_in=[1.0])
+        batch = QpBatch([projection_forms([(2.0, 0.0)], [1.0])[0], flat, flat])
+        kept = []
+        for rhs in ([1.0] * 3, [1.0] * 3, [1.01] * 3, [1.02] * 3, [3.0, 1.03, 1.03]):
+            batch.b_in[:, 0] = rhs
+            sols = batch.solve(tol=1e-9)
+            arrays = [getattr(sols, name) for name in _SOLUTION_ARRAYS
+                      + ("objective", "kkt_residual", "iterations")]
+            for a in arrays:
+                for other in [*batch._warm, batch._act] + [b for b, _ in kept]:
+                    assert not np.shares_memory(a, other)
+            kept += [(a, a.copy()) for a in arrays]
+        # The last solve wrote both ways: the interior point's element 0,
+        # and elements 1 and 2 that the try certified.
+        assert sols.iterations[0] > 0 and sols.iterations[1:].tolist() == [0, 0]
+        for a, copy in kept:
+            assert np.array_equal(a, copy)
 
 
 class TestRegressions:
@@ -924,4 +991,11 @@ class TestFormFiles:
         path = tmp_path / "other.json"
         path.write_text('{"format": "rsdd-problem"}')
         with pytest.raises(ValueError, match="not a QP form"):
+            load_form(path)
+
+    @pytest.mark.parametrize("top", ["[1, 2]", "null", '"rsdd-qp"'])
+    def test_non_object_document_rejected(self, tmp_path, top):
+        path = tmp_path / "list.json"
+        path.write_text(top)
+        with pytest.raises(ValueError, match="not a QP form document"):
             load_form(path)
