@@ -19,7 +19,7 @@ from .core import (AlgorithmConfig, LocalSolverPool, StepSizeSchedule,
                    local_step, step_size, validate_schedule)
 from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
-from .network_sim import (Graph, RunTrace, SimulationError, Snapshot,
+from .network_sim import (Graph, RunTrace, SimulationError, Snapshots,
                           build_graph, check_trace_invariants, load_trace,
                           message_stats, run, save_trace)
 from .oracle import (OracleResult, dual_terms, solve_centralized,
@@ -46,7 +46,7 @@ __all__ = [
     "MicrogridConfig", "OracleResult", "PrimalDualSolution",
     "ProblemFormatError", "QpBatch", "QpError", "QpInfeasibleError",
     "QpNumericalError", "QpStandardForm", "RunTrace", "SimulationError",
-    "Snapshot", "StepSizeSchedule", "ValidationReport",
+    "Snapshots", "StepSizeSchedule", "ValidationReport",
     "build_graph", "build_microgrid_instance", "build_random_instance",
     "check_trace_invariants", "compute_metrics", "dual_terms",
     "emit_run_artifact", "explicit_schedule", "harmonic_schedule",

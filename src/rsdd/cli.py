@@ -185,9 +185,9 @@ def _cmd_demo(args) -> int:
     trace = _run_traced(problem, build_graph("path", 2), config, args.trace)
     metrics = compute_metrics(trace, res)
     last = metrics[-1]
-    xs = trace.snapshots[-1].x
+    x = trace.snapshots.x[-1]
     print(f"after {trace.iterations} iterations: "
-          f"x = ({xs[0][0]:.6f}, {xs[1][0]:.6f})")
+          f"x = ({x[0]:.6f}, {x[1]:.6f})")
     print(f"cost {last.cost:.6f}, rel err {last.cost_error_norm:.2e}, "
           f"max violation {last.max_violation:.2e}")
     if args.out:

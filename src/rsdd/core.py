@@ -119,8 +119,8 @@ _SOLVER_TOL = 1e-9
 class AlgorithmConfig:
     """Run parameters.
 
-    ``max_iters`` counts edge-variable updates; a finished run holds
-    max_iters + 1 per-agent snapshots (the initial one plus one per update).
+    ``max_iters`` counts edge-variable updates; a finished run records
+    max_iters + 1 rounds (the initial one plus one per update).
     ``lambda_init`` maps directed edges (i, j) to starting values; omitted
     edges start at zero.  ``enable_early_stop`` turns on the early-stop
     rule, whose tolerances are the module's ``_STOP_*`` constants;

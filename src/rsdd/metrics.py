@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_sim import (_CONSISTENCY_TOL, RunTrace, message_stats,
-                          stack_snapshots)
+from .network_sim import _CONSISTENCY_TOL, RunTrace, message_stats
 from .oracle import OracleResult
 from .problem_model import agent_total, agent_values, problem_from_dict
 
@@ -52,8 +51,8 @@ def compute_metrics(trace: RunTrace,
     """One IterationMetrics per snapshot; pure function of its inputs.
 
     Every column is computed over the whole trace at once, from the arrays
-    of ``stack_snapshots`` and ``agent_values``; the rows equal, bit for
-    bit, what evaluating each snapshot on its own gives.
+    of ``trace.snapshots`` and ``agent_values``; the rows equal, bit for
+    bit, what evaluating each round on its own gives.
 
     Raises ValueError when the oracle and trace hashes disagree, and
     AssertionError, naming the first snapshot at fault, if the telescoping
@@ -72,7 +71,8 @@ def compute_metrics(trace: RunTrace,
         warnings.warn("optimal cost is zero; reporting absolute cost error",
                       stacklevel=2)
     graph = trace.graph
-    ts, xs, rho, mu, lam = stack_snapshots(trace)
+    snaps = trace.snapshots
+    ts, xs, rho, mu, lam = snaps.t, snaps.x, snaps.rho, snaps.mu, snaps.lam
 
     consistency = np.abs(graph.telescoping_sum(lam)).max(axis=1)
     broken = np.flatnonzero(consistency > _CONSISTENCY_TOL)

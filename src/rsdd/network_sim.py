@@ -9,10 +9,10 @@ the simulation exchanges exactly what a real transport would.
 
 Edge variables form one ``(2E, S)`` array with a row per entry of
 ``Graph.directed_edges``; only :class:`Graph`'s methods combine its rows.
-The run is recorded in a :class:`RunTrace` holding one snapshot per round
-plus the initial state and any diagnostics; traces serialize to JSON and can
-be re-checked against the method's per-iteration invariants long after the
-run.
+The run is recorded in a :class:`RunTrace` holding every round, the initial
+state included, as one :class:`Snapshots` record of whole-run arrays, plus
+any diagnostics; traces serialize to JSON and can be re-checked against the
+method's per-iteration invariants long after the run.
 """
 
 from __future__ import annotations
@@ -41,6 +41,18 @@ _M_PIN_TOL = 1e-6
 _M_PIN_STREAK = 50
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a non-integral one, which int() would
+    truncate, raises a ValueError naming ``what``."""
+    try:
+        out = int(value)
+    except (OverflowError, ValueError):     # an infinity, a NaN
+        out = None
+    if out is None or out != value:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return out
+
+
 @dataclass
 class Graph:
     """Undirected connected communication graph on nodes 0..n_nodes-1."""
@@ -49,11 +61,12 @@ class Graph:
     edges: list[tuple[int, int]]
 
     def __post_init__(self):
+        self.n_nodes = _integer(self.n_nodes, "node count")
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
         norm = set()
         for i, j in self.edges:
-            i, j = int(i), int(j)
+            i, j = _integer(i, "node id"), _integer(j, "node id")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
@@ -174,16 +187,32 @@ def build_graph(topology: str, n_nodes: int, p: float | None = None,
 
 
 @dataclass
-class Snapshot:
-    """Network state at round t: local solutions solved at the edge
-    variables lam, which are the values in force during that solve.
-    ``lam`` has one row per entry of the graph's ``directed_edges``."""
+class Snapshots:
+    """Every round of a run as whole-run arrays; ``len()`` gives the round
+    count T.  Row k is round t[k], solved at the edge variables lam[k] then
+    in force.  t is (T,); x (T, sum_i dim_i), each row holding x_1, ..., x_N
+    side by side as ``agent_values`` takes them; rho (T, N); mu (T, N, S);
+    lam (T, 2E, S), one row per entry of the graph's ``directed_edges``."""
 
-    t: int
-    x: list[np.ndarray]
+    t: np.ndarray
+    x: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
+
+
+def _stack(rounds: list[tuple], graph: Graph, dims: list[int], s_dim: int) -> Snapshots:
+    """Per-round (t, [x_1, ..., x_N], rho, mu, lam) stacked, the x_i side by
+    side; the graph and widths shape the arrays of a run without rounds."""
+    n, n_nodes = len(rounds), graph.n_nodes
+    t, x, rho, mu, lam = zip(*rounds) if rounds else ((),) * 5
+    flat = np.concatenate([np.empty(0)] + [v for row in x for v in row])
+    return Snapshots(np.array(t, dtype=int), flat.reshape(n, sum(dims)),
+                     np.reshape(rho, (n, n_nodes)), np.reshape(mu, (n, n_nodes, s_dim)),
+                     np.reshape(lam, (n, len(graph.directed_edges), s_dim)))
 
 
 @dataclass
@@ -192,7 +221,7 @@ class RunTrace:
     problem_hash: str
     graph: Graph
     config: dict
-    snapshots: list[Snapshot]
+    snapshots: Snapshots
     status: str  # max-iters | tolerance-met | solver-error
     iterations: int
     warnings: list[str] = field(default_factory=list)
@@ -220,9 +249,10 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
     """Execute the distributed method and record everything.
 
     Round t solves every agent's relaxed local problem at the current edge
-    variables lambda(t), records the snapshot (x, rho, mu, lambda(t)), then
-    updates each directed edge with step size gamma_t.  ``config.max_iters``
-    counts updates, so a completed run holds max_iters + 1 snapshots.
+    variables lambda(t), records (x, rho, mu, lambda(t)), then updates each
+    directed edge with step size gamma_t.  ``config.max_iters`` counts
+    updates, so a completed run records max_iters + 1 rounds; the trace
+    stacks them into one :class:`Snapshots`.
 
     Early stop (when enabled) triggers once max coupling violation and the
     sum of relaxation levels are within tolerance and the cost has been flat
@@ -264,7 +294,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
             lam[index[e]] = v
 
     pool = LocalSolverPool(problem, config.M)
-    snapshots: list[Snapshot] = []
+    recorded: list[tuple] = []
     warnings_log: list[str] = []
     costs: list[float] = []
     pin_streak = 0
@@ -276,8 +306,8 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
         doc = problem_to_dict(problem)
         return RunTrace(problem=doc, problem_hash=problem_dict_hash(doc),
                         graph=graph, config=config.to_dict(),
-                        snapshots=snapshots, status=final_status,
-                        iterations=rounds, warnings=warnings_log)
+                        snapshots=_stack(recorded, graph, [a.dim for a in problem.agents], s_dim),
+                        status=final_status, iterations=rounds, warnings=warnings_log)
 
     while True:
         try:
@@ -287,8 +317,7 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
                 f"local solver failed at iteration {t}: {exc}",
                 make_trace("solver-error", t)) from exc
 
-        # edge_step returns a new array, so the snapshot may keep lam itself.
-        snapshots.append(Snapshot(t=t, x=xs, rho=rho, mu=mu, lam=lam))
+        recorded.append((t, xs, rho, mu, lam))
         if config.enable_early_stop:
             costs.append(problem.total_cost(xs) + config.M * float(rho.sum()))
 
@@ -332,31 +361,10 @@ def message_stats(trace: RunTrace) -> MessageStats:
                         bytes_total=total * 8 * s_dim)
 
 
-def stack_snapshots(trace: RunTrace) -> tuple[np.ndarray, ...]:
-    """A trace's snapshots as whole-trace arrays ``(t, x, rho, mu, lam)``.
-
-    With T snapshots: t has shape (T,); x has shape (T, sum_i dim_i), row t
-    holding x_1, ..., x_N side by side as ``agent_values`` takes them; rho
-    (T, N); mu (T, N, S); lam (T, 2E, S).  Snapshot shapes are those the
-    embedded problem and graph give (``trace_from_dict`` checks them).
-    """
-    snaps = trace.snapshots
-    n_snaps, n_nodes = len(snaps), trace.graph.n_nodes
-    s_dim = int(trace.problem["coupling_dim"])
-    x_dim = sum(int(a["dim"]) for a in trace.problem["agents"])
-    xs = [x for snap in snaps for x in snap.x]
-    return (np.array([snap.t for snap in snaps], dtype=int),
-            (np.concatenate(xs) if xs else np.empty(0)).reshape(n_snaps, x_dim),
-            np.array([snap.rho for snap in snaps]).reshape(n_snaps, n_nodes),
-            np.array([snap.mu for snap in snaps]).reshape(n_snaps, n_nodes, s_dim),
-            np.array([snap.lam for snap in snaps]).reshape(
-                n_snaps, len(trace.graph.directed_edges), s_dim))
-
-
 def check_trace_invariants(trace: RunTrace) -> list[str]:
     """Re-derive the method's per-iteration guarantees from a recorded trace.
 
-    Checks, for every snapshot: aggregate relaxed feasibility
+    Checks, for every round: aggregate relaxed feasibility
     sum_i g_i(x_i) <= (sum_i rho_i) * 1 within 1e-6; the telescoping edge
     identity sum_ij (lambda_ij - lambda_ji) = 0 within 1e-9; the multiplier
     cap mu_i . 1 <= M + 1e-8; and the bounded disagreement
@@ -367,9 +375,12 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     single-edge edit).  Also checks the bookkeeping: the snapshot count,
     that snapshot k records t = k, and that every update has a step size
     in the schedule (an update without one is reported and not replayed).
+    A trace holding a non-finite x, rho, mu or lambda entry gets the
+    bookkeeping findings and one naming the first such round and its
+    fields, and is not evaluated further.
 
     Every check runs over the whole trace at once.  Findings come in a
-    fixed order: the bookkeeping; then per snapshot the feasibility,
+    fixed order: the bookkeeping; then per round the feasibility,
     consistency, cap and per-edge spread findings; then the replay.
     Returns human-readable findings; an empty list means the trace is clean.
     """
@@ -378,7 +389,8 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
     graph = trace.graph
     m_price = float(trace.config["M"])
     s_dim = problem.coupling_dim
-    ts, xs, rho, mu, lam = stack_snapshots(trace)
+    snaps = trace.snapshots
+    ts, xs, rho, mu, lam = snaps.t, snaps.x, snaps.rho, snaps.mu, snaps.lam
     n_snaps = ts.size
     if n_snaps != trace.iterations + 1 and trace.status != "solver-error":
         findings.append(
@@ -386,6 +398,16 @@ def check_trace_invariants(trace: RunTrace) -> list[str]:
             f"iterations+1 = {trace.iterations + 1}")
     for k in np.flatnonzero(ts != np.arange(n_snaps)).tolist():
         findings.append(f"snapshot {k} records t = {ts[k]}")
+    # A NaN passes every `value > tol` test below, and an infinity makes
+    # the arithmetic warn, so neither is evaluated.
+    finite = {name: np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+              for name, v in (("x", xs), ("rho", rho), ("mu", mu), ("lambda", lam))}
+    bad = np.flatnonzero(~np.logical_and.reduce(list(finite.values())))
+    if bad.size:
+        k = bad[0]
+        fields = ", ".join(name for name, ok in finite.items() if not ok[k])
+        findings.append(f"iteration {ts[k]}: non-finite entries in {fields}")
+        return findings
 
     slack = (agent_total(agent_values(problem, xs)[0])
              - rho.sum(axis=1)[:, None]).max(axis=1)
@@ -447,14 +469,6 @@ def _lambda_keys(graph: Graph) -> list[str]:
     return [f"{i},{j}" for i, j in graph.directed_edges]
 
 
-def _snapshot_to_dict(snap: Snapshot, keys: list[str]) -> dict:
-    return {"t": snap.t,
-            "x": [x.tolist() for x in snap.x],
-            "rho": snap.rho.tolist(),
-            "mu": snap.mu.tolist(),
-            "lambda": dict(zip(keys, snap.lam.tolist()))}
-
-
 def _shape(value) -> tuple | str:
     try:
         return np.shape(value)
@@ -489,11 +503,12 @@ def _shape_fault(doc: dict, keys: list[str], shapes: list[tuple]) -> str | None:
 
 
 def _snapshot_from_dict(doc: dict, keys: list[str],
-                        shapes: list[tuple]) -> Snapshot:
-    """``shapes`` holds each agent's x_i shape, then the shapes of rho, mu
-    and lambda; a snapshot whose arrays differ raises a ValueError naming
-    the field."""
-    t = int(doc["t"])
+                        shapes: list[tuple]) -> tuple:
+    """One snapshot document as the (t, x, rho, mu, lam) that ``_stack``
+    takes.  ``shapes`` holds each agent's x_i shape, then the shapes of rho,
+    mu and lambda; a snapshot whose arrays differ raises a ValueError
+    naming the field."""
+    t = _integer(doc["t"], "snapshot t")
     given = doc["lambda"]
     missing = [k for k in keys if k not in given]
     extra = sorted(set(given) - set(keys))
@@ -513,7 +528,7 @@ def _snapshot_from_dict(doc: dict, keys: list[str],
         fits, error = False, str(exc)
     if not fits:
         raise ValueError(f"snapshot {t}: {_shape_fault(doc, keys, shapes) or error}")
-    return Snapshot(t=t, x=x, rho=rho, mu=mu, lam=lam)
+    return t, x, rho, mu, lam
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
@@ -521,6 +536,8 @@ def trace_to_dict(trace: RunTrace) -> dict:
     dict, by far the largest part, is shared with the trace, not copied."""
     stats = message_stats(trace)
     keys = _lambda_keys(trace.graph)
+    snaps = trace.snapshots
+    bounds = np.cumsum([0] + [int(a["dim"]) for a in trace.problem["agents"]]).tolist()
     return {"format": "rsdd-trace", "version": 1,
             "problem": trace.problem, "problem_hash": trace.problem_hash,
             "graph": trace.graph.to_dict(), "config": copy.deepcopy(trace.config),
@@ -528,7 +545,12 @@ def trace_to_dict(trace: RunTrace) -> dict:
             "message_count": stats.total,
             "bytes_estimate": stats.bytes_total,
             "warnings": list(trace.warnings),
-            "snapshots": [_snapshot_to_dict(s, keys) for s in trace.snapshots]}
+            "snapshots": [
+                {"t": t, "x": [x[a:b] for a, b in zip(bounds, bounds[1:])],
+                 "rho": rho, "mu": mu, "lambda": dict(zip(keys, lam))}
+                for t, x, rho, mu, lam in zip(
+                    snaps.t.tolist(), snaps.x.tolist(), snaps.rho.tolist(),
+                    snaps.mu.tolist(), snaps.lam.tolist())]}
 
 
 def trace_from_dict(doc: dict) -> RunTrace:
@@ -540,7 +562,8 @@ def trace_from_dict(doc: dict) -> RunTrace:
     graph give (x_i of its agent's ``dim``, rho (N,), mu (N, S), each
     lambda entry (S,)); a ValueError names the snapshot's t, the field and
     the agent or edge otherwise, and so does one for a config without a
-    readable ``M`` or ``schedule``.  The trace gets a copy of the config and
+    readable ``M`` or ``schedule``, or for a non-integral node id, node
+    count, t or ``iterations``.  The trace gets a copy of the config and
     shares the problem dict, as in ``trace_to_dict``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "rsdd-trace":
@@ -551,7 +574,7 @@ def trace_from_dict(doc: dict) -> RunTrace:
             read(config[name])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"config field '{name}' is missing or malformed: {exc!r}") from exc
-    graph = Graph(n_nodes=int(doc["graph"]["n_nodes"]),
+    graph = Graph(n_nodes=doc["graph"]["n_nodes"],
                   edges=[tuple(e) for e in doc["graph"]["edges"]])
     keys = _lambda_keys(graph)
     s_dim = int(doc["problem"]["coupling_dim"])
@@ -563,10 +586,11 @@ def trace_from_dict(doc: dict) -> RunTrace:
                                      (len(keys), s_dim)]
     return RunTrace(problem=doc["problem"], problem_hash=doc["problem_hash"],
                     graph=graph, config=config, status=doc["status"],
-                    iterations=int(doc["iterations"]),
+                    iterations=_integer(doc["iterations"], "iterations"),
                     warnings=list(doc.get("warnings", [])),
-                    snapshots=[_snapshot_from_dict(s, keys, shapes)
-                               for s in doc["snapshots"]])
+                    snapshots=_stack([_snapshot_from_dict(s, keys, shapes)
+                                      for s in doc["snapshots"]],
+                                     graph, dims, s_dim))
 
 
 def save_trace(trace: RunTrace, path) -> None:

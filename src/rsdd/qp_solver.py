@@ -1123,7 +1123,7 @@ def _solve_coupled(form: CoupledForm, tol: float, max_iter: int) -> PrimalDualSo
     The predictor-corrector loop is ``_ipm``'s; only the operators differ
     (``_Coupled``), and its step length, residuals and barrier parameter
     range over the whole problem.  The certificate is computed per group
-    (``QpBatch._certify``, with the coupling rows' gradient added) and for
+    (``_Shape._certify``, with the coupling rows' gradient added) and for
     the coupling rows and v, and equals ``kkt_residuals(form.dense(), sol)``
     up to rounding.  Should the loop not converge, the dense QP is solved
     instead, with its polish and its phase-1 diagnosis of a failure.

@@ -43,18 +43,22 @@ def microgrid_run(microgrid):
     return run(microgrid, build_graph("cycle", 10), cfg)
 
 
-def total_usage(problem, snap) -> np.ndarray:
-    return np.sum([a.coupling(x) for a, x in zip(problem.agents, snap.x)],
+def agent_xs(problem, x) -> list[np.ndarray]:
+    """A trace's row of x, split into the agents' x_i."""
+    return np.split(x, np.cumsum([a.dim for a in problem.agents])[:-1])
+
+
+def total_usage(problem, x) -> np.ndarray:
+    return np.sum([a.coupling(xi) for a, xi in zip(problem.agents, agent_xs(problem, x))],
                   axis=0)
 
 
 def test_criterion_1_demo_reaches_optimum(demo_run):
     problem, trace, elapsed = demo_run
     assert trace.iterations <= 5000
-    last = trace.snapshots[-1]
-    cost = sum(a.cost(x) for a, x in zip(problem.agents, last.x))
+    x = trace.snapshots.x[-1]
+    cost = sum(a.cost(xi) for a, xi in zip(problem.agents, agent_xs(problem, x)))
     rel_err = abs(cost - 0.5) / 0.5
-    x = np.concatenate(last.x)
     x_err = np.abs(x - np.array([-0.5, 1.5])).max()
     assert rel_err <= 1e-2
     assert x_err <= 2e-2
@@ -73,9 +77,9 @@ def test_criterion_2_last_iterate_recovery():
                               schedule=harmonic_schedule(0.1, 0.6),
                               max_iters=20000)
         trace = run(problem, build_graph("path", 3), cfg)
-        last = trace.snapshots[-1]
+        last = trace.snapshots.x[-1]
         viol = float(total_usage(problem, last).max())
-        cost = sum(a.cost(x) for a, x in zip(problem.agents, last.x))
+        cost = sum(a.cost(x) for a, x in zip(problem.agents, agent_xs(problem, last)))
         rel = abs(cost - oracle.f_star) / abs(oracle.f_star)
         assert viol <= 1e-3, f"seed {seed}: violation {viol:.3e}"
         assert rel <= 0.02, f"seed {seed}: relative cost error {rel:.3e}"
@@ -88,9 +92,9 @@ def test_criterion_2_last_iterate_recovery():
 def test_criterion_3_microgrid_relaxation_vanishes(microgrid, microgrid_run):
     trace = microgrid_run
     assert trace.iterations == 5000
-    rho_100 = float(np.sum(trace.snapshots[100].rho))
-    rho_5000 = float(np.sum(trace.snapshots[5000].rho))
-    viol = float(total_usage(microgrid, trace.snapshots[5000]).max())
+    rho_100 = float(np.sum(trace.snapshots.rho[100]))
+    rho_5000 = float(np.sum(trace.snapshots.rho[5000]))
+    viol = float(total_usage(microgrid, trace.snapshots.x[5000]).max())
     assert rho_5000 <= rho_100 / 10.0
     assert viol <= 1e-2
     print(f"criterion 3 PASS: sum rho {rho_100:.3e} -> {rho_5000:.3e} "
@@ -113,19 +117,20 @@ def test_criterion_4_per_iteration_invariants(demo_run, microgrid,
         s_dim = problem.coupling_dim
         pair_cap = 2.0 * m_price * np.sqrt(s_dim)
         edges = trace.graph.directed_edges
-        for snap in trace.snapshots:
-            total_g = total_usage(problem, snap)
-            slack_bound = float(np.sum(snap.rho)) + 1e-6
+        snaps = trace.snapshots
+        for x, rho, mus, lam in zip(snaps.x, snaps.rho, snaps.mu, snaps.lam):
+            total_g = total_usage(problem, x)
+            slack_bound = float(np.sum(rho)) + 1e-6
             assert (total_g <= slack_bound).all()
             net = np.zeros(s_dim)
             for k, (i, j) in enumerate(edges):
-                net += snap.lam[k] - snap.lam[edges.index((j, i))]
+                net += lam[k] - lam[edges.index((j, i))]
             assert np.abs(net).max() <= 1e-9
-            for mu in snap.mu:
+            for mu in mus:
                 assert mu.sum() <= m_price + 1e-8
                 assert (mu >= -1e-9).all()
             for i, j in {tuple(sorted(k)) for k in edges}:
-                gap = np.linalg.norm(snap.mu[i] - snap.mu[j])
+                gap = np.linalg.norm(mus[i] - mus[j])
                 assert gap <= pair_cap
             checked += 1
     print(f"criterion 4 PASS: aggregate feasibility, edge-variable balance, "

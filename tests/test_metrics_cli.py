@@ -140,9 +140,11 @@ class TestComputeMetrics:
         # objectives eta_i at the round's edge variables.
         problem = problem_from_dict(demo_trace.problem)
         rows = compute_metrics(demo_trace, demo_oracle)
-        for snap, row in zip(demo_trace.snapshots, rows):
-            total = sum(a.cost(x) + 10.0 * float(r)
-                        for a, x, r in zip(problem.agents, snap.x, snap.rho))
+        snaps = demo_trace.snapshots
+        for x, rho, row in zip(snaps.x, snaps.rho, rows):
+            # The demo's agents are one-dimensional: x_i is entry i.
+            total = sum(a.cost(x[i:i + 1]) + 10.0 * float(r)
+                        for i, (a, r) in enumerate(zip(problem.agents, rho)))
             assert total == pytest.approx(row.cost, abs=1e-9)
 
     def test_feasible_rows_never_beat_f_star(self, demo_converged_trace,
@@ -317,14 +319,22 @@ class TestCli:
         assert err["error"] == "invalid-input"
         assert "snapshot 7" in err["message"]
 
-    @pytest.mark.parametrize("edit, named", [
-        (lambda snap: snap["x"][1].extend([0.0, 0.0]), "x of agent 1"),
-        (lambda snap: snap["rho"].append(0.0), "rho"),
-        (lambda snap: snap["mu"][0].append(0.0), "mu of agent 0"),
-        (lambda snap: snap["lambda"]["1,0"].append(0.0), "lambda[1,0]"),
-    ], ids=["x", "rho", "mu", "lambda"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda snap: snap["x"][1].extend([0.0, 0.0]),
+         "x of agent 1 has shape (3,), expected (1,)"),
+        (lambda snap: snap["rho"].append(0.0),
+         "rho has shape (3,), expected (2,), one entry per agent"),
+        (lambda snap: snap["mu"][0].append(0.0),
+         "mu of agent 0 has shape (2,), expected (1,)"),
+        (lambda snap: snap["lambda"]["1,0"].append(0.0),
+         "lambda[1,0] has shape (2,), expected (1,)"),
+        (lambda snap: snap["x"].append([0.0]), "x holds 3 vectors for 2 agents"),
+        (lambda snap: snap["mu"].pop(), "mu holds 1 rows for 2 agents"),
+        (lambda snap: snap["x"].__setitem__(0, [[0.0], 0.0]),
+         "x of agent 0 has shape (ragged), expected (1,)"),
+    ], ids=["x", "rho", "mu", "lambda", "x-count", "mu-count", "ragged"])
     def test_check_snapshot_shapes(self, demo_trace, tmp_path, capsys, edit,
-                                   named):
+                                   message):
         # Snapshot arrays must have the shapes the embedded problem and graph
         # give: a 3-entry x_i of a 1-dimensional agent is rejected on load.
         path = tmp_path / "trace.json"
@@ -339,7 +349,59 @@ class TestCli:
         assert code == 1
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "invalid-input"
-        assert err["message"].startswith(f"snapshot 7: {named} has shape")
+        assert err["message"] == f"snapshot 7: {message}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field, edit", [
+        ("x", lambda snap, v: snap["x"][1].__setitem__(0, v)),
+        ("rho", lambda snap, v: snap["rho"].__setitem__(0, v)),
+        ("mu", lambda snap, v: snap["mu"][1].__setitem__(0, v)),
+        ("lambda", lambda snap, v: snap["lambda"]["0,1"].__setitem__(0, v)),
+    ], ids=["x", "rho", "mu", "lambda"])
+    def test_check_non_finite_entry(self, demo_trace, tmp_path, capsys, field,
+                                    edit, value):
+        # A NaN passes every `value > tol` comparison, so it is reported on
+        # its own, before anything is evaluated at it.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc["snapshots"][5], value)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            f"iteration 5: non-finite entries in {field}"]
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "invariant"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(graph={"n_nodes": 2.6, "edges": [[0, 1.9]]}),
+         "node count must be an integer, not 2.6"),
+        (lambda doc: doc["graph"].update(edges=[[0, 1.9]]),
+         "node id must be an integer, not 1.9"),
+        (lambda doc: doc["snapshots"][3].update(t=3.5),
+         "snapshot t must be an integer, not 3.5"),
+        (lambda doc: doc.update(iterations=120.5),
+         "iterations must be an integer, not 120.5"),
+    ], ids=["n_nodes", "edge", "t", "iterations"])
+    def test_check_non_integral_counts(self, demo_trace, tmp_path, capsys,
+                                       edit, message):
+        # int() would truncate these and the trace would pass its checks.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+            "error": "invalid-input", "message": message}
 
     @pytest.mark.parametrize("edit, named", [
         (lambda config: config.pop("M"), "'M'"),

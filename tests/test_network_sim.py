@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from rsdd.core import (AlgorithmConfig, LocalSolverPool, explicit_schedule,
                        harmonic_schedule)
-from rsdd.network_sim import (Graph, SimulationError, build_graph,
+from rsdd.network_sim import (Graph, SimulationError, Snapshots, build_graph,
                               check_trace_invariants, load_trace,
                               message_stats, run, save_trace, trace_from_dict,
                               trace_to_dict)
@@ -126,6 +126,18 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="not connected"):
             Graph(n_nodes=4, edges=[(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("n_nodes, edges, message", [
+        (3, [(0, 1.5), (1, 2)], "node id must be an integer, not 1.5"),
+        (2.6, [(0, 1)], "node count must be an integer, not 2.6"),
+        (float("inf"), [(0, 1)], "node count must be an integer, not inf"),
+    ], ids=["node-id", "node-count", "infinite-count"])
+    def test_non_integral_node_rejected(self, n_nodes, edges, message):
+        # int() would truncate 1.5 to 1 and keep the edge (0, 1).
+        with pytest.raises(ValueError) as info:
+            Graph(n_nodes=n_nodes, edges=edges)
+        assert str(info.value) == message
+        assert Graph(n_nodes=3.0, edges=[(0, 1.0), (1, 2)]).edges == [(0, 1), (1, 2)]
+
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -208,8 +220,8 @@ class TestRun:
         # Sum over directed edges of (lambda_ij - lambda_ji) vanishes
         # identically, whatever the values are.
         edges = demo_trace.graph.directed_edges
-        for snap in demo_trace.snapshots:
-            net = sum(snap.lam[k] - snap.lam[edges.index((j, i))]
+        for lam in demo_trace.snapshots.lam:
+            net = sum(lam[k] - lam[edges.index((j, i))]
                       for k, (i, j) in enumerate(edges))
             assert np.abs(net).max() <= 1e-9
 
@@ -217,8 +229,7 @@ class TestRun:
         trace = demo_converged_trace
         assert trace.status == "tolerance-met"
         assert trace.iterations < 5000
-        last = trace.snapshots[-1]
-        x = np.concatenate(last.x)
+        x = trace.snapshots.x[-1]
         assert np.abs(x - np.concatenate(demo_oracle.xs)).max() <= 1e-2
 
     def test_zero_steps_freeze_everything(self, demo):
@@ -226,15 +237,14 @@ class TestRun:
         cfg = short_config(schedule=explicit_schedule(gammas), max_iters=5)
         with pytest.warns(UserWarning, match="unchecked"):
             trace = run(demo, build_graph("path", 2), cfg)
-        first = trace.snapshots[0]
-        for snap in trace.snapshots:
-            for v in snap.lam:
+        snaps = trace.snapshots
+        for x, mu, lam in zip(snaps.x, snaps.mu, snaps.lam):
+            for v in lam:
                 assert np.all(v == 0.0)
             # Identical QPs each round; only warm-start jitter at the demo's
             # weakly active optimum separates the re-solves.
-            for xa, xb in zip(snap.x, first.x):
-                assert np.abs(xa - xb).max() <= 1e-4
-            assert np.abs(snap.mu - first.mu).max() <= 1e-5
+            assert np.abs(x - snaps.x[0]).max() <= 1e-4
+            assert np.abs(mu - snaps.mu[0]).max() <= 1e-5
 
     def test_short_explicit_schedule_rejected_up_front(self, demo):
         # Ten updates need ten step sizes; three are refused before round 0
@@ -277,12 +287,12 @@ class TestRun:
                            max_iters=3)
         trace = run(demo, build_graph("path", 2), cfg)
         edges = trace.graph.directed_edges
-        snap0 = trace.snapshots[0]
-        assert snap0.lam[edges.index((0, 1))][0] == 2.0
-        assert snap0.lam[edges.index((1, 0))][0] == 0.0
+        lam0 = trace.snapshots.lam[0]
+        assert lam0[edges.index((0, 1))][0] == 2.0
+        assert lam0[edges.index((1, 0))][0] == 0.0
         # The telescoping identity holds even for asymmetric starts.
-        for snap in trace.snapshots:
-            net = sum(snap.lam[k] - snap.lam[edges.index((j, i))]
+        for lam in trace.snapshots.lam:
+            net = sum(lam[k] - lam[edges.index((j, i))]
                       for k, (i, j) in enumerate(edges))
             assert np.abs(net).max() <= 1e-9
 
@@ -307,7 +317,7 @@ class TestRun:
         trace = info.value.trace
         assert trace.status == "solver-error"
         assert trace.iterations == 0
-        assert trace.snapshots == []
+        assert len(trace.snapshots) == 0
 
     def test_solver_failure_names_the_agent(self, microgrid, monkeypatch):
         # The microgrid's 10 agents have 4 shapes and are one batch, whose
@@ -389,10 +399,10 @@ class TestDeterminism:
         g = build_graph("cycle", 3)
         t1 = run(problem, g, cfg)
         t2 = run(problem, g, cfg)
-        for s1, s2 in zip(t1.snapshots, t2.snapshots):
-            assert all(np.array_equal(a, b) for a, b in zip(s1.x, s2.x))
-            assert np.array_equal(s1.mu, s2.mu)
-            assert np.array_equal(s1.rho, s2.rho)
+        s1, s2 = t1.snapshots, t2.snapshots
+        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(s1.mu, s2.mu)
+        assert np.array_equal(s1.rho, s2.rho)
 
 
 class TestTraceChecks:
@@ -405,28 +415,30 @@ class TestTraceChecks:
     def test_tampered_lambda_detected(self, demo_trace):
         trace = trace_from_dict(trace_to_dict(demo_trace))
         k = trace.graph.directed_edges.index((0, 1))
-        trace.snapshots[7].lam[k] = trace.snapshots[7].lam[k] + 5.0
+        trace.snapshots.lam[7, k] += 5.0
         findings = check_trace_invariants(trace)
         assert any("iteration 7" in f and "lambda consistency" in f
                    for f in findings)
 
     def test_tampered_mu_detected(self, demo_trace):
         trace = trace_from_dict(trace_to_dict(demo_trace))
-        trace.snapshots[3].mu[0, 0] = 10.0 + 1.0
+        trace.snapshots.mu[3, 0, 0] = 10.0 + 1.0
         findings = check_trace_invariants(trace)
         assert any("iteration 3" in f and "multiplier cap" in f
                    for f in findings)
 
     def test_tampered_x_detected(self, demo_trace):
         trace = trace_from_dict(trace_to_dict(demo_trace))
-        trace.snapshots[5].x[0] = trace.snapshots[5].x[0] + 50.0
+        trace.snapshots.x[5, 0] += 50.0     # agent 0, one-dimensional
         findings = check_trace_invariants(trace)
         assert any("iteration 5" in f and "feasibility" in f
                    for f in findings)
 
     def test_snapshot_bookkeeping_detected(self, demo_trace):
         trace = trace_from_dict(trace_to_dict(demo_trace))
-        trace.snapshots.pop()
+        snaps = trace.snapshots
+        trace.snapshots = Snapshots(snaps.t[:-1], snaps.x[:-1], snaps.rho[:-1],
+                                    snaps.mu[:-1], snaps.lam[:-1])
         findings = check_trace_invariants(trace)
         assert any("snapshot count" in f for f in findings)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,58 @@ class TestValidation:
             [rich_agent(), rich_agent()], 1,
             slater_point=[np.full(2, 0.25), np.array([np.nan, 0.25])]))
         assert report.findings == ["slater_point component 1 is not finite"]
+
+
+def _box(lb, ub) -> AgentProblem:
+    agent = rich_agent()
+    agent.local_set = replace(agent.local_set, lb=lb, ub=ub)
+    return agent
+
+
+_SLATER_OK = np.full(2, 0.25)
+
+
+@pytest.mark.parametrize("problem, finding", [
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(Q=[[1.0, 0.0, 0.0]])], 1),
+     "agent 1: cost_quadratic is not 2x2"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(c=[0.0])], 1),
+     "agent 1: cost_linear has wrong length"),
+    (ConstraintCoupledProblem([rich_agent(), _box(np.zeros(3), np.ones(2))], 1),
+     "agent 1: box bounds have wrong length"),
+    (ConstraintCoupledProblem([rich_agent(), _box([0.0, 2.0], [1.0, 1.0])], 1),
+     "agent 1: empty box (lb > ub)"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(scale=-1.0)], 1),
+     "agent 1: hinge 0 has negative scale"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(coeffs=[1.0])], 1),
+     "agent 1: hinge 0 row has wrong length"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(b_eq=[0.0, 0.0])], 1),
+     "agent 1: local equality system has inconsistent shape"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(a_in=[[1.0, 1.0, 1.0]])], 1),
+     "agent 1: local inequality system has inconsistent shape"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent(vec=[-1.0, 0.0])], 1),
+     "agent 1: coupling offset has wrong length"),
+    (ConstraintCoupledProblem([], 1), "problem has no agents"),
+    (ConstraintCoupledProblem([rich_agent()], 0), "coupling_dim must be at least 1"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent()], 1, slater_point=[_SLATER_OK]),
+     "slater_point must have one component per agent"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent()], 1,
+                              slater_point=[_SLATER_OK, np.full(3, 0.25)]),
+     "slater_point component 1 has wrong length"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent()], 1,
+                              slater_point=[_SLATER_OK, np.zeros(2)]),
+     "slater_point component 1 not strictly inside its box"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent()], 1,
+                              slater_point=[_SLATER_OK, np.array([0.25, 0.5])]),
+     "slater_point component 1 violates local equalities"),
+    (ConstraintCoupledProblem([rich_agent(), rich_agent()], 1,
+                              slater_point=[_SLATER_OK, np.full(2, 0.9)]),
+     "slater_point component 1 violates local inequalities"),
+], ids=["Q-shape", "c-length", "box-length", "empty-box", "hinge-scale",
+        "hinge-row", "eq-shape", "in-shape", "coupling-vec", "no-agents",
+        "coupling-dim", "slater-count", "slater-length", "slater-box",
+        "slater-eq", "slater-in"])
+def test_malformed_problem_finding(problem, finding):
+    assert validate_problem(problem).findings == [finding]
 
 
 class TestRandomInstances:

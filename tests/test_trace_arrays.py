@@ -17,11 +17,26 @@ import pytest
 from rsdd.core import AlgorithmConfig, harmonic_schedule, schedule_from_dict, step_size
 from rsdd.metrics import IterationMetrics, compute_metrics
 from rsdd.network_sim import (_CONSISTENCY_TOL, _FEAS_SLACK, _MU_CAP_SLACK,
-                              RunTrace, build_graph, check_trace_invariants,
-                              run, trace_from_dict, trace_to_dict)
+                              RunTrace, Snapshots, build_graph,
+                              check_trace_invariants, run, trace_from_dict,
+                              trace_to_dict)
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (build_microgrid_instance, build_random_instance,
                                 problem_from_dict, two_agent_demo)
+
+
+def rounds(trace) -> list[tuple]:
+    """Each round of ``trace`` as (t, [x_1, ..., x_N], rho, mu, lam)."""
+    snaps = trace.snapshots
+    splits = np.cumsum([int(a["dim"]) for a in trace.problem["agents"]])[:-1]
+    return [(t, np.split(x, splits), rho, mu, lam) for t, x, rho, mu, lam in zip(
+        snaps.t.tolist(), snaps.x, snaps.rho, snaps.mu, snaps.lam)]
+
+
+def head(snaps: Snapshots, n: int) -> Snapshots:
+    """The first n rounds of ``snaps``."""
+    return Snapshots(snaps.t[:n], snaps.x[:n], snaps.rho[:n], snaps.mu[:n],
+                     snaps.lam[:n])
 
 
 def reference_metrics(trace, oracle) -> list[IterationMetrics]:
@@ -31,24 +46,24 @@ def reference_metrics(trace, oracle) -> list[IterationMetrics]:
     normalize = abs(f_star) >= 1e-12
     graph = trace.graph
     out = []
-    for snap in trace.snapshots:
+    for t, xs, rho, mu, lam in rounds(trace):
         g_per_agent = np.array([agent.g(x)
-                                for agent, x in zip(problem.agents, snap.x)])
+                                for agent, x in zip(problem.agents, xs)])
         total_g = np.sum(g_per_agent, axis=0)
-        cost = problem.total_cost(snap.x) + m_price * float(snap.rho.sum())
+        cost = problem.total_cost(xs) + m_price * float(rho.sum())
         err = abs(cost - f_star) / (abs(f_star) if normalize else 1.0)
-        consistency = float(np.abs(graph.telescoping_sum(snap.lam)).max())
+        consistency = float(np.abs(graph.telescoping_sum(lam)).max())
         if consistency > _CONSISTENCY_TOL:
             raise AssertionError(
-                f"iteration {snap.t}: edge-variable consistency "
+                f"iteration {t}: edge-variable consistency "
                 f"{consistency:.3e} exceeds {_CONSISTENCY_TOL:g}")
         rest = total_g - g_per_agent
-        tracking = np.abs(graph.shifts(snap.lam) - rest).max(axis=1)
-        spread = float(np.abs(graph.edge_step(0.0, 1.0, snap.mu)).max(
+        tracking = np.abs(graph.shifts(lam) - rest).max(axis=1)
+        spread = float(np.abs(graph.edge_step(0.0, 1.0, mu)).max(
             initial=0.0))
         out.append(IterationMetrics(
-            t=snap.t, max_violation=float(total_g.max()),
-            sum_rho=float(snap.rho.sum()), cost=cost, cost_error_norm=err,
+            t=t, max_violation=float(total_g.max()),
+            sum_rho=float(rho.sum()), cost=cost, cost_error_norm=err,
             lambda_consistency=consistency, mu_spread=spread,
             tracking_error=tracking))
     return out
@@ -67,24 +82,23 @@ def reference_findings(trace) -> list[str]:
             f"iterations+1 = {trace.iterations + 1}")
     spread_cap = 2.0 * m_price * float(np.sqrt(s_dim))
     forward = [k for k, (i, j) in enumerate(graph.directed_edges) if i < j]
-    for snap in trace.snapshots:
-        t = snap.t
-        slack = problem.coupling_total(snap.x) - float(snap.rho.sum())
+    for t, xs, rho, mu, lam in rounds(trace):
+        slack = problem.coupling_total(xs) - float(rho.sum())
         if slack.max() > _FEAS_SLACK:
             findings.append(
                 f"iteration {t}: aggregate feasibility violated, "
                 f"max_s(sum g - sum rho) = {slack.max():.3e}")
-        net = graph.telescoping_sum(snap.lam)
+        net = graph.telescoping_sum(lam)
         if np.abs(net).max() > _CONSISTENCY_TOL:
             findings.append(
                 f"iteration {t}: lambda consistency violated, "
                 f"|sum (lambda_ij - lambda_ji)| = {np.abs(net).max():.3e}")
-        cap = snap.mu.sum(axis=1).max()
+        cap = mu.sum(axis=1).max()
         if cap > m_price + _MU_CAP_SLACK:
             findings.append(
                 f"iteration {t}: multiplier cap violated, "
                 f"max_i mu_i.1 = {cap:.10e} > M = {m_price:g}")
-        gaps = np.linalg.norm(graph.edge_step(0.0, 1.0, snap.mu)[forward],
+        gaps = np.linalg.norm(graph.edge_step(0.0, 1.0, mu)[forward],
                               axis=1)
         for (i, j), d in zip(graph.edges, gaps):
             if d > spread_cap + _MU_CAP_SLACK:
@@ -92,12 +106,13 @@ def reference_findings(trace) -> list[str]:
                     f"iteration {t}: multiplier spread violated on edge "
                     f"({i}, {j}): {d:.6e} > {spread_cap:.6e}")
     schedule = schedule_from_dict(trace.config["schedule"])
-    for prev, snap in zip(trace.snapshots, trace.snapshots[1:]):
-        expect = graph.edge_step(prev.lam, step_size(schedule, prev.t), prev.mu)
-        worst = float(np.abs(snap.lam - expect).max(initial=0.0))
+    snaps = rounds(trace)
+    for (t0, _, _, mu0, lam0), (t, _, _, _, lam) in zip(snaps, snaps[1:]):
+        expect = graph.edge_step(lam0, step_size(schedule, t0), mu0)
+        worst = float(np.abs(lam - expect).max(initial=0.0))
         if worst > _CONSISTENCY_TOL:
             findings.append(
-                f"iteration {snap.t}: lambda consistency violated, edge "
+                f"iteration {t}: lambda consistency violated, edge "
                 f"update replay differs by {worst:.3e}")
     return findings
 
@@ -158,32 +173,32 @@ def recorded(request):
 
 
 def _bump_lambda(trace):
-    trace.snapshots[4].lam[0] += 1e-3
-    trace.snapshots[9].lam[1] += 5.0
+    trace.snapshots.lam[4, 0] += 1e-3
+    trace.snapshots.lam[9, 1] += 5.0
 
 
 def _over_cap(trace):
-    trace.snapshots[2].mu[0] += float(trace.config["M"])
-    trace.snapshots[6].mu[-1, 0] = 1e-9 + float(trace.config["M"])
+    trace.snapshots.mu[2, 0] += float(trace.config["M"])
+    trace.snapshots.mu[6, -1, 0] = 1e-9 + float(trace.config["M"])
 
 
 def _shift_x(trace):
     # Along the last agent's first coupling row, so that row grows.
     up = 50.0 * problem_from_dict(trace.problem).agents[-1].coupling.mat[0]
     for k in (1, 5, 8):
-        trace.snapshots[k].x[-1] = trace.snapshots[k].x[-1] + up
+        trace.snapshots.x[k, -up.size:] += up
 
 
 def _spread(trace):
     # With _over_cap, snapshot 2 has cap and spread findings together.
     for k in (2, 3):
-        trace.snapshots[k].mu[1] -= 3.0 * float(trace.config["M"])
+        trace.snapshots.mu[k, 1] -= 3.0 * float(trace.config["M"])
 
 
 def _everything(trace):
     for tamper in (_bump_lambda, _over_cap, _shift_x, _spread):
         tamper(trace)
-    trace.snapshots.pop()
+    trace.snapshots = head(trace.snapshots, len(trace.snapshots) - 1)
 
 
 TAMPERINGS = {"clean": lambda trace: None, "lambda": _bump_lambda,
@@ -204,7 +219,8 @@ class TestAgainstPerSnapshotLoops:
     def test_zero_snapshot_solver_error_trace(self, recorded):
         trace, oracle = recorded
         trace = copy(trace)
-        trace.snapshots, trace.status, trace.iterations = [], "solver-error", 0
+        trace.snapshots = head(trace.snapshots, 0)
+        trace.status, trace.iterations = "solver-error", 0
         assert outcome(compute_metrics, trace, oracle) == []
         assert outcome(check_trace_invariants, trace) == []
         assert_same_as_reference(trace, oracle)
@@ -212,7 +228,7 @@ class TestAgainstPerSnapshotLoops:
     def test_one_snapshot_trace(self, recorded):
         trace, oracle = recorded
         trace = copy(trace)
-        del trace.snapshots[1:]
+        trace.snapshots = head(trace.snapshots, 1)
         trace.iterations = 0
         assert len(outcome(compute_metrics, trace, oracle)) == 1
         assert outcome(check_trace_invariants, trace) == []
