@@ -17,7 +17,7 @@ solver (:mod:`rsdd.qp_solver`), centralized reference solutions
 from .core import (AlgorithmConfig, LocalSolverPool, StepSizeSchedule,
                    explicit_schedule, harmonic_schedule, lambda_update,
                    local_step, step_size, validate_schedule)
-from .metrics import (IterationMetrics, compute_metrics, emit_run_artifact,
+from .metrics import (RunMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
 from .network_sim import (Graph, RunTrace, SimulationError, Snapshots,
                           build_graph, check_trace_invariants, load_trace,
@@ -42,10 +42,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap", "AgentProblem", "AlgorithmConfig",
     "ConstraintCoupledProblem", "Graph", "Hinge",
-    "IterationMetrics", "KktResiduals", "LocalSet", "LocalSolverPool",
-    "MicrogridConfig", "OracleResult", "PrimalDualSolution",
-    "ProblemFormatError", "QpBatch", "QpError", "QpInfeasibleError",
-    "QpNumericalError", "QpStandardForm", "RunTrace", "SimulationError",
+    "KktResiduals", "LocalSet", "LocalSolverPool", "MicrogridConfig",
+    "OracleResult", "PrimalDualSolution", "ProblemFormatError", "QpBatch",
+    "QpError", "QpInfeasibleError", "QpNumericalError", "QpStandardForm",
+    "RunMetrics", "RunTrace", "SimulationError",
     "Snapshots", "StepSizeSchedule", "ValidationReport",
     "build_graph", "build_microgrid_instance", "build_random_instance",
     "check_trace_invariants", "compute_metrics", "dual_terms",

@@ -126,14 +126,13 @@ def _cmd_run(args) -> int:
     metrics = compute_metrics(trace, oracle)
     emit_run_artifact(metrics, trace, args.out, fmt=args.format)
     stats = message_stats(trace)
-    last = metrics[-1]
     print(f"status {trace.status} after {trace.iterations} iterations")
     print(f"rows {len(metrics)} -> {args.out}")
     print(f"M {m_price:.6g}")
-    print(f"final cost {last.cost:.6g} (f_star {oracle.f_star:.6g}, "
-          f"rel err {last.cost_error_norm:.3g})")
-    print(f"final max violation {last.max_violation:.3g}, "
-          f"sum rho {last.sum_rho:.3g}")
+    print(f"final cost {metrics.cost[-1]:.6g} (f_star {oracle.f_star:.6g}, "
+          f"rel err {metrics.cost_error_norm[-1]:.3g})")
+    print(f"final max violation {metrics.max_violation[-1]:.3g}, "
+          f"sum rho {metrics.sum_rho[-1]:.3g}")
     print(f"messages {stats.total} ({stats.per_round} per round, "
           f"{stats.bytes_total} bytes)")
     for w in trace.warnings:
@@ -184,12 +183,11 @@ def _cmd_demo(args) -> int:
                              max_iters=args.iters - 1, enable_early_stop=False)
     trace = _run_traced(problem, build_graph("path", 2), config, args.trace)
     metrics = compute_metrics(trace, res)
-    last = metrics[-1]
     x = trace.snapshots.x[-1]
     print(f"after {trace.iterations} iterations: "
           f"x = ({x[0]:.6f}, {x[1]:.6f})")
-    print(f"cost {last.cost:.6f}, rel err {last.cost_error_norm:.2e}, "
-          f"max violation {last.max_violation:.2e}")
+    print(f"cost {metrics.cost[-1]:.6f}, rel err {metrics.cost_error_norm[-1]:.2e}, "
+          f"max violation {metrics.max_violation[-1]:.2e}")
     if args.out:
         emit_run_artifact(metrics, trace, args.out, fmt=args.format)
         print(f"rows {len(metrics)} -> {args.out}")

@@ -1,10 +1,11 @@
-"""Per-iteration metrics of a recorded run and the run-artifact files.
+"""Per-round metrics of a recorded run and the run-artifact files.
 
 The metric set mirrors what one plots to judge the method: worst coupling
 violation, total relaxation, cost against the centralized optimum, each
 agent's tracking of the rest of the network's constraint usage, and the
-disagreement between neighboring multipliers.  Artifacts are flat CSV
-(12 significant digits) or JSON (bit-exact round trip).
+disagreement between neighboring multipliers, as one :class:`RunMetrics`
+record of whole-run columns.  Artifacts are flat CSV (12 significant
+digits) or JSON (bit-exact round trip).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,39 +21,40 @@ from .network_sim import _CONSISTENCY_TOL, RunTrace, message_stats
 from .oracle import OracleResult
 from .problem_model import agent_total, agent_values, problem_from_dict
 
-_BASE_COLUMNS = ["t", "max_violation", "sum_rho", "cost", "cost_error_norm",
-                 "lambda_consistency", "mu_spread"]
-
 
 @dataclass
-class IterationMetrics:
-    """One row of the run artifact.
+class RunMetrics:
+    """Every round's metrics as whole-run columns, row k for round t[k];
+    ``len()`` gives T.  The field order is the artifact's column order.  t
+    is (T,) int, tracking_error (T, N) and every other field (T,).
 
     ``max_violation`` is the signed worst component of sum_i g_i(x_i), so a
     strictly feasible iterate shows a negative value.  ``cost`` includes the
-    relaxation charge M * sum_i rho_i.  ``tracking_error[i]`` is the
+    relaxation charge M * sum_i rho_i.  ``tracking_error[:, i]`` is the
     infinity-norm gap between agent i's edge-variable aggregate and the
     constraint usage of everyone else, the quantity the edge variables are
     supposed to track.
     """
 
-    t: int
-    max_violation: float
-    sum_rho: float
-    cost: float
-    cost_error_norm: float
-    lambda_consistency: float
-    mu_spread: float
+    t: np.ndarray
+    max_violation: np.ndarray
+    sum_rho: np.ndarray
+    cost: np.ndarray
+    cost_error_norm: np.ndarray
+    lambda_consistency: np.ndarray
+    mu_spread: np.ndarray
     tracking_error: np.ndarray
 
+    def __len__(self) -> int:
+        return self.t.size
 
-def compute_metrics(trace: RunTrace,
-                    oracle: OracleResult) -> list[IterationMetrics]:
-    """One IterationMetrics per snapshot; pure function of its inputs.
+
+def compute_metrics(trace: RunTrace, oracle: OracleResult) -> RunMetrics:
+    """The RunMetrics of every snapshot; pure function of its inputs.
 
     Every column is computed over the whole trace at once, from the arrays
-    of ``trace.snapshots`` and ``agent_values``; the rows equal, bit for
-    bit, what evaluating each round on its own gives.
+    of ``trace.snapshots`` and ``agent_values``; row k equals, bit for bit,
+    what evaluating round k on its own gives.
 
     Raises ValueError when the oracle and trace hashes disagree, and
     AssertionError, naming the first snapshot at fault, if the telescoping
@@ -92,27 +94,21 @@ def compute_metrics(trace: RunTrace,
     rest = total_g[:, None, :] - g
     tracking = np.abs(graph.shifts(lam) - rest).max(axis=2)
     spread = np.abs(graph.edge_step(0.0, 1.0, mu)).max(axis=(1, 2), initial=0.0)
-    return [IterationMetrics(
-        t=t, max_violation=v, sum_rho=r, cost=c, cost_error_norm=e,
-        lambda_consistency=lc, mu_spread=sp, tracking_error=tr)
-        for t, v, r, c, e, lc, sp, tr in zip(
-            ts.tolist(), total_g.max(axis=1).tolist(), sum_rho.tolist(),
-            cost.tolist(), err.tolist(), consistency.tolist(),
-            spread.tolist(), tracking)]
+    return RunMetrics(ts.copy(), total_g.max(axis=1), sum_rho, cost, err,
+                      consistency, spread, tracking)
 
 
-def _columns(n_agents: int) -> list[str]:
-    return _BASE_COLUMNS + [f"tracking_error_{i + 1}" for i in range(n_agents)]
+def _header(n_agents: int) -> list[str]:
+    """The artifact's columns: RunMetrics' fields in order, the last one
+    numbered 1..n_agents, one column per agent."""
+    *names, per_agent = (f.name for f in fields(RunMetrics))
+    return names + [f"{per_agent}_{i + 1}" for i in range(n_agents)]
 
 
-def _row_values(m: IterationMetrics) -> list[float]:
-    return [m.max_violation, m.sum_rho, m.cost, m.cost_error_norm,
-            m.lambda_consistency, m.mu_spread, *m.tracking_error.tolist()]
-
-
-def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
+def emit_run_artifact(metrics: RunMetrics, trace: RunTrace,
                       path, fmt: str | None = None) -> None:
-    """Write the metric rows to ``path`` as CSV or JSON.
+    """Write the metrics to ``path`` as CSV or JSON, one row per round with
+    the columns in RunMetrics' field order.
 
     ``fmt`` defaults from the file suffix (.json selects JSON).  CSV rows
     carry 12 significant digits; the JSON artifact also embeds run metadata
@@ -121,13 +117,14 @@ def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
     path = str(path)
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
-    cols = _columns(trace.graph.n_nodes)
+    cols = _header(trace.graph.n_nodes)
+    rows = zip(metrics.t.tolist(), np.column_stack(
+        [getattr(metrics, f.name) for f in fields(RunMetrics)[1:]]).tolist())
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
-            for m in metrics:
-                writer.writerow([m.t] + [f"{v:.12g}" for v in _row_values(m)])
+            writer.writerows([t] + [f"{v:.12g}" for v in row] for t, row in rows)
     elif fmt == "json":
         stats = message_stats(trace)
         doc = {"format": "rsdd-run-artifact", "version": 1,
@@ -136,15 +133,18 @@ def emit_run_artifact(metrics: list[IterationMetrics], trace: RunTrace,
                "message_count": stats.total,
                "bytes_estimate": stats.bytes_total,
                "columns": cols,
-               "rows": [[m.t] + _row_values(m) for m in metrics]}
+               "rows": [[t] + row for t, row in rows]}
         with open(path, "w") as fh:
             fh.write(json.dumps(doc))  # the C encoder, as in save_trace
     else:
         raise ValueError(f"unknown artifact format '{fmt}'")
 
 
-def load_run_artifact(path) -> list[IterationMetrics]:
-    """Read back an artifact written by emit_run_artifact."""
+def load_run_artifact(path) -> RunMetrics:
+    """Read back an artifact written by emit_run_artifact.  N follows from
+    the header (CSV) or ``columns`` (JSON), so a file without rows gives a
+    (0, N) tracking_error.  A row with more or fewer values than columns
+    raises a ValueError naming it."""
     path = str(path)
     with open(path) as fh:
         head = fh.read(1)
@@ -153,14 +153,18 @@ def load_run_artifact(path) -> list[IterationMetrics]:
             doc = json.load(fh)
             if doc.get("format") != "rsdd-run-artifact":
                 raise ValueError("not a run artifact document")
-            rows = doc["rows"]
+            kind, cols, rows = "document", doc["columns"], doc["rows"]
         else:
             reader = csv.reader(fh)
-            header = next(reader, [])  # an empty file has no header
-            if header[:7] != _BASE_COLUMNS:
-                raise ValueError("not a run artifact CSV")
-            rows = [[float(v) for v in row] for row in reader]
-    return [IterationMetrics(
-        t=int(r[0]), max_violation=r[1], sum_rho=r[2], cost=r[3],
-        cost_error_norm=r[4], lambda_consistency=r[5], mu_spread=r[6],
-        tracking_error=np.asarray(r[7:], dtype=float)) for r in rows]
+            cols = next(reader, [])  # an empty file has no header
+            kind, rows = "CSV", [[float(v) for v in row] for row in reader]
+    names = _header(0)
+    if cols[:len(names)] != names:
+        raise ValueError(f"not a run artifact {kind}")
+    for i, row in enumerate(rows):
+        if len(row) != len(cols):
+            raise ValueError(f"artifact row {i} has {len(row)} values "
+                             f"for {len(cols)} columns")
+    table = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    k = len(names)
+    return RunMetrics(table[:, 0].astype(int), *table[:, 1:k].T, table[:, k:])

@@ -29,7 +29,7 @@ from .core import (_STOP_COST_CHANGE, _STOP_SUM_RHO, _STOP_VIOLATION,
                    _STOP_WINDOW, AlgorithmConfig, LocalSolverPool,
                    lambda_update, schedule_from_dict, step_size,
                    validate_schedule)
-from .problem_model import (ConstraintCoupledProblem, agent_total,
+from .problem_model import (ConstraintCoupledProblem, _integer, agent_total,
                             agent_values, problem_dict_hash,
                             problem_from_dict, problem_to_dict)
 from .qp_solver import QpError
@@ -39,18 +39,6 @@ _FEAS_SLACK = 1e-6
 _MU_CAP_SLACK = 1e-8
 _M_PIN_TOL = 1e-6
 _M_PIN_STREAK = 50
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a non-integral one, which int() would
-    truncate, raises a ValueError naming ``what``."""
-    try:
-        out = int(value)
-    except (OverflowError, ValueError):     # an infinity, a NaN
-        out = None
-    if out is None or out != value:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return out
 
 
 @dataclass
@@ -563,8 +551,9 @@ def trace_from_dict(doc: dict) -> RunTrace:
     lambda entry (S,)); a ValueError names the snapshot's t, the field and
     the agent or edge otherwise, and so does one for a config without a
     readable ``M`` or ``schedule``, or for a non-integral node id, node
-    count, t or ``iterations``.  The trace gets a copy of the config and
-    shares the problem dict, as in ``trace_to_dict``.
+    count, t, ``iterations``, agent ``dim`` or ``coupling_dim``.  The trace
+    gets a copy of the config and shares the problem dict, as in
+    ``trace_to_dict``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "rsdd-trace":
         raise ValueError("not a trace document")
@@ -577,8 +566,9 @@ def trace_from_dict(doc: dict) -> RunTrace:
     graph = Graph(n_nodes=doc["graph"]["n_nodes"],
                   edges=[tuple(e) for e in doc["graph"]["edges"]])
     keys = _lambda_keys(graph)
-    s_dim = int(doc["problem"]["coupling_dim"])
-    dims = [int(a["dim"]) for a in doc["problem"]["agents"]]
+    s_dim = _integer(doc["problem"]["coupling_dim"], "coupling_dim")
+    dims = [_integer(a["dim"], f"agents[{i}].dim")
+            for i, a in enumerate(doc["problem"]["agents"])]
     if len(dims) != graph.n_nodes:
         raise ValueError(f"the graph has {graph.n_nodes} nodes for "
                          f"{len(dims)} agents")

@@ -713,6 +713,26 @@ def problem_to_dict(problem: ConstraintCoupledProblem) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a non-integral one, which int() would
+    truncate, raises a ValueError naming ``what``."""
+    try:
+        out = int(value)
+    except (OverflowError, TypeError, ValueError):  # an infinity, a NaN, None
+        out = None
+    if out is None or out != value:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return out
+
+
+def _document_integer(value, what: str) -> int:
+    """``_integer`` for a problem document: a ProblemFormatError."""
+    try:
+        return _integer(value, what)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
+
+
 def _need(doc: dict, key: str, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ProblemFormatError(f"missing field '{key}' in {where}")
@@ -725,7 +745,7 @@ def _agent_from_dict(doc: dict, i: int) -> AgentProblem:
     coup = _need(doc, "coupling", where)
     try:
         return AgentProblem(
-            dim=int(_need(doc, "dim", where)),
+            dim=_document_integer(_need(doc, "dim", where), f"{where}.dim"),
             cost_quadratic=_need(doc, "cost_quadratic", where),
             cost_linear=_need(doc, "cost_linear", where),
             cost_constant=float(doc.get("cost_constant", 0.0)),
@@ -750,7 +770,8 @@ def problem_from_dict(doc: dict) -> ConstraintCoupledProblem:
     agents_doc = _need(doc, "agents", "problem")
     if not isinstance(agents_doc, list):
         raise ProblemFormatError("field 'agents' must be a list")
-    coupling_dim = int(_need(doc, "coupling_dim", "problem"))
+    coupling_dim = _document_integer(_need(doc, "coupling_dim", "problem"),
+                                      "coupling_dim")
     agents = [_agent_from_dict(a, i) for i, a in enumerate(agents_doc)]
     for i, agent in enumerate(agents):
         if agent.coupling.mat.shape[0] != coupling_dim:

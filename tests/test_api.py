@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -52,3 +54,23 @@ def test_readme_quickstart_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == comment == "tolerance-met 113"
+
+
+def test_readme_command_line_runs(tmp_path):
+    """Each command of README.md's first "Command line" block exits 0 when
+    run as ``python -m rsdd`` in a fresh directory, and its ``rsdd check``
+    passes the trace that its ``rsdd run`` wrote."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(c[0] == "rsdd" for c in commands)
+    assert commands[-1][:2] == ["rsdd", "check"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(rsdd.__file__).resolve().parents[1])]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert proc.stdout.startswith("trace ok")

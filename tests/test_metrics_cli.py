@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from rsdd.cli import main
 from rsdd.core import AlgorithmConfig, harmonic_schedule
-from rsdd.metrics import (compute_metrics, emit_run_artifact,
+from rsdd.metrics import (RunMetrics, compute_metrics, emit_run_artifact,
                           load_run_artifact)
 from rsdd.network_sim import build_graph, run, save_trace
 from rsdd.oracle import solve_centralized
@@ -42,6 +43,12 @@ def tiny_pair() -> ConstraintCoupledProblem:
     return ConstraintCoupledProblem(agents=[a1, a2], coupling_dim=1)
 
 
+def empty_metrics(n_agents: int) -> RunMetrics:
+    """The metrics of a run without rounds."""
+    return RunMetrics(np.zeros(0, dtype=int), *[np.zeros(0)] * 6,
+                      np.zeros((0, n_agents)))
+
+
 @pytest.fixture(scope="module")
 def tiny():
     return tiny_pair()
@@ -63,40 +70,38 @@ class TestComputeMetrics:
     def test_hand_checked_rows(self, tiny, tiny_oracle, tiny_trace):
         assert tiny_oracle.f_star == pytest.approx(0.045, abs=1e-8)
         assert tiny_oracle.mu_star[0] == pytest.approx(0.3, abs=1e-6)
-        rows = compute_metrics(tiny_trace, tiny_oracle)
-        assert len(rows) == 2
+        m = compute_metrics(tiny_trace, tiny_oracle)
+        assert len(m) == 2
+        assert m.t.dtype == int and m.tracking_error.shape == (2, 2)
 
         # Round 0 at lambda = 0: x = (-1, 0.2), mu = (0, 1.6).
-        r0 = rows[0]
-        assert r0.t == 0
-        assert r0.max_violation == pytest.approx(-0.5, abs=1e-6)
-        assert r0.sum_rho == pytest.approx(0.0, abs=1e-7)
-        assert r0.cost == pytest.approx(0.64, abs=1e-6)
-        assert r0.cost_error_norm == pytest.approx(0.595 / 0.045, abs=1e-4)
-        assert r0.lambda_consistency == 0.0
-        assert r0.mu_spread == pytest.approx(1.6, abs=1e-6)
+        assert m.t[0] == 0
+        assert m.max_violation[0] == pytest.approx(-0.5, abs=1e-6)
+        assert m.sum_rho[0] == pytest.approx(0.0, abs=1e-7)
+        assert m.cost[0] == pytest.approx(0.64, abs=1e-6)
+        assert m.cost_error_norm[0] == pytest.approx(0.595 / 0.045, abs=1e-4)
+        assert m.lambda_consistency[0] == 0.0
+        assert m.mu_spread[0] == pytest.approx(1.6, abs=1e-6)
         # Zero lambda: the tracking gap is the others' usage, exactly.
-        assert r0.tracking_error[0] == pytest.approx(0.0, abs=1e-6)
-        assert r0.tracking_error[1] == pytest.approx(0.5, abs=1e-6)
+        assert m.tracking_error[0, 0] == pytest.approx(0.0, abs=1e-6)
+        assert m.tracking_error[0, 1] == pytest.approx(0.5, abs=1e-6)
 
         # gamma_0 = 0.5 moves lambda to (0.8, -0.8): x = (-2.1, 1),
         # mu = (2.2, 0).
-        r1 = rows[1]
-        assert r1.max_violation == pytest.approx(-0.8, abs=1e-6)
-        assert r1.cost == pytest.approx(1.21, abs=1e-6)
-        assert r1.mu_spread == pytest.approx(2.2, abs=1e-6)
-        assert r1.tracking_error[0] == pytest.approx(0.8, abs=1e-6)
-        assert r1.tracking_error[1] == pytest.approx(0.0, abs=1e-6)
+        assert m.max_violation[1] == pytest.approx(-0.8, abs=1e-6)
+        assert m.cost[1] == pytest.approx(1.21, abs=1e-6)
+        assert m.mu_spread[1] == pytest.approx(2.2, abs=1e-6)
+        assert m.tracking_error[1, 0] == pytest.approx(0.8, abs=1e-6)
+        assert m.tracking_error[1, 1] == pytest.approx(0.0, abs=1e-6)
 
     def test_converged_demo_metrics(self, demo_trace, demo_converged_trace,
                                     demo_oracle):
-        rows = compute_metrics(demo_converged_trace, demo_oracle)
-        last = rows[-1]
-        assert last.max_violation <= 1e-6
-        assert last.cost_error_norm <= 1e-2
+        m = compute_metrics(demo_converged_trace, demo_oracle)
+        assert m.max_violation[-1] <= 1e-6
+        assert m.cost_error_norm[-1] <= 1e-2
         # rho sits on its bound at convergence; allow solver rounding.
-        assert all(r.sum_rho >= -1e-9 for r in rows)
-        assert all(r.lambda_consistency == 0.0 for r in rows)
+        assert np.all(m.sum_rho >= -1e-9)
+        assert np.all(m.lambda_consistency == 0.0)
 
     def test_frozen_run_rows_identical(self, tiny):
         from rsdd.core import explicit_schedule
@@ -104,14 +109,13 @@ class TestComputeMetrics:
                               max_iters=4, enable_early_stop=False)
         with pytest.warns(UserWarning, match="unchecked"):
             trace = run(tiny, build_graph("path", 2), cfg)
-        rows = compute_metrics(trace, solve_centralized(tiny))
-        first = rows[0]
-        for r in rows[1:]:
-            assert r.max_violation == pytest.approx(first.max_violation,
-                                                    abs=1e-5)
-            assert r.cost == pytest.approx(first.cost, abs=1e-5)
-            assert r.mu_spread == pytest.approx(first.mu_spread, abs=1e-5)
-            assert np.allclose(r.tracking_error, first.tracking_error,
+        m = compute_metrics(trace, solve_centralized(tiny))
+        for k in range(1, len(m)):
+            assert m.max_violation[k] == pytest.approx(m.max_violation[0],
+                                                       abs=1e-5)
+            assert m.cost[k] == pytest.approx(m.cost[0], abs=1e-5)
+            assert m.mu_spread[k] == pytest.approx(m.mu_spread[0], abs=1e-5)
+            assert np.allclose(m.tracking_error[k], m.tracking_error[0],
                                atol=1e-5)
 
     def test_hash_mismatch_rejected(self, demo_trace, tiny_oracle):
@@ -130,29 +134,29 @@ class TestComputeMetrics:
         cfg = AlgorithmConfig(M=2.0, max_iters=2, enable_early_stop=False)
         trace = run(problem, build_graph("path", 2), cfg)
         with pytest.warns(UserWarning, match="absolute"):
-            rows = compute_metrics(trace, oracle)
-        for r in rows:
-            assert r.cost_error_norm == pytest.approx(abs(r.cost), abs=1e-12)
+            m = compute_metrics(trace, oracle)
+        for err, cost in zip(m.cost_error_norm, m.cost):
+            assert err == pytest.approx(abs(cost), abs=1e-12)
 
     def test_cost_equals_sum_of_local_objectives(self, demo_trace,
                                                  demo_oracle):
         # The recorded cost is the sum of the agents' relaxed local
         # objectives eta_i at the round's edge variables.
         problem = problem_from_dict(demo_trace.problem)
-        rows = compute_metrics(demo_trace, demo_oracle)
+        m = compute_metrics(demo_trace, demo_oracle)
         snaps = demo_trace.snapshots
-        for x, rho, row in zip(snaps.x, snaps.rho, rows):
+        for x, rho, cost in zip(snaps.x, snaps.rho, m.cost):
             # The demo's agents are one-dimensional: x_i is entry i.
             total = sum(a.cost(x[i:i + 1]) + 10.0 * float(r)
                         for i, (a, r) in enumerate(zip(problem.agents, rho)))
-            assert total == pytest.approx(row.cost, abs=1e-9)
+            assert total == pytest.approx(cost, abs=1e-9)
 
     def test_feasible_rows_never_beat_f_star(self, demo_converged_trace,
                                              demo_oracle):
-        rows = compute_metrics(demo_converged_trace, demo_oracle)
-        for r in rows:
-            if r.max_violation <= 0.0 and r.sum_rho <= 1e-9:
-                assert r.cost >= demo_oracle.f_star - 1e-6
+        m = compute_metrics(demo_converged_trace, demo_oracle)
+        for viol, sum_rho, cost in zip(m.max_violation, m.sum_rho, m.cost):
+            if viol <= 0.0 and sum_rho <= 1e-9:
+                assert cost >= demo_oracle.f_star - 1e-6
 
 
 class TestArtifacts:
@@ -160,9 +164,9 @@ class TestArtifacts:
         cfg = AlgorithmConfig(M=5.0, schedule=harmonic_schedule(0.5, 0.8),
                               max_iters=2, enable_early_stop=False)
         trace = run(tiny, build_graph("path", 2), cfg)
-        rows = compute_metrics(trace, tiny_oracle)
+        metrics = compute_metrics(trace, tiny_oracle)
         path = tmp_path / "run.csv"
-        emit_run_artifact(rows, trace, path)
+        emit_run_artifact(metrics, trace, path)
         with open(path, newline="") as fh:
             raw = list(csv.reader(fh))
         assert raw[0] == ["t", "max_violation", "sum_rho", "cost",
@@ -173,39 +177,49 @@ class TestArtifacts:
 
     def test_empty_metrics_header_only(self, tiny_trace, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_run_artifact([], tiny_trace, path)
+        emit_run_artifact(empty_metrics(2), tiny_trace, path)
         with open(path, newline="") as fh:
             raw = list(csv.reader(fh))
         assert len(raw) == 1
         assert raw[0][0] == "t"
 
-    def test_json_round_trip_exact(self, tiny_trace, tiny_oracle, tmp_path):
-        rows = compute_metrics(tiny_trace, tiny_oracle)
-        path = tmp_path / "run.json"
-        emit_run_artifact(rows, tiny_trace, path)
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_header_only_loads_as_no_rounds(self, tiny_trace, tmp_path, suffix):
+        # N comes from the header or `columns`, so no rows still give N
+        # tracking columns.
+        path = tmp_path / f"empty{suffix}"
+        emit_run_artifact(empty_metrics(2), tiny_trace, path)
         loaded = load_run_artifact(path)
-        assert len(loaded) == len(rows)
-        for a, b in zip(rows, loaded):
-            assert a.t == b.t
-            assert a.cost == b.cost
-            assert a.max_violation == b.max_violation
-            assert a.cost_error_norm == b.cost_error_norm
-            assert np.array_equal(a.tracking_error, b.tracking_error)
+        assert len(loaded) == 0
+        assert loaded.t.dtype == int
+        assert loaded.max_violation.shape == (0,)
+        assert loaded.tracking_error.shape == (0, 2)
+
+    def test_json_round_trip_exact(self, tiny_trace, tiny_oracle, tmp_path):
+        metrics = compute_metrics(tiny_trace, tiny_oracle)
+        path = tmp_path / "run.json"
+        emit_run_artifact(metrics, tiny_trace, path)
+        loaded = load_run_artifact(path)
+        assert len(loaded) == len(metrics)
+        for f in fields(RunMetrics):
+            a, b = getattr(metrics, f.name), getattr(loaded, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_csv_twelve_digits(self, tiny_trace, tiny_oracle, tmp_path):
-        rows = compute_metrics(tiny_trace, tiny_oracle)
+        metrics = compute_metrics(tiny_trace, tiny_oracle)
         path = tmp_path / "run.csv"
-        emit_run_artifact(rows, tiny_trace, path)
+        emit_run_artifact(metrics, tiny_trace, path)
         loaded = load_run_artifact(path)
-        for a, b in zip(rows, loaded):
-            assert b.cost == pytest.approx(a.cost, rel=1e-11)
-            assert b.mu_spread == pytest.approx(a.mu_spread, rel=1e-11,
-                                                abs=1e-12)
+        assert np.array_equal(loaded.t, metrics.t)
+        for a, b in zip(metrics.cost, loaded.cost):
+            assert b == pytest.approx(a, rel=1e-11)
+        for a, b in zip(metrics.mu_spread, loaded.mu_spread):
+            assert b == pytest.approx(a, rel=1e-11, abs=1e-12)
 
     def test_format_from_suffix(self, tiny_trace, tiny_oracle, tmp_path):
-        rows = compute_metrics(tiny_trace, tiny_oracle)
+        metrics = compute_metrics(tiny_trace, tiny_oracle)
         path = tmp_path / "run.json"
-        emit_run_artifact(rows, tiny_trace, path)
+        emit_run_artifact(metrics, tiny_trace, path)
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["format"] == "rsdd-run-artifact"
@@ -213,7 +227,8 @@ class TestArtifacts:
 
     def test_unknown_format(self, tiny_trace, tmp_path):
         with pytest.raises(ValueError, match="unknown artifact format"):
-            emit_run_artifact([], tiny_trace, tmp_path / "x.dat", fmt="xml")
+            emit_run_artifact(empty_metrics(2), tiny_trace, tmp_path / "x.dat",
+                              fmt="xml")
 
     def test_load_rejects_foreign_files(self, tmp_path):
         bad_json = tmp_path / "other.json"
@@ -224,6 +239,30 @@ class TestArtifacts:
         bad_csv.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="not a run artifact"):
             load_run_artifact(bad_csv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("edit, count", [
+        (lambda row: row[:-1], 8), (lambda row: row + [row[-1]], 10),
+        (lambda row: row[:4], 4)], ids=["short", "long", "no-tracking"])
+    def test_load_rejects_row_of_wrong_length(self, tiny_trace, tiny_oracle,
+                                              tmp_path, fmt, edit, count):
+        # A row must have a value for every column: with too few the tracking
+        # columns came out short, or the read raised a bare IndexError.
+        path = tmp_path / f"run.{fmt}"
+        emit_run_artifact(compute_metrics(tiny_trace, tiny_oracle), tiny_trace, path)
+        if fmt == "json":
+            doc = json.loads(path.read_text())
+            doc["rows"][1] = edit(doc["rows"][1])
+            path.write_text(json.dumps(doc))
+        else:
+            with open(path, newline="") as fh:
+                raw = list(csv.reader(fh))
+            raw[2] = edit(raw[2])
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(raw)
+        with pytest.raises(ValueError) as info:
+            load_run_artifact(path)
+        assert str(info.value) == f"artifact row 1 has {count} values for 9 columns"
 
     def test_load_rejects_empty_file(self, tmp_path):
         # An empty file has no header row: a ValueError, not the reader's
@@ -402,6 +441,36 @@ class TestCli:
         assert code == 1
         assert json.loads(captured.err.strip().splitlines()[-1]) == {
             "error": "invalid-input", "message": message}
+
+    def test_oracle_non_integral_sizes(self, tmp_path, capsys):
+        # int() truncated these at load, and the oracle solved the result.
+        doc = problem_to_dict(two_agent_demo())
+        doc["agents"][0]["dim"] = 1.7
+        doc["coupling_dim"] = 1.2
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code = main(["oracle", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "problem-format",
+             "message": "coupling_dim must be an integer, not 1.2"}]
+
+    def test_check_non_integral_embedded_dim(self, demo_trace, tmp_path, capsys):
+        # The trace's shapes come from the embedded problem's dims: a
+        # truncated 1.7 read as 1 and the trace checked clean.
+        path = tmp_path / "trace.json"
+        save_trace(demo_trace, path)
+        doc = json.loads(path.read_text())
+        doc["problem"]["agents"][0]["dim"] = 1.7
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+            "error": "invalid-input",
+            "message": "agents[0].dim must be an integer, not 1.7"}
 
     @pytest.mark.parametrize("edit, named", [
         (lambda config: config.pop("M"), "'M'"),

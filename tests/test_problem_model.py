@@ -433,6 +433,34 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="coupling_dim"):
             problem_from_dict({"agents": []})
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["agents"][1].update(dim=1.7),
+         "agents[1].dim must be an integer, not 1.7"),
+        (lambda doc: doc.update(coupling_dim=1.2),
+         "coupling_dim must be an integer, not 1.2"),
+        (lambda doc: doc["agents"][0].update(dim=None),
+         "agents[0].dim must be an integer, not None"),
+        (lambda doc: doc.update(coupling_dim=None),
+         "coupling_dim must be an integer, not None"),
+    ], ids=["dim", "coupling_dim", "null-dim", "null-coupling_dim"])
+    def test_non_integral_size_rejected(self, demo, edit, message):
+        # int() would truncate 1.7 to 1 and the problem would load.
+        doc = problem_to_dict(demo)
+        edit(doc)
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_integral_float_sizes_accepted(self, demo):
+        doc = problem_to_dict(demo)
+        doc["coupling_dim"] = 1.0
+        for agent in doc["agents"]:
+            agent["dim"] = float(agent["dim"])
+        loaded = problem_from_dict(doc)
+        assert type(loaded.coupling_dim) is int
+        assert all(type(a.dim) is int for a in loaded.agents)
+        assert problem_hash(loaded) == problem_hash(demo)
+
     def test_coupling_dim_mismatch_on_load(self, demo):
         doc = problem_to_dict(demo)
         doc["coupling_dim"] = 2

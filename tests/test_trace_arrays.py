@@ -1,25 +1,30 @@
-"""compute_metrics and check_trace_invariants against per-snapshot loops.
+"""compute_metrics, check_trace_invariants and the run artifact against
+per-snapshot loops.
 
 Both functions evaluate a trace as whole-trace arrays.  The references
 below evaluate it one snapshot and one agent at a time, through the
 one-agent API; rows and findings must agree bit for bit and text for text,
-on clean traces and on tampered ones.
+on clean traces and on tampered ones.  A per-row reference writer pins the
+artifact bytes that emit_run_artifact writes from the columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rsdd.core import AlgorithmConfig, harmonic_schedule, schedule_from_dict, step_size
-from rsdd.metrics import IterationMetrics, compute_metrics
+from rsdd.metrics import RunMetrics, compute_metrics, emit_run_artifact
 from rsdd.network_sim import (_CONSISTENCY_TOL, _FEAS_SLACK, _MU_CAP_SLACK,
                               RunTrace, Snapshots, build_graph,
-                              check_trace_invariants, run, trace_from_dict,
-                              trace_to_dict)
+                              check_trace_invariants, message_stats, run,
+                              trace_from_dict, trace_to_dict)
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (build_microgrid_instance, build_random_instance,
                                 problem_from_dict, two_agent_demo)
@@ -39,7 +44,9 @@ def head(snaps: Snapshots, n: int) -> Snapshots:
                      snaps.lam[:n])
 
 
-def reference_metrics(trace, oracle) -> list[IterationMetrics]:
+def reference_metrics(trace, oracle) -> list[tuple]:
+    """Each round's metrics as (t, max_violation, sum_rho, cost,
+    cost_error_norm, lambda_consistency, mu_spread, tracking_error)."""
     problem = problem_from_dict(trace.problem)
     m_price = float(trace.config["M"])
     f_star = oracle.f_star
@@ -61,11 +68,8 @@ def reference_metrics(trace, oracle) -> list[IterationMetrics]:
         tracking = np.abs(graph.shifts(lam) - rest).max(axis=1)
         spread = float(np.abs(graph.edge_step(0.0, 1.0, mu)).max(
             initial=0.0))
-        out.append(IterationMetrics(
-            t=t, max_violation=float(total_g.max()),
-            sum_rho=float(rho.sum()), cost=cost, cost_error_norm=err,
-            lambda_consistency=consistency, mu_spread=spread,
-            tracking_error=tracking))
+        out.append((t, float(total_g.max()), float(rho.sum()), cost, err,
+                    consistency, spread, tracking))
     return out
 
 
@@ -117,11 +121,41 @@ def reference_findings(trace) -> list[str]:
     return findings
 
 
-def row_bytes(m: IterationMetrics) -> tuple:
-    values = [m.max_violation, m.sum_rho, m.cost, m.cost_error_norm,
-              m.lambda_consistency, m.mu_spread]
-    assert all(type(v) is float for v in values)
-    return (m.t, np.array(values).tobytes(), m.tracking_error.tobytes())
+def row_bytes(row: tuple) -> tuple:
+    t, *values, tracking = row
+    return (int(t), np.array(values, dtype=float).tobytes(), tracking.tobytes())
+
+
+def column_rows(metrics: RunMetrics) -> list[tuple]:
+    """Row k of every column of ``metrics``, in field order."""
+    cols = [getattr(metrics, f.name) for f in fields(RunMetrics)]
+    assert cols[0].dtype == int and all(c.dtype == float for c in cols[1:])
+    assert all(c.shape[0] == len(metrics) for c in cols)
+    return list(zip(*cols))
+
+
+def reference_artifact(rows: list[tuple], trace, fmt: str) -> bytes:
+    """The artifact of per-round ``rows``, written one row at a time in the
+    format of emit_run_artifact."""
+    cols = (["t", "max_violation", "sum_rho", "cost", "cost_error_norm",
+             "lambda_consistency", "mu_spread"]
+            + [f"tracking_error_{i + 1}" for i in range(trace.graph.n_nodes)])
+    lines = [[t] + [float(v) for v in values] + tracking.tolist()
+             for t, *values, tracking in rows]
+    if fmt == "json":
+        stats = message_stats(trace)
+        return json.dumps({
+            "format": "rsdd-run-artifact", "version": 1,
+            "problem_hash": trace.problem_hash, "status": trace.status,
+            "iterations": trace.iterations, "message_count": stats.total,
+            "bytes_estimate": stats.bytes_total, "columns": cols,
+            "rows": lines}).encode()
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(cols)
+    for t, *values in lines:
+        writer.writerow([t] + [f"{v:.12g}" for v in values])
+    return out.getvalue().encode()
 
 
 def outcome(fn, *args):
@@ -141,7 +175,10 @@ def assert_same_as_reference(trace, oracle):
     if isinstance(ref, str):
         assert ours == ref
     else:
-        assert [row_bytes(m) for m in ours] == [row_bytes(m) for m in ref]
+        assert len(ours) == len(ref)
+        assert ours.tracking_error.shape == (len(ref), trace.graph.n_nodes)
+        assert [row_bytes(r) for r in column_rows(ours)] \
+            == [row_bytes(r) for r in ref]
     assert outcome(check_trace_invariants, trace) == reference_findings(trace)
 
 
@@ -221,7 +258,7 @@ class TestAgainstPerSnapshotLoops:
         trace = copy(trace)
         trace.snapshots = head(trace.snapshots, 0)
         trace.status, trace.iterations = "solver-error", 0
-        assert outcome(compute_metrics, trace, oracle) == []
+        assert len(outcome(compute_metrics, trace, oracle)) == 0
         assert outcome(check_trace_invariants, trace) == []
         assert_same_as_reference(trace, oracle)
 
@@ -233,3 +270,13 @@ class TestAgainstPerSnapshotLoops:
         assert len(outcome(compute_metrics, trace, oracle)) == 1
         assert outcome(check_trace_invariants, trace) == []
         assert_same_as_reference(trace, oracle)
+
+
+class TestArtifactAgainstRowWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes(self, recorded, tmp_path, fmt):
+        trace, oracle = recorded
+        path = tmp_path / f"run.{fmt}"
+        emit_run_artifact(compute_metrics(trace, oracle), trace, path)
+        assert path.read_bytes() == reference_artifact(
+            reference_metrics(trace, oracle), trace, fmt)
