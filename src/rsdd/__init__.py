@@ -15,8 +15,8 @@ solver (:mod:`rsdd.qp_solver`), centralized reference solutions
 """
 
 from .core import (AlgorithmConfig, LocalSolverPool, StepSizeSchedule,
-                   explicit_schedule, harmonic_schedule, lambda_update,
-                   local_step, step_size, validate_schedule)
+                   explicit_schedule, harmonic_schedule, local_step,
+                   step_size, validate_schedule)
 from .metrics import (RunMetrics, compute_metrics, emit_run_artifact,
                       load_run_artifact)
 from .network_sim import (Graph, RunTrace, SimulationError, Snapshots,
@@ -28,14 +28,15 @@ from .problem_model import (AffineMap, AgentProblem, ConstraintCoupledProblem,
                             Hinge, LocalSet, MicrogridConfig,
                             ProblemFormatError, ValidationReport,
                             build_microgrid_instance, build_random_instance,
-                            load_problem, microgrid_config_from_dict,
+                            lift_hinges, load_problem,
+                            microgrid_config_from_dict,
                             microgrid_config_to_dict, problem_from_dict,
                             problem_hash, problem_to_dict, save_problem,
                             two_agent_demo, validate_problem)
 from .qp_solver import (KktResiduals, PrimalDualSolution, QpBatch, QpError,
                         QpInfeasibleError, QpNumericalError, QpStandardForm,
-                        kkt_residuals, lift_hinges, load_form, save_form,
-                        solve_qp, validate_form)
+                        kkt_residuals, load_form, save_form, solve_qp,
+                        validate_form)
 
 __version__ = "0.1.0"
 
@@ -50,7 +51,7 @@ __all__ = [
     "build_graph", "build_microgrid_instance", "build_random_instance",
     "check_trace_invariants", "compute_metrics", "dual_terms",
     "emit_run_artifact", "explicit_schedule", "harmonic_schedule",
-    "kkt_residuals", "lambda_update", "lift_hinges", "load_form",
+    "kkt_residuals", "lift_hinges", "load_form",
     "load_problem", "load_run_artifact", "load_trace", "local_step",
     "message_stats", "microgrid_config_from_dict", "microgrid_config_to_dict",
     "problem_from_dict", "problem_hash", "problem_to_dict", "run",

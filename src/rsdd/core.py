@@ -9,7 +9,8 @@ Each round, every agent solves its relaxed local problem
 and returns the primal pair (x, rho) together with the multiplier mu_i of
 the coupling rows.  Edge variables are then nudged by
 lambda_ij <- lambda_ij - gamma_t * (mu_i - mu_j) under a diminishing step
-size.
+size; ``Graph.edge_step`` applies that update and ``Graph.shifts`` sums
+each agent's shift.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem_model import (AgentProblem, ConstraintCoupledProblem,
-                            _coupled_form, _coupling_hi, _rho_headroom)
-from .qp_solver import QpBatch, QpError, lift_hinges
+                            _coupled_form, _coupling_hi, _rho_headroom, lift_hinges)
+from .qp_solver import QpBatch, QpError
 
 
 @dataclass
@@ -100,12 +101,6 @@ def step_size(schedule: StepSizeSchedule, t: int) -> float:
             raise ValueError(f"explicit step-size sequence exhausted at t={t}")
         return float(schedule.values[t])
     raise ValueError(f"unknown schedule kind '{schedule.kind}'")
-
-
-def lambda_update(lam: np.ndarray, gamma: float, mu_own: np.ndarray,
-                  mu_neighbor: np.ndarray) -> np.ndarray:
-    """One edge-variable step: lambda - gamma * (mu_own - mu_neighbor)."""
-    return lam - gamma * (mu_own - mu_neighbor)
 
 
 _STOP_VIOLATION = 1e-6
@@ -203,18 +198,7 @@ class LocalSolverPool:
                 sol.ineq_mult[self._mu_at])
 
 
-def _combine_shift(lambda_out: dict[int, np.ndarray],
-                   lambda_in: dict[int, np.ndarray], s_dim: int) -> np.ndarray:
-    if set(lambda_out) != set(lambda_in):
-        raise ValueError("lambda_out and lambda_in must cover the same neighbors")
-    shift = np.zeros(s_dim)
-    for j in sorted(lambda_out):
-        shift += np.asarray(lambda_out[j], dtype=float) - np.asarray(lambda_in[j], dtype=float)
-    return shift
-
-
-def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
-               lambda_in: dict[int, np.ndarray], M: float
+def local_step(agent: AgentProblem, shift: np.ndarray, M: float
                ) -> tuple[np.ndarray, float, np.ndarray]:
     """Solve one agent's relaxed local problem, cold, at ``run``'s local
     step tolerance ``_SOLVER_TOL`` (a trace's ``solver_tol``).
@@ -222,9 +206,10 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
     Parameters
     ----------
     agent : AgentProblem
-    lambda_out, lambda_in : dict
-        Edge variables lambda_ij owned by the agent and lambda_ji received
-        from each neighbor j; the two dicts must cover the same neighbors.
+    shift : array of shape (S,)
+        The agent's aggregate edge shift sum_j (lambda_ij - lambda_ji), the
+        agent's row of ``Graph.shifts``; it moves the coupling rows'
+        right-hand side.
     M : float
         Relaxation price; must exceed the optimal dual's 1-norm for the
         method's guarantees to apply.
@@ -237,8 +222,6 @@ def local_step(agent: AgentProblem, lambda_out: dict[int, np.ndarray],
         with mu.sum() <= M, and mu.sum() == M whenever rho > 0.
     """
     s_dim = agent.coupling.mat.shape[0]
-    shift = _combine_shift(lambda_out, lambda_in, s_dim)
     pool = LocalSolverPool(ConstraintCoupledProblem([agent], s_dim), M)
-    xs, rho, mu = pool.solve_all(shift[None])
+    xs, rho, mu = pool.solve_all(np.asarray(shift, dtype=float)[None])
     return xs[0], float(rho[0]), mu[0]
-

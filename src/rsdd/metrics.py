@@ -143,8 +143,9 @@ def emit_run_artifact(metrics: RunMetrics, trace: RunTrace,
 def load_run_artifact(path) -> RunMetrics:
     """Read back an artifact written by emit_run_artifact.  N follows from
     the header (CSV) or ``columns`` (JSON), so a file without rows gives a
-    (0, N) tracking_error.  A row with more or fewer values than columns
-    raises a ValueError naming it."""
+    (0, N) tracking_error.  A row with more or fewer values than columns,
+    or a document without ``columns`` or ``rows``, raises a ValueError
+    naming it."""
     path = str(path)
     with open(path) as fh:
         head = fh.read(1)
@@ -153,6 +154,9 @@ def load_run_artifact(path) -> RunMetrics:
             doc = json.load(fh)
             if doc.get("format") != "rsdd-run-artifact":
                 raise ValueError("not a run artifact document")
+            for key in ("columns", "rows"):
+                if key not in doc:
+                    raise ValueError(f"run artifact document has no '{key}' field")
             kind, cols, rows = "document", doc["columns"], doc["rows"]
         else:
             reader = csv.reader(fh)

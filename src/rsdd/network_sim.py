@@ -27,8 +27,7 @@ import numpy as np
 
 from .core import (_STOP_COST_CHANGE, _STOP_SUM_RHO, _STOP_VIOLATION,
                    _STOP_WINDOW, AlgorithmConfig, LocalSolverPool,
-                   lambda_update, schedule_from_dict, step_size,
-                   validate_schedule)
+                   schedule_from_dict, step_size, validate_schedule)
 from .problem_model import (ConstraintCoupledProblem, _integer, agent_total,
                             agent_values, problem_dict_hash,
                             problem_from_dict, problem_to_dict)
@@ -109,13 +108,14 @@ class Graph:
 
     def edge_step(self, lam: np.ndarray, gamma: float | np.ndarray,
                   mu: np.ndarray) -> np.ndarray:
-        """The edge update lambda_ij - gamma * (mu_i - mu_j) on every
-        directed edge, for multipliers ``mu`` of shape (..., N, S).  With
-        ``lam = 0`` and ``gamma = 1`` it gives -(mu_i - mu_j).  ``lam``,
-        ``gamma`` and ``mu`` broadcast over leading axes, so one call can
-        step every round of a trace with that round's gamma_t."""
-        return lambda_update(lam, gamma, mu[..., self._src, :],
-                             mu[..., self._dst, :])
+        """The method's edge update lambda_ij - gamma * (mu_i - mu_j) on
+        every directed edge (i, j), for edge variables ``lam`` of shape
+        (..., 2E, S) and multipliers ``mu`` of shape (..., N, S); ``run``
+        and the trace's readers all step the edges here.  With ``lam = 0``
+        and ``gamma = 1`` it gives -(mu_i - mu_j).  ``lam``, ``gamma`` and
+        ``mu`` broadcast over leading axes, so one call can step every
+        round of a trace with that round's gamma_t."""
+        return lam - gamma * (mu[..., self._src, :] - mu[..., self._dst, :])
 
     def to_dict(self) -> dict:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}

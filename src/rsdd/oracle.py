@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem_model import (ConstraintCoupledProblem, _coupled_form,
-                            _coupling_hi, _rho_headroom, problem_hash)
-from .qp_solver import QpBatch, QpError, _opposite_pairs, lift_hinges, solve_qp
+                            _coupling_hi, _rho_headroom, lift_hinges, problem_hash)
+from .qp_solver import QpBatch, QpError, _opposite_pairs, solve_qp
 
 @dataclass
 class OracleResult:

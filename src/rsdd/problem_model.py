@@ -107,7 +107,7 @@ class AgentProblem:
     cost_constant: float = 0.0
 
     def __post_init__(self):
-        self.dim = int(self.dim)
+        self.dim = _integer(self.dim, "dim")
         self.cost_quadratic = np.atleast_2d(np.asarray(self.cost_quadratic, dtype=float))
         self.cost_linear = np.asarray(self.cost_linear, dtype=float).ravel()
         self.cost_constant = float(self.cost_constant)
@@ -136,7 +136,7 @@ class ConstraintCoupledProblem:
     slater_point: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        self.coupling_dim = int(self.coupling_dim)
+        self.coupling_dim = _integer(self.coupling_dim, "coupling_dim")
         if self.slater_point is not None:
             self.slater_point = [np.asarray(v, dtype=float).ravel()
                                  for v in self.slater_point]
@@ -215,15 +215,10 @@ class ValidationReport:
         return not self.findings
 
 
-def _row_interval_max(row: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
-    return float(np.maximum(row * lb, row * ub).sum())
-
-
-def _coupling_box_max(agent: AgentProblem) -> np.ndarray:
-    """Per-row upper bound of A_i x over the agent's box (b_i excluded)."""
-    ls = agent.local_set
-    return np.array([_row_interval_max(row, ls.lb, ls.ub)
-                     for row in agent.coupling.mat])
+def _box_max(rows: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The largest value of each ``rows @ x`` over the box lb <= x <= ub,
+    reached at the vertex that takes ub where a coefficient is positive."""
+    return np.maximum(rows * lb, rows * ub).sum(axis=-1)
 
 
 def _coupling_hi(agents: list[AgentProblem]) -> np.ndarray:
@@ -232,7 +227,7 @@ def _coupling_hi(agents: list[AgentProblem]) -> np.ndarray:
     for a in agents:
         hi += a.coupling.vec
     for a in agents:
-        hi += _coupling_box_max(a)
+        hi += _box_max(a.coupling.mat, a.local_set.lb, a.local_set.ub)
     return hi
 
 
@@ -343,6 +338,49 @@ def _local_form(agent: AgentProblem) -> QpStandardForm:
                           A_in=ls.a_in, b_in=ls.b_in)
 
 
+def lift_hinges(agent: AgentProblem) -> QpStandardForm:
+    """Rewrite an agent's hinge cost terms as epigraph variables.
+
+    Each term ``scale * max(0, a'x + b)`` becomes a new variable e with cost
+    ``scale * e``, bounds ``0 <= e <= e_max`` and the row ``a'x - e <= -b``,
+    placed after the local inequality rows.  ``e_max`` is the largest value
+    of a'x + b over the agent's box (``_box_max``), padded so it is never
+    active at an optimum.  The lifted QP minimizes the agent cost over its
+    local set; coupling rows are not included.
+    """
+    n = agent.dim
+    hinges = agent.cost_hinges
+    k = len(hinges)
+    ls = agent.local_set
+    coeffs = np.array([hg.coeffs for hg in hinges]).reshape(k, n)
+    offsets = np.array([hg.offset for hg in hinges])
+    Q = np.zeros((n + k, n + k))
+    Q[:n, :n] = agent.cost_quadratic
+    c = np.concatenate([agent.cost_linear, [hg.scale for hg in hinges]])
+    e_hi = np.maximum(0.0, _box_max(coeffs, ls.lb, ls.ub) + offsets) + 1.0
+    lb = np.concatenate([ls.lb, np.zeros(k)])
+    ub = np.concatenate([ls.ub, e_hi])
+    a_eq = b_eq = None
+    if ls.a_eq is not None:
+        a_eq = np.concatenate([ls.a_eq, np.zeros((ls.a_eq.shape[0], k))], axis=1)
+        b_eq = ls.b_eq.copy()
+    rows = []
+    rhs = []
+    if ls.a_in is not None:
+        rows.append(np.concatenate([ls.a_in, np.zeros((ls.a_in.shape[0], k))], axis=1))
+        rhs.append(ls.b_in)
+    if k:
+        hinge_rows = np.zeros((k, n + k))
+        hinge_rows[:, :n] = coeffs
+        hinge_rows[np.arange(k), n + np.arange(k)] = -1.0
+        rows.append(hinge_rows)
+        rhs.append(-offsets)
+    a_in = np.concatenate(rows, axis=0) if rows else None
+    b_in = np.concatenate(rhs) if rows else None
+    return QpStandardForm(Q=Q, c=c, lb=lb, ub=ub, A_eq=a_eq, b_eq=b_eq,
+                          A_in=a_in, b_in=b_in, offset=agent.cost_constant)
+
+
 def _local_set_findings(agents: list[AgentProblem]) -> list[str]:
     """Findings for the local sets that are empty or could not be checked.
 
@@ -381,10 +419,9 @@ def _slater_search(problem: ConstraintCoupledProblem) -> float:
     agents = problem.agents
     # t's box spans every value the worst coupling row can take.
     b_sum = sum(a.coupling.vec for a in agents)
-    terms = [(a.coupling.mat * a.local_set.lb, a.coupling.mat * a.local_set.ub)
-             for a in agents]
-    lo = b_sum.min() + sum(np.minimum(*t).sum(axis=1) for t in terms).min() - 1.0
-    hi = b_sum.max() + sum(np.maximum(*t).sum(axis=1) for t in terms).max() + 1.0
+    boxes = [(a.coupling.mat, a.local_set.lb, a.local_set.ub) for a in agents]
+    lo = b_sum.min() + sum(-_box_max(-m, lb, ub) for m, lb, ub in boxes).min() - 1.0
+    hi = b_sum.max() + sum(_box_max(m, lb, ub) for m, lb, ub in boxes).max() + 1.0
     form, _ = _coupled_form(agents, [_local_form(a) for a in agents], extra=(1.0, lo, hi))
     sol = solve_qp(form, tol=1e-9, validate=False)
     return float(sol.x[-1])

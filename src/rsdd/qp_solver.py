@@ -29,12 +29,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .problem_model import AgentProblem
 
 _FIX_TOL = 1e-12  # lb == ub within this -> variable pinned via an equality row
 # Stacked variables up to which a coupled QP is solved dense: below about
@@ -1565,48 +1561,3 @@ def _phase1(A, b, G, h, x0):
     total = zg.sum()
     cert = zg / total if total > 0 else zg
     return t_star, cert
-
-
-def lift_hinges(agent: "AgentProblem") -> QpStandardForm:
-    """Rewrite an agent's hinge cost terms as epigraph variables.
-
-    Each term ``scale * max(0, a'x + b)`` becomes a new variable e with cost
-    ``scale * e``, bounds ``0 <= e <= e_max`` and the row ``a'x - e <= -b``,
-    placed after the local inequality rows.  ``e_max`` is a safe upper bound
-    from interval arithmetic over the agent's box, padded so it is never
-    active at an optimum.  The lifted QP minimizes the agent cost over its local set;
-    coupling rows are not included.
-    """
-    n = agent.dim
-    hinges = agent.cost_hinges
-    k = len(hinges)
-    ls = agent.local_set
-    Q = np.zeros((n + k, n + k))
-    Q[:n, :n] = agent.cost_quadratic
-    c = np.concatenate([agent.cost_linear, [hg.scale for hg in hinges]])
-    e_hi = np.empty(k)
-    for j, hg in enumerate(hinges):
-        top = np.maximum(hg.coeffs * ls.lb, hg.coeffs * ls.ub).sum() + hg.offset
-        e_hi[j] = max(0.0, top) + 1.0
-    lb = np.concatenate([ls.lb, np.zeros(k)])
-    ub = np.concatenate([ls.ub, e_hi])
-    a_eq = b_eq = None
-    if ls.a_eq is not None:
-        a_eq = np.concatenate([ls.a_eq, np.zeros((ls.a_eq.shape[0], k))], axis=1)
-        b_eq = ls.b_eq.copy()
-    rows = []
-    rhs = []
-    if ls.a_in is not None:
-        rows.append(np.concatenate([ls.a_in, np.zeros((ls.a_in.shape[0], k))], axis=1))
-        rhs.append(ls.b_in)
-    if k:
-        hinge_rows = np.zeros((k, n + k))
-        for j, hg in enumerate(hinges):
-            hinge_rows[j, :n] = hg.coeffs
-            hinge_rows[j, n + j] = -1.0
-        rows.append(hinge_rows)
-        rhs.append(np.array([-hg.offset for hg in hinges]))
-    a_in = np.concatenate(rows, axis=0) if rows else None
-    b_in = np.concatenate(rhs) if rows else None
-    return QpStandardForm(Q=Q, c=c, lb=lb, ub=ub, A_eq=a_eq, b_eq=b_eq,
-                          A_in=a_in, b_in=b_in, offset=agent.cost_constant)

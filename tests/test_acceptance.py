@@ -157,7 +157,7 @@ def test_criterion_5_duality_identities():
     for seed in range(1, 21):
         agent = build_random_instance(1, 1, 1, seed + 300).agents[0]
         shift = np.array([rng.uniform(-1.0, 1.0)])
-        x, rho, _ = local_step(agent, {1: shift}, {1: np.zeros(1)}, m_price)
+        x, rho, _ = local_step(agent, shift, m_price)
         direct = agent.cost(x) + m_price * rho
         q, _ = dual_terms(ConstraintCoupledProblem([agent], 1), grid[:, None],
                           tol=1e-9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import os
@@ -40,6 +41,22 @@ def test_numpy_is_the_only_runtime_dependency():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_qp_solver_imports_no_other_rsdd_module():
+    """The QP solver is the bottom layer: it sees forms, never agents, so
+    ``src/rsdd/qp_solver.py`` imports nothing from the rest of the package,
+    not even inside an ``if TYPE_CHECKING:`` block."""
+    path = Path(__file__).resolve().parents[1] / "src" / "rsdd" / "qp_solver.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported, "no imports found: is this the solver module?"
+    assert [m for m in imported
+            if m.startswith(".") or m.split(".")[0] == "rsdd"] == []
 
 
 def test_readme_quickstart_runs():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rsdd.core import (_SOLVER_TOL, AlgorithmConfig, LocalSolverPool,
-                       explicit_schedule, harmonic_schedule, lambda_update,
-                       local_step, step_size, validate_schedule)
+                       explicit_schedule, harmonic_schedule, local_step,
+                       step_size, validate_schedule)
+from rsdd.network_sim import Graph
 from rsdd.oracle import dual_terms
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 ConstraintCoupledProblem, _coupling_hi,
@@ -65,19 +66,26 @@ class TestSchedules:
 
 
 class TestLambdaUpdate:
+    """The edge update lambda_ij - gamma * (mu_i - mu_j), as
+    ``Graph.edge_step`` applies it on the two directed edges of a 2-node
+    graph: row 0 is edge (0, 1), row 1 is edge (1, 0)."""
+
+    graph = Graph(2, [(0, 1)])
+
     def test_arithmetic(self):
-        out = lambda_update(np.array([0.5]), 0.1, np.array([0.2]),
-                            np.array([0.1]))
-        assert out[0] == pytest.approx(0.49)
+        out = self.graph.edge_step(np.array([[0.5], [0.5]]), 0.1,
+                                   np.array([[0.2], [0.1]]))
+        assert out[0, 0] == pytest.approx(0.49)
+        assert out[1, 0] == pytest.approx(0.51)
 
     def test_consensus_fixed_point(self):
-        lam = np.array([1.0, -2.0])
-        mu = np.array([0.3, 0.4])
-        assert np.array_equal(lambda_update(lam, 0.7, mu, mu), lam)
+        lam = np.array([[1.0, -2.0], [0.5, 3.0]])
+        mu = np.array([[0.3, 0.4], [0.3, 0.4]])
+        assert np.array_equal(self.graph.edge_step(lam, 0.7, mu), lam)
 
     def test_zero_step(self):
-        lam = np.array([1.0])
-        out = lambda_update(lam, 0.0, np.array([5.0]), np.array([-5.0]))
+        lam = np.array([[1.0], [-1.0]])
+        out = self.graph.edge_step(lam, 0.0, np.array([[5.0], [-5.0]]))
         assert np.array_equal(out, lam)
 
 
@@ -85,7 +93,7 @@ class TestLocalStep:
     def test_interior_optimum(self):
         # Unconstrained minimum already satisfies the coupling row. The row
         # is weakly active at (0, 0), so the iterate lands within sqrt(tol).
-        x, rho, mu = local_step(unit_agent(), {}, {}, M=10.0)
+        x, rho, mu = local_step(unit_agent(), np.zeros(1), M=10.0)
         assert x[0] == pytest.approx(0.0, abs=5e-5)
         assert rho == pytest.approx(0.0, abs=5e-5)
         assert mu[0] == pytest.approx(0.0, abs=5e-5)
@@ -93,29 +101,23 @@ class TestLocalStep:
     def test_forced_relaxation(self):
         # g(x) = x + 2 >= 1 on the box, so rho must absorb the violation;
         # the multiplier then pins at M. Optimal tradeoff: x = -1, rho = 1.
-        x, rho, mu = local_step(unit_agent(2.0), {}, {}, M=10.0)
+        x, rho, mu = local_step(unit_agent(2.0), np.zeros(1), M=10.0)
         assert x[0] == pytest.approx(-1.0, abs=1e-7)
         assert rho == pytest.approx(1.0, abs=1e-7)
         assert mu[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_shift_restores_slack(self):
         # A -3 edge shift turns the row into x - 1 <= rho: slack at x = 0.
-        lam_out = {1: np.array([-3.0])}
-        lam_in = {1: np.array([0.0])}
-        x, rho, mu = local_step(unit_agent(2.0), lam_out, lam_in, M=10.0)
+        x, rho, mu = local_step(unit_agent(2.0), np.array([-3.0]), M=10.0)
         assert x[0] == pytest.approx(0.0, abs=1e-8)
         assert rho == pytest.approx(0.0, abs=1e-8)
         assert mu[0] == pytest.approx(0.0, abs=1e-7)
-
-    def test_neighbor_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same neighbors"):
-            local_step(unit_agent(), {1: np.zeros(1)}, {2: np.zeros(1)}, 10.0)
 
     def test_feasibility_margin_reused_across_m(self):
         # The feasible set does not depend on M, so the pair returned for a
         # larger M stays feasible for the smaller-M problem.
         agent = unit_agent(2.0)
-        x_big, rho_big, _ = local_step(agent, {}, {}, M=20.0)
+        x_big, rho_big, _ = local_step(agent, np.zeros(1), M=20.0)
         assert float(agent.g(x_big)[0]) <= rho_big + 1e-8
 
     def test_random_agents_always_solvable(self):
@@ -125,7 +127,7 @@ class TestLocalStep:
             problem = build_random_instance(1, 2, 2, seed)
             agent = problem.agents[0]
             shift = rng.normal(scale=5.0, size=2)
-            x, rho, mu = local_step(agent, {7: shift}, {7: np.zeros(2)}, 5.0)
+            x, rho, mu = local_step(agent, shift, 5.0)
             assert np.all(np.isfinite(x))
             assert rho >= -1e-10
             assert np.all(mu >= -1e-10)
@@ -136,7 +138,7 @@ class TestLocalStep:
     def test_complementarity_of_rho(self):
         """A strictly positive rho forces the multiplier sum onto M."""
         for g_off, m_price in [(2.0, 10.0), (3.0, 4.0), (1.5, 7.0)]:
-            _, rho, mu = local_step(unit_agent(g_off), {}, {}, M=m_price)
+            _, rho, mu = local_step(unit_agent(g_off), np.zeros(1), M=m_price)
             assert rho > 1e-6
             assert mu.sum() == pytest.approx(m_price, abs=1e-6)
 
@@ -148,7 +150,7 @@ class TestLocalStep:
             agent = problem.agents[0]
             shift = rng.normal(scale=3.0, size=2)
             m_price = 6.0
-            x, rho, _ = local_step(agent, {0: shift}, {0: np.zeros(2)}, m_price)
+            x, rho, _ = local_step(agent, shift, m_price)
             value = agent.cost(x) + m_price * rho
             inner = agent.cost(x) + m_price * max(
                 0.0, float((agent.g(x) + shift).max()))
@@ -182,10 +184,10 @@ class TestDualSide:
 
     def test_eta_values(self):
         agent = unit_agent()
-        x, rho, _ = local_step(agent, {}, {}, M=10.0)
+        x, rho, _ = local_step(agent, np.zeros(1), M=10.0)
         assert agent.cost(x) + 10.0 * rho == pytest.approx(0.0, abs=1e-8)
         shifted = unit_agent(2.0)
-        x, rho, _ = local_step(shifted, {}, {}, M=10.0)
+        x, rho, _ = local_step(shifted, np.zeros(1), M=10.0)
         assert shifted.cost(x) + 10.0 * rho == pytest.approx(11.0, abs=1e-6)
 
     def test_eta_equals_mu_grid_maximum(self):
@@ -193,7 +195,7 @@ class TestDualSide:
         agent = unit_agent(0.5)
         m_price = 4.0
         shift = np.array([0.8])
-        x, rho, _ = local_step(agent, {3: shift}, {3: np.zeros(1)}, m_price)
+        x, rho, _ = local_step(agent, shift, m_price)
         direct = agent.cost(x) + m_price * rho
         grid = np.linspace(0.0, m_price, 4001)
         best = max(q_alone(agent, grid)[0] + grid * shift[0])
@@ -207,7 +209,7 @@ class TestSolverPool:
         xs, rhos, mus = pool.solve_all(shifts)
         assert len(xs) == 2 and rhos.shape == (2,) and mus.shape == (2, 1)
         for agent, shift, pool_x, pool_rho, pool_mu in zip(demo.agents, shifts, xs, rhos, mus):
-            x, rho, mu = local_step(agent, {9: shift}, {9: np.zeros(1)}, 10.0)
+            x, rho, mu = local_step(agent, shift, 10.0)
             assert np.allclose(pool_x, x, atol=1e-7)
             assert pool_rho == pytest.approx(rho, abs=1e-7)
             assert np.allclose(pool_mu, mu, atol=1e-6)
@@ -234,7 +236,7 @@ class TestSolverPool:
         for agent, shift, pool_x, pool_rho, pool_mu in zip(problem.agents, shifts,
                                                            xs, rhos, mus):
             assert pool_x.shape == (agent.dim,)
-            x, rho, mu = local_step(agent, {5: shift}, {5: np.zeros(1)}, 10.0)
+            x, rho, mu = local_step(agent, shift, 10.0)
             assert np.abs(pool_x - x).max() <= 1e-10
             assert abs(pool_rho - rho) <= 1e-10
             assert np.abs(pool_mu - mu).max() <= 1e-10

@@ -240,6 +240,22 @@ class TestArtifacts:
         with pytest.raises(ValueError, match="not a run artifact"):
             load_run_artifact(bad_csv)
 
+    @pytest.mark.parametrize("key", ["columns", "rows"])
+    def test_load_names_a_missing_document_field(self, tiny_trace, tiny_oracle,
+                                                 tmp_path, key):
+        # A document without the field raised a bare KeyError.
+        path = tmp_path / "run.json"
+        emit_run_artifact(compute_metrics(tiny_trace, tiny_oracle), tiny_trace, path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_run_artifact(path)
+        assert str(info.value) == f"run artifact document has no '{key}' field"
+        path.write_text('{"format": "rsdd-run-artifact"}')
+        with pytest.raises(ValueError, match="has no 'columns' field"):
+            load_run_artifact(path)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("edit, count", [
         (lambda row: row[:-1], 8), (lambda row: row + [row[-1]], 10),

@@ -15,8 +15,9 @@ from rsdd.network_sim import build_graph
 from rsdd.problem_model import (AffineMap, AgentProblem,
                                 ConstraintCoupledProblem, LocalSet,
                                 _coupled_form, build_random_instance,
-                                problem_hash, two_agent_demo, validate_problem)
-from rsdd.qp_solver import QpBatch, QpError, QpStandardForm, lift_hinges, solve_qp
+                                lift_hinges, problem_hash, two_agent_demo,
+                                validate_problem)
+from rsdd.qp_solver import QpBatch, QpError, QpStandardForm, solve_qp
 
 
 def demo_with_coupling_offset(b_total: float) -> ConstraintCoupledProblem:
@@ -209,7 +210,7 @@ class TestRelaxed:
         for agent in problem.agents:
             alone = ConstraintCoupledProblem([agent], problem.coupling_dim)
             res = solve_relaxed_centralized(alone, m_price, tol=1e-9)
-            x, rho, _ = local_step(agent, {}, {}, m_price)
+            x, rho, _ = local_step(agent, np.zeros(problem.coupling_dim), m_price)
             assert np.array_equal(res.xs[0], x)
             assert res.rho == rho
 

@@ -14,10 +14,11 @@ from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 MicrogridConfig, ProblemFormatError,
-                                ConstraintCoupledProblem, agent_total,
-                                agent_values,
+                                ConstraintCoupledProblem, _box_max,
+                                agent_total, agent_values,
                                 build_microgrid_instance,
-                                build_random_instance, load_problem,
+                                build_random_instance, lift_hinges,
+                                load_problem,
                                 microgrid_config_from_dict,
                                 microgrid_config_to_dict, problem_dict_hash,
                                 problem_from_dict, problem_hash,
@@ -91,6 +92,77 @@ class TestAgentValues:
         rng = np.random.default_rng(3)
         xs = rng.standard_normal((5, sum(a.dim for a in microgrid.agents))) * 5
         assert_matches_each_agent(microgrid, xs)
+
+
+@st.composite
+def rows_in_box(draw):
+    """Rows with offsets, a box and points of it: K rows over N variables,
+    some coefficients and some box widths zero, the values from a drawn
+    seed spread over six decades.  Some points are vertices of the box."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    rows = np.where(rng.random((k, n)) < 0.2, 0.0, values(k, n))
+    lb = values(n)
+    ub = lb + np.where(rng.random(n) < 0.2, 0.0, np.abs(values(n)))
+    t = np.concatenate([rng.random((8, n)), rng.integers(0, 2, (4, n))])
+    return rows, values(k), lb, ub, np.clip(lb + t * (ub - lb), lb, ub)
+
+
+class TestBoxBound:
+    @settings(max_examples=200, deadline=None)
+    @given(rows_in_box())
+    def test_box_max_is_the_largest_row_value(self, case):
+        # An upper bound of rows @ x at every point of the box, reached at
+        # the vertex that takes ub where a coefficient is positive.
+        rows, _, lb, ub, xs = case
+        box = _box_max(rows, lb, ub)
+        assert box.shape == (len(rows),)
+        slack = 1e-12 * (np.abs(rows) @ np.maximum(np.abs(lb), np.abs(ub)))
+        assert np.all(rows @ xs.T <= (box + slack)[:, None])
+        vertex = np.where(rows > 0, ub, lb)
+        assert np.array_equal((rows * vertex).sum(axis=-1), box)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_in_box())
+    def test_hinge_caps_exceed_every_hinge_argument(self, case):
+        # Each epigraph variable's upper bound stays above its hinge's
+        # argument a'x + b everywhere on the box, so it never binds.
+        rows, offsets, lb, ub, xs = case
+        n = len(lb)
+        agent = simple_agent(n, local_set=LocalSet(lb=lb, ub=ub),
+                             cost_hinges=[Hinge(1.0, r, b) for r, b in zip(rows, offsets)])
+        form = lift_hinges(agent)
+        caps = form.ub[n:]
+        assert caps.shape == (len(rows),) and np.all(caps >= 1.0)
+        vertex = np.where(rows > 0, ub, lb)
+        assert np.all(rows @ xs.T + offsets[:, None] < caps[:, None])
+        assert np.all((rows * vertex).sum(axis=-1) + offsets < caps)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(simple_agent(), dim=1.7), "dim must be an integer, not 1.7"),
+    (lambda: ConstraintCoupledProblem([simple_agent()], coupling_dim=1.2),
+     "coupling_dim must be an integer, not 1.2"),
+], ids=["dim", "coupling_dim"])
+def test_non_integral_size_rejected_by_constructor(build, message):
+    # int() truncated 1.7 to 1, and validate_problem passed the result.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("size", [2.0, np.int64(2), np.float64(2.0)],
+                         ids=["float", "numpy-int", "numpy-float"])
+def test_integral_size_accepted_by_constructor(size):
+    agent = replace(simple_agent(2, s_dim=2), dim=size)
+    problem = ConstraintCoupledProblem([agent], coupling_dim=size)
+    assert type(agent.dim) is int and agent.dim == 2
+    assert type(problem.coupling_dim) is int and problem.coupling_dim == 2
+    assert validate_problem(problem).ok
 
 
 class TestDemoValues:

@@ -15,11 +15,11 @@ from rsdd.network_sim import build_graph, run
 from rsdd.oracle import solve_centralized
 from rsdd.problem_model import (AffineMap, AgentProblem, Hinge, LocalSet,
                                 _coupled_form, _coupling_hi, _rho_headroom,
-                                build_random_instance)
+                                build_random_instance, lift_hinges)
 from rsdd import qp_solver
 from rsdd.qp_solver import (CoupledForm, QpBatch, QpError, QpInfeasibleError,
                             QpNumericalError, QpStandardForm, _solve_coupled,
-                            kkt_residuals, lift_hinges, load_form, save_form,
+                            kkt_residuals, load_form, save_form,
                             shape_groups, solve_qp, validate_form)
 
 
