@@ -171,10 +171,18 @@ class LocalSolverPool:
         # solution's elements, agent by agent, where mu and rho are read.
         s_dim = problem.coupling_dim
         rows, agent = self.batch.row, np.arange(len(agents))
-        coupling = np.array([[f.b_in.size - s_dim] for f in forms]) + np.arange(s_dim)
+        first = np.array([f.b_in.size - s_dim for f in forms])
         last = np.array([f.dim - 1 for f in forms])
-        self._rhs_at, self._ub_at = (rows[:, None], coupling), (rows, last)
-        self._mu_at, self._rho_at = (agent[:, None], coupling), (agent, last)
+        if (rows == agent).all() and (first == first[0]).all() and (last == last[0]).all():
+            # Every agent in the same columns, in agent order (one shape):
+            # slices, which read and write through views.
+            cols = slice(int(first[0]), int(first[0]) + s_dim)
+            self._rhs_at = self._mu_at = (slice(None), cols)
+            self._ub_at = self._rho_at = (slice(None), int(last[0]))
+        else:
+            coupling = first[:, None] + np.arange(s_dim)
+            self._rhs_at, self._ub_at = (rows[:, None], coupling), (rows, last)
+            self._mu_at, self._rho_at = (agent[:, None], coupling), (agent, last)
 
     def solve_all(self, shifts: np.ndarray
                   ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -183,8 +191,9 @@ class LocalSolverPool:
         levels and the (N, S) coupling-row multipliers.
 
         The x_i are views of the batch solution's x, new on every solve;
-        rho and mu are gathered from its arrays by index arrays built once.
-        Nothing returned shares memory with the batch or a later round.
+        rho and mu are read from its arrays by indices built once (slices,
+        so views too, when every agent has one layout).  Nothing returned
+        shares memory with the batch or a later round.
         A failed local QP is re-raised with the agent it belongs to.
         """
         self.batch.b_in[self._rhs_at] = -(self._coupling_vec + shifts)

@@ -324,11 +324,11 @@ def run(problem: ConstraintCoupledProblem, graph: Graph,
             status = "max-iters"
             break
         if config.enable_early_stop and t >= _STOP_WINDOW:
-            viol = float(problem.coupling_total(xs).max())
             flat = abs(costs[-1] - costs[-1 - _STOP_WINDOW]) \
                 <= _STOP_COST_CHANGE * max(1.0, abs(costs[-1]))
-            if (max(viol, 0.0) <= _STOP_VIOLATION
-                    and rho.sum() <= _STOP_SUM_RHO and flat):
+            # The violation, the costliest test, only once the others pass.
+            if (flat and rho.sum() <= _STOP_SUM_RHO
+                    and max(float(problem.coupling_total(xs).max()), 0.0) <= _STOP_VIOLATION):
                 status = "tolerance-met"
                 break
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -316,6 +316,27 @@ def _row_mean(v: np.ndarray) -> np.ndarray:
     return v.mean(axis=1)
 
 
+def _reduce_rows(ufunc: np.ufunc, a: np.ndarray, initial) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1, initial=initial)`` of a 2-D ``a``.
+
+    numpy reduces a short last axis one row at a time, at a cost per row:
+    a row-wise maximum of (200, 8) took 11 us, of (1000, 8) 44 us (2-core
+    x86 box, numpy 2.4).  An array with more rows than columns is
+    therefore copied transposed and reduced along its first axis, across
+    all rows at once (5 and 12 us); the choice reads the shape alone, and
+    a wide array, such as a few elements of many rows, stays row-wise.
+    The two layouts combine each row's entries in different orders, so
+    only order-free reductions use this: ``np.maximum``, ``np.minimum``
+    and ``np.logical_and`` give the same value in any order (NaN
+    propagates either way; of a +0.0 and a -0.0, which compare equal,
+    either may come out).  A sum or a mean would round differently, and
+    stays row-wise where it is.
+    """
+    if a.shape[0] > a.shape[1]:
+        return ufunc.reduce(np.ascontiguousarray(a.T), axis=0, initial=initial)
+    return ufunc.reduce(a, axis=1, initial=initial)
+
+
 def validate_form(form: QpStandardForm) -> None:
     """Raise ValueError on any malformed field of ``form``."""
     _validate_forms([form])
@@ -475,7 +496,9 @@ class _Shape:
         Computes the gradient, slacks and products of ``kkt_residuals``
         for each element, in the same order of operations, and takes the
         largest of the same terms (a maximum is exact in any order), so
-        the two agree bit for bit.  ``grad_rest`` adds the gradient of
+        the two agree bit for bit: the violations as one negated minimum
+        of the signed terms (lb - x is exactly -(x - lb)), the rest as one
+        maximum of absolute values.  ``grad_rest`` adds the gradient of
         rows outside the batch (the coupling rows of a coupled QP) last.
         """
         m_in, m_eq, nf = self.m_in, self.m_eq, self.nf
@@ -489,20 +512,25 @@ class _Shape:
             lo[:, self.fixed] = np.maximum(0.0, -theta)
             hi[:, self.fixed] = np.maximum(0.0, theta)
         grad = _mv(self.Q_form[k], x) + c - lo + hi
-        terms = [lb - x, x - ub, -lo, -hi, np.abs(lo * (x - lb)), np.abs(hi * (ub - x))]
+        above, below = x - lb, ub - x
+        signed = [above, below, lo, hi]          # each violated where negative
+        products = [lo * above, hi * below]      # each off by its absolute value
         if m_eq:
             a_eq = self.A[k, :m_eq]
             grad = grad + _mv(a_eq.transpose(0, 2, 1), eq_mult)
-            terms.append(np.abs(_mv(a_eq, x) - self.b[k, :m_eq]))
+            products.append(_mv(a_eq, x) - self.b[k, :m_eq])
         if m_in:
             a_in = self.G[k, :m_in]
             grad = grad + _mv(a_in.transpose(0, 2, 1), ineq_mult)
             slack = self.b_in[k] - _mv(a_in, x)
-            terms += [-slack, -ineq_mult, np.abs(ineq_mult * slack)]
+            signed += [slack, ineq_mult]
+            products.append(ineq_mult * slack)
         if grad_rest is not None:
             grad = grad + grad_rest
-        terms.append(np.abs(grad))
-        kkt = np.concatenate(terms, axis=1).max(axis=1, initial=0.0)
+        products.append(grad)
+        kkt = np.maximum(
+            _reduce_rows(np.maximum, np.abs(np.concatenate(products, axis=1)), 0.0),
+            -_reduce_rows(np.minimum, np.concatenate(signed, axis=1), 0.0))
         # Two-operand products only: a three-operand einsum sums in an
         # order that depends on the batch size.
         obj = (0.5 * np.einsum("bi,bi->b", x, _mv(self.Q[k], x))
@@ -521,14 +549,16 @@ class _Shape:
         built and inverted together first.  Hits and misses run the same
         arithmetic on the same matrices, so a result does not depend on
         when its system was built.  The gate admits no more active rows
-        than free directions, so every system has 2n rows.
+        than free directions, so every system has 2n rows.  A try of every
+        element reads the kept arrays through views, not index arrays.
         """
         if self._K is None:
             B, N, W = len(self.forms), 2 * self.n, self.n - self.me
             self._key, self._built = np.zeros((B, self.mi), dtype=bool), np.zeros(B, dtype=bool)
             self._K, self._Kinv = np.empty((B, N, N)), np.empty((B, N, N))
             self._held, self._on = np.empty((B, W), dtype=np.intp), np.empty((B, W), dtype=bool)
-        miss = ~(self._built[k] & (self._key[k] == act).all(axis=1))
+        s = slice(None) if len(k) == len(self.forms) else k
+        miss = ~(self._built[s] & _reduce_rows(np.logical_and, self._key[s] == act, True))
         if miss.any():
             j = k[miss]
             K, self._held[j], self._on[j] = _active_set_system(self.Q[j], self.A[j], self.G[j],
@@ -537,11 +567,9 @@ class _Shape:
             self._Kinv[j] = _solve_kkt(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape),
                                        self.n, K.shape[-1] - self.n)
             self._key[j], self._built[j] = act[miss], True
-        if len(k) == len(self.forms):  # every element: views, no copies
-            k = slice(None)
-        x, y, z = _active_set_point(self._K[k], partial(_mv, self._Kinv[k]), self.c[k],
-                                    self.b[k], h, self._held[k], self._on[k])
-        return x, y, z, self._certify(x, y, z, k=k)
+        x, y, z = _active_set_point(self._K[s], partial(_mv, self._Kinv[s]), self.c[s],
+                                    self.b[s], h, self._held[s], self._on[s])
+        return x, y, z, self._certify(x, y, z, k=s)
 
     def _polish(self, j, h, x0, z0, tol):
         """Active-set crossover for stalled element ``j`` at right-hand
@@ -580,9 +608,11 @@ class QpBatch:
     Low-level repeated-solve API: the constituent matrices are assembled
     once; callers may overwrite entries of ``b_in`` and ``ub`` between
     ``solve`` calls (the relaxed local problems of the distributed method
-    only change their coupling right-hand side from round to round).  A
-    batch's first solve is cold and each later one warm; a cold re-solve
-    is a new batch.
+    only change their coupling right-hand side from round to round), and
+    nothing else.  The inequality right-hand sides h are kept in one
+    buffer, into which each solve writes ``b_in`` and ``ub``; their
+    ``-lb`` part is written once, so ``lb`` is read-only.  A batch's first
+    solve is cold and each later one warm; a cold re-solve is a new batch.
 
     The forms of one ``shape_key`` make one ``_Shape`` (``shapes``, in the
     order their first form appears), whose matrices are stacked unpadded.
@@ -629,6 +659,10 @@ class QpBatch:
         self._order = np.concatenate(groups)  # the form in each row
         self.row = np.argsort(self._order)
         self._at = [self._order[rows] for rows in self._rows]  # each shape's forms
+        # Where a shape's solutions go: a slice when its forms are
+        # consecutive in input order (always so for one shape).
+        self._put_at = [slice(at[0], at[-1] + 1) if (np.diff(at) == 1).all() else at
+                        for at in self._at]
         self.n, self.me, self.mi = (max(getattr(sh, w) for sh in self.shapes)
                                     for w in ("n", "me", "mi"))
         self._widths = np.repeat([[sh.n, sh.m_eq, sh.m_in] for sh in self.shapes], sizes,
@@ -645,6 +679,12 @@ class QpBatch:
                 padded[rows, :own.shape[1]] = own
                 setattr(sh, name, padded[rows, :own.shape[1]])
             setattr(self, name, padded)
+        # The -lb part of h, written once; _h writes b_in and ub around it.
+        self._h_kept = np.ones((B, self.mi))
+        for sh, rows in zip(self.shapes, self._rows):
+            self._h_kept[rows, sh.m_in:sh.m_in + sh.nf] = -sh.lb[:, sh.free]
+            sh.lb.flags.writeable = False
+        self.lb.flags.writeable = False
         parts = [_Stacked(sh.Q, sh.A, sh.AT, sh.G, sh.GT) for sh in self.shapes]
         own = np.arange(self.mi) < np.repeat([sh.mi for sh in self.shapes], sizes)[:, None]
         self._ops = (parts[0] if len(parts) == 1 else  # one shape has no pad rows
@@ -658,9 +698,13 @@ class QpBatch:
         self._gate = np.zeros(B, dtype=bool)
 
     def _h(self) -> np.ndarray:
-        h = np.ones((len(self.forms), self.mi))
+        """Every element's inequality right-hand sides (``_Shape._h``),
+        padded with ones: the kept buffer, with the current ``b_in`` and
+        ``ub`` written in.  The next call overwrites it."""
+        h = self._h_kept
         for sh, rows in zip(self.shapes, self._rows):
-            h[rows, :sh.mi] = sh._h()
+            h[rows, :sh.m_in] = sh.b_in
+            h[rows, sh.m_in + sh.nf:sh.mi] = sh.ub if sh.nf == sh.n else sh.ub[:, sh.free]
         return h
 
     def _locate(self, k: int) -> tuple[_Shape, int, int]:
@@ -705,15 +749,22 @@ class QpBatch:
         attempt, shape by shape, so every element is certified once.  Every
         solve keeps its solution and active sets for the next, in arrays
         the returned solution does not share.
+
+        A settled warm solve, in which the try certifies every element,
+        costs its arithmetic: writing ``b_in`` and ``ub`` into the kept h,
+        each shape's try and certificate, and the next solve's gate.  It
+        makes no interior-point start, residual or retry array and scans
+        no element for steps 2 to 4 (``_solve_left``); a shape whose every
+        element the gate admits is tried, and its results written, through
+        slices rather than index arrays.
         """
         h = self._h()
-        x0 = 0.5 * (self.lb + self.ub)
         B = len(self.forms)
         x, y, z = np.zeros((B, self.n)), np.zeros((B, self.me)), np.zeros((B, self.mi))
-        iters, res = np.full(B, -1), np.full(B, np.inf)
+        iters = np.full(B, -1)
         for sh, rows in zip(self.shapes, self._rows):
             if sh.mi == 0:
-                xs = x0[rows, :sh.n]
+                xs = 0.5 * (sh.lb + sh.ub)
                 x[rows, :sh.n] = xs
                 y[rows, :sh.me] = [np.linalg.lstsq(sh.AT[j], -(sh.Q[j] @ xs[j] + sh.c[j]),
                                                    rcond=None)[0] for j in range(len(xs))]
@@ -723,27 +774,59 @@ class QpBatch:
                             np.zeros((B, m_in)), np.zeros((B, self.n)),
                             np.zeros((B, self.n)), np.empty(B), np.empty(B),
                             np.empty(B, dtype=iters.dtype), self._widths)
-        starts = [(x0, None)]
         uncertified = np.ones(B, dtype=bool)  # the rows no active-set try certified
         if self._warm is not None:
-            starts.insert(0, self._warm)
             gate = self._gate & (iters < 0)
-            for sh, rows, at in zip(self.shapes, self._rows, self._at):
+            for sh, rows, at, put_at in zip(self.shapes, self._rows, self._at, self._put_at):
                 k = gate[rows].nonzero()[0]
                 if not k.size:
                     continue
-                r = rows.start + k
+                every = k.size == len(at)  # then rows and solutions are slices
+                r = rows if every else rows.start + k
                 xa, ya, za, cert = sh._active_set_try(k, h[r, :sh.mi], self._act[r, :sh.mi])
                 ok = cert[4] <= tol
-                if not ok.any():
-                    continue
                 if not ok.all():
-                    k, r, xa, ya, za = k[ok], r[ok], xa[ok], ya[ok], za[ok]
+                    if not ok.any():
+                        continue
+                    k, xa, ya, za = k[ok], xa[ok], ya[ok], za[ok]
+                    r, every = rows.start + k, False
                     cert = tuple(v[ok] for v in cert)
                 x[r, :sh.n], y[r, :sh.me], z[r, :sh.mi] = xa, ya, za
                 iters[r] = 0
-                sol._put(at[k], cert)
+                sol._put(put_at if every else at[k], cert)
                 uncertified[r] = False
+        if (iters < 0).any():  # the rest of the attempts, for the elements left
+            x, y, z, iters = self._solve_left(h, x, y, z, iters, tol, max_iter)
+        if uncertified.any():
+            for sh, rows, at, put_at in zip(self.shapes, self._rows, self._at, self._put_at):
+                # The rest are certified against the current right-hand sides.
+                k = uncertified[rows].nonzero()[0]
+                if not k.size:
+                    continue
+                xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
+                if k.size == len(at):  # every element: views, no copies
+                    sol._put(put_at, sh._certify(xs, ys, zs))
+                else:
+                    sol._put(at[k], sh._certify(xs[k], ys[k], zs[k], k=k))
+        np.take(x, self.row, axis=0, out=sol.x)
+        np.take(iters, self.row, out=sol.iterations)
+        self._warm = (x, z)  # no copies: the solution holds none of their memory
+        act, clear = _active_set(h - self._ops.Gx(x), z)
+        same = self._act is not None and _reduce_rows(np.logical_and, act == self._act, True)
+        self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
+        self._act = act
+        return sol
+
+    def _solve_left(self, h, x, y, z, iters, tol, max_iter):
+        """Steps 2 to 4 of ``solve`` for the rows whose ``iters`` are still
+        negative: the interior point from each start, the polish, and the
+        diagnosis of the first element in input order left unconverged.
+        Returns the iterates (x, y, z) and ``iters``, written in place or,
+        when the interior point took every row, its own arrays."""
+        B = len(self.forms)
+        x0 = 0.5 * (self.lb + self.ub)
+        res = np.full(B, np.inf)
+        starts = [(x0, None)] if self._warm is None else [self._warm, (x0, None)]
         for start, z_init in starts:
             todo = iters < 0
             if todo.all():  # the batch's own arrays, no copies
@@ -767,23 +850,7 @@ class QpBatch:
             k = int(failed.min())
             sh, _, r = self._locate(k)
             self._diagnose(k, x0[r, :sh.n], h[r, :sh.mi], int(max_iter), float(res[r]))
-        for sh, rows, at in zip(self.shapes, self._rows, self._at):
-            # The rest are certified against the current right-hand sides.
-            k = uncertified[rows].nonzero()[0]
-            if not k.size:
-                continue
-            if k.size == len(at):  # every element: views, no copies
-                k = slice(None)
-            xs, ys, zs = x[rows, :sh.n], y[rows, :sh.me], z[rows, :sh.mi]
-            sol._put(at[k], sh._certify(xs[k], ys[k], zs[k], k=k))
-        np.take(x, self.row, axis=0, out=sol.x)
-        np.take(iters, self.row, out=sol.iterations)
-        self._warm = (x, z)  # no copies: the solution holds none of their memory
-        act, clear = _active_set(h - self._ops.Gx(x), z)
-        same = self._act is not None and (act == self._act).all(axis=1)
-        self._gate = clear & same & (act.sum(axis=1) <= self._free_dirs)
-        self._act = act
-        return sol
+        return x, y, z, iters
 
     def _effective_form(self, k: int) -> QpStandardForm:
         """Form ``k`` with the batch's current right-hand sides.
@@ -1170,7 +1237,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Largest alpha per batch row keeping v + alpha*dv >= 0 (capped at 1)."""
     ratio = np.full_like(v, np.inf)
     np.divide(v, -dv, out=ratio, where=dv < 0)
-    return np.minimum(ratio.min(axis=-1), 1.0)
+    return np.minimum(_reduce_rows(np.minimum, ratio, np.inf), 1.0)
 
 
 def _solve_kkt(K, rhs, n, me):
@@ -1214,7 +1281,8 @@ def _active_set(slack, z):
     separates every row clearly: min(z_i, s_i) < _SEPARATION * max(z_i, s_i)."""
     s = np.maximum(slack, 0.0)
     act = z > np.maximum(s, 1e-10)
-    clear = (np.minimum(z, s) < _SEPARATION * np.maximum(z, s)).all(axis=-1)
+    clear = _reduce_rows(np.logical_and, np.minimum(z, s) < _SEPARATION * np.maximum(z, s),
+                         True)
     return act, clear
 
 
@@ -1243,18 +1311,34 @@ def _active_set_system(Q, A, G, act):
     return K, order, on
 
 
+@lru_cache(maxsize=256)
+def _column(B: int) -> np.ndarray:
+    """``np.arange(B)[:, None]``, made once per B (read-only: it is shared)."""
+    out = np.arange(B)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _reg_shift(n: int, size: int) -> np.ndarray:
+    """The diagonal shift of a ``size``-row ``_kkt_matrix`` with n primal
+    rows, _REG on those and -_REG on the rest, made once (read-only)."""
+    out = np.where(np.arange(size) < n, _REG, -_REG)
+    out.flags.writeable = False
+    return out
+
+
 def _active_set_point(K, solve, c, b, h, order, on):
     """The KKT point (x, y, z) of each ``_active_set_system`` K at the
     right-hand sides c, b and h; ``solve(rhs)`` applies K's inverse."""
     n, me = c.shape[1], b.shape[1]
-    rows = (np.arange(len(order))[:, None], order)
+    rows = (_column(len(order)), order)
     rhs = np.concatenate([-c, b, h[rows] * on], axis=1)
     d = solve(rhs)
     # One refinement step against the unshifted system: the shift alone
     # leaves an active row the slack -_REG z_i, whose complementarity
     # _REG z_i^2 passes 1e-9 once z_i passes about 30.
-    shift = np.where(np.arange(K.shape[-1]) < n, _REG, -_REG)
-    d += solve(rhs - _mv(K, d) + shift * d)
+    d += solve(rhs - _mv(K, d) + _reg_shift(n, K.shape[-1]) * d)
     z = np.zeros_like(h)
     z[rows] = np.where(on, d[:, n + me:], 0.0)
     return d[:, :n], d[:, n:n + me], z
@@ -1456,10 +1540,8 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         gx = ops.Gx(x)
         rg = gx + s - h
         comp = s * z
-        res_live = np.maximum.reduce([
-            _amax_abs(rd), _amax_abs(rp), _amax_abs(rg),
-            _amax_abs(z * (h - gx)),
-        ])
+        res_live = _reduce_rows(np.maximum,
+                                np.abs(np.concatenate([rd, rp, rg, z * (h - gx)], axis=1)), 0.0)
         res[live] = res_live
         improved = np.isfinite(res_live) & (res_live < 0.999 * best_res[live])
         if improved.any():
@@ -1509,8 +1591,8 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
         dx, dy, ds, dz = newton(rc_vec)
         ap = 0.995 * _max_step(s, ds)
         ad = 0.995 * _max_step(z, dz)
-        stuck = ~(np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=1)
-                  & np.isfinite(dy).all(axis=1) & np.isfinite(ds).all(axis=1))
+        stuck = ~_reduce_rows(np.logical_and,
+                              np.isfinite(np.concatenate([dx, dz, dy, ds], axis=1)), True)
         if stuck.any():
             # A non-finite direction must not reach the iterate (0 * inf is
             # NaN): the element keeps its iterate and leaves at the check.

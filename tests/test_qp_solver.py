@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from functools import partial
 
@@ -746,6 +747,153 @@ class TestWarmActiveSet:
         assert sols.iterations[0] > 0 and sols.iterations[1:].tolist() == [0, 0]
         for a, copy in kept:
             assert np.array_equal(a, copy)
+
+    @staticmethod
+    def spy_on_the_attempts(monkeypatch):
+        """Each element certified by ``_Shape._certify``, as (shape, element)
+        pairs, and the batch size of each ``_ipm`` call; ``_polish`` and
+        ``_diagnose`` fail the test if called."""
+        certified, ipm_sizes = [], []
+        orig_certify, orig_ipm = qp_solver._Shape._certify, qp_solver._ipm
+
+        def certify(sh, x, y, z, grad_rest=None, k=slice(None)):
+            idx = range(len(sh.forms))[k] if isinstance(k, slice) else k.tolist()
+            certified.extend((id(sh), j) for j in idx)
+            return orig_certify(sh, x, y, z, grad_rest, k)
+
+        def ipm(ops, c, *args, **kwargs):
+            ipm_sizes.append(len(c))
+            return orig_ipm(ops, c, *args, **kwargs)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("not reached in this solve")
+
+        monkeypatch.setattr(qp_solver._Shape, "_certify", certify)
+        monkeypatch.setattr(qp_solver, "_ipm", ipm)
+        monkeypatch.setattr(qp_solver._Shape, "_polish", unexpected)
+        monkeypatch.setattr(QpBatch, "_diagnose", unexpected)
+        return certified, ipm_sizes
+
+    @staticmethod
+    def settled_batch(two_shapes: bool):
+        """A batch that two warm solves have settled on one clearly
+        separated active set: one shape, or two shapes interleaved, so
+        that its rows are not its input order."""
+        if two_shapes:
+            flat = box_form(np.eye(3), [-1.0, -1.0, -1.0], [-3.0] * 3, [3.0] * 3,
+                            A_in=[[1.0, 1.0, 1.0]], b_in=[1.0])
+            forms = [projection_forms([(2.0, 0.0)], [1.0])[0], flat,
+                     projection_forms([(2.0, 0.0)], [1.0])[0], flat]
+        else:
+            forms = projection_forms([(2.0, 0.0), (1.5, 1.0), (0.0, 2.5)], [1.0] * 3)
+        batch = QpBatch(forms)
+        for rhs in (1.0, 1.0, 1.01):
+            batch.b_in[:, 0] = rhs
+            batch.solve(tol=1e-9)
+        return batch
+
+    @pytest.mark.parametrize("two_shapes", [False, True])
+    def test_settled_round_only_certifies(self, monkeypatch, two_shapes):
+        """A warm solve in which the try certifies every element runs no
+        interior point, polish or diagnosis, certifies each element exactly
+        once, and returns arrays of its own: 0 iterations, each residual
+        the one-form reference's, and no memory shared with the batch, its
+        warm start or its kept h."""
+        batch = self.settled_batch(two_shapes)
+        certified, ipm_sizes = self.spy_on_the_attempts(monkeypatch)
+        batch.b_in[:, 0] = 1.02
+        sols = batch.solve(tol=1e-9)
+        assert ipm_sizes == []
+        assert sorted(certified) == sorted((id(sh), j) for sh in batch.shapes
+                                           for j in range(len(sh.forms)))
+        assert sols.iterations.tolist() == [0] * len(batch.forms)
+        for k, sol in enumerate(sols):
+            assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max <= 1e-9
+        kept = [batch.c, batch.b, batch.lb, batch.ub, batch.b_in, batch._h(), *batch._warm,
+                batch._act]
+        for name in _SOLUTION_ARRAYS + ("objective", "kkt_residual", "iterations"):
+            assert not any(np.shares_memory(getattr(sols, name), a) for a in kept), name
+
+    @pytest.mark.parametrize("two_shapes", [False, True])
+    def test_one_miss_alone_reaches_the_interior_point(self, monkeypatch, two_shapes):
+        """In a settled batch, element 2's row turns inactive: its try
+        fails and only it goes on to the interior point, while the try
+        certifies the others.  Element 2 is certified by its failed try
+        and once more after the interior point, the others once."""
+        batch = self.settled_batch(two_shapes)
+        certified, ipm_sizes = self.spy_on_the_attempts(monkeypatch)
+        batch.b_in[:, 0] = 1.02
+        batch.b_in[batch.row[2], 0] = 3.0
+        sols = batch.solve(tol=1e-9)
+        assert ipm_sizes and set(ipm_sizes) == {1}
+        sh, j, _ = batch._locate(2)
+        assert sorted(certified) == sorted([(id(sh), j)] + [
+            (id(s), i) for s in batch.shapes for i in range(len(s.forms))])
+        assert [it > 0 for it in sols.iterations] == [k == 2 for k in range(len(batch.forms))]
+        for k, sol in enumerate(sols):
+            assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max <= 1e-9
+
+
+class TestRightHandSides:
+    def test_lb_is_read_only(self):
+        """The -lb part of h is written once, so ``lb`` cannot be
+        overwritten: a write raises instead of solving a stale problem."""
+        batch = QpBatch(projection_forms([(2.0, 0.0), (0.0, 2.5)], [1.0, 1.0]))
+        with pytest.raises(ValueError):
+            batch.lb[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            batch.shapes[0].lb[:] = 0.0
+        batch.b_in[:, 0] = 0.5
+        batch.ub[:, 1] = 2.0
+
+    def test_overwritten_rhs_match_a_fresh_batch(self):
+        """``b_in`` and ``ub`` overwritten between solves, moving both the
+        coupling row and an active upper bound: every solve matches a fresh
+        batch built on the new values, and its certificate is the one-form
+        reference's for them; once the active sets hold, the try solves
+        at the new right-hand sides with 0 iterations."""
+        targets = [(2.5, -1.0), (1.5, 1.0), (0.0, 2.5)]
+        batch = QpBatch(projection_forms(targets, [1.0] * 3))
+        steps = [([1.0] * 3, [3.0] * 3), ([1.0] * 3, [3.0] * 3),
+                 ([1.01, 0.99, 1.02], [1.8, 3.0, 3.0]), ([1.01, 0.99, 1.02], [1.8, 3.0, 3.0]),
+                 ([1.02, 0.98, 1.03], [1.7, 3.0, 3.0]), ([1.03, 0.97, 1.04], [1.6, 3.0, 3.0])]
+        iterations = []
+        for rhs, ub0 in steps:
+            batch.b_in[:, 0] = rhs
+            batch.ub[:, 0] = ub0
+            sols = batch.solve(tol=1e-9)
+            forms = [dataclasses.replace(f, ub=np.array([u, 3.0]))
+                     for f, u in zip(projection_forms(targets, rhs), ub0)]
+            fresh = QpBatch(forms).solve(tol=1e-9)
+            for k, (sol, ref) in enumerate(zip(sols, fresh)):
+                assert np.allclose(sol.x, ref.x, rtol=0.0, atol=1e-7)
+                assert abs(sol.objective - ref.objective) <= 1e-8
+                assert sol.x[0] <= ub0[k] + 1e-9
+                assert sol.kkt_residual == kkt_residuals(forms[k], sol).max <= 1e-9
+            iterations.append(sols.iterations.tolist())
+        assert iterations[-1] == [0, 0, 0]
+        assert iterations[2][0] > 0  # the bound took over from the row
+
+
+class TestReduceRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 1000), st.integers(0, 132), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.05, 0.5]), st.sampled_from([0.0, np.inf, -np.inf]))
+    def test_equals_the_row_wise_reduce(self, rows, cols, seed, special, initial):
+        """Tall and wide arrays, with NaN, +-inf and signed zeros: the
+        helper equals ``ufunc.reduce(a, axis=1, initial=...)`` for each
+        order-free reduction it serves."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, cols))
+        mask = rng.random(a.shape) < special
+        a[mask] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=int(mask.sum()))
+        for ufunc in (np.maximum, np.minimum):
+            assert np.array_equal(qp_solver._reduce_rows(ufunc, a, initial),
+                                  ufunc.reduce(a, axis=1, initial=initial), equal_nan=True)
+        flags = a > 0.0
+        for start in (True, False):
+            assert np.array_equal(qp_solver._reduce_rows(np.logical_and, flags, start),
+                                  np.logical_and.reduce(flags, axis=1, initial=start))
 
 
 class TestRegressions:
