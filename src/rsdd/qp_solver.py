@@ -21,6 +21,13 @@ active set, with the inverse of that active set's KKT matrix kept from its
 last try, and keeps what passes tol; an element the interior point leaves
 unconverged is polished on active sets.  Both accept on the certificate
 that the solution then reports.
+
+An element whose Q is nonzero takes one interior-point step length, the
+smaller of its primal and dual ones; an LP element (Q = 0) takes the two
+separately, as Mehrotra's LP method does.  Separate lengths are not valid
+for QP (Nocedal & Wright, Numerical Optimization, section 16.6), and on
+QP elements warm solves cycled on them until the stall rule sent them to
+a cold start.
 """
 
 from __future__ import annotations
@@ -309,11 +316,15 @@ def _amax_abs(a: np.ndarray) -> np.ndarray:
 
 
 def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    if not mat.size:  # no rows or no columns: the zeros that matmul gives
+        return np.zeros(mat.shape[:-1])
     return (mat @ vec[..., None])[..., 0]
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:
-    return v.mean(axis=1)
+    """``v.mean(axis=1)`` bit for bit: the same sum over the same count,
+    without ``mean``'s own argument handling."""
+    return np.add.reduce(v, axis=1) / v.shape[1]
 
 
 def _reduce_rows(ufunc: np.ufunc, a: np.ndarray, initial) -> np.ndarray:
@@ -964,7 +975,8 @@ class _Coupled:
     Schur complement of the coupling rows (Woodbury), bordered by v's row
     when v exists, so no n_total x n_total matrix is ever formed.  The
     proximal shift of the block factorizations scales with the largest
-    entry of the blocks' Q.
+    entry of the blocks' Q.  The QP takes one step length (``qp``) when
+    some block's Q is nonzero, as its dense stack does.
     """
 
     pad = None
@@ -978,6 +990,7 @@ class _Coupled:
         self.S = coupling[0].shape[1]
         self.P = _pair_rotation(coupling)
         self.prox = _PROX * max([1.0] + [float(np.abs(g.Q).max()) for g in groups if g.n])
+        self.qp = np.array([any(g.Q.any() for g in groups)])
         self.n = sum(g.c.size for g in groups) + has_v
         self.me = sum(g.b.size for g in groups)
         self.mi = sum(len(g.forms) * g.mi for g in groups) + 2 * has_v + self.S
@@ -1136,10 +1149,9 @@ class _Coupled:
                 xg[...], yg[...] = dg[:, :g.n], dg[:, g.n:]
             if self.has_v:
                 dx[0, -1] = dv[0]
-            ds = -rg - self.Gx(dx)
-            dz = (-rc - z * ds) / s
-            dz[0, rows:] = q[0, rows:] + dzeta
-            return dx, dy, ds, dz
+            dsz = _slack_steps(-rg, self.Gx(dx), rc, z, s)
+            dsz[0, self.mi + rows:] = q[0, rows:] + dzeta  # the coupling rows' dz
+            return dx, dy, dsz
         return step
 
 
@@ -1233,11 +1245,20 @@ def _solve_coupled(form: CoupledForm, tol: float, max_iter: int) -> PrimalDualSo
                               iterations=int(iters[0]))
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Largest alpha per batch row keeping v + alpha*dv >= 0 (capped at 1)."""
-    ratio = np.full_like(v, np.inf)
-    np.divide(v, -dv, out=ratio, where=dv < 0)
-    return np.minimum(_reduce_rows(np.minimum, ratio, np.inf), 1.0)
+def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The largest alpha, capped at 1, keeping each half of each batch row
+    of v + alpha*dv >= 0, from one reduction: (B, 2), the first half's in
+    column 0.  ``v`` holds the slacks and multipliers [s | z] side by side.
+
+    The ratios v / -dv are divided out everywhere and those where dv >= 0
+    discarded, which is several times faster than a masked division.  The
+    division's warnings are ignored: a discarded ratio means nothing, and a
+    kept one that overflows is inf, which bounds nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(dv < 0, v / -dv, np.inf)
+    halves = ratio.reshape(2 * len(v), v.shape[1] // 2)
+    return _reduce_rows(np.minimum, halves, 1.0).reshape(len(v), 2)
 
 
 def _solve_kkt(K, rhs, n, me):
@@ -1344,38 +1365,50 @@ def _active_set_point(K, solve, c, b, h, order, on):
     return d[:, :n], d[:, n:n + me], z
 
 
+def _slack_steps(nrg, gdx, rc, z, s):
+    """A Newton step's ds = -rg - G dx and dz = (-rc - z ds) / s side by
+    side, [ds | dz], from ``nrg`` = -rg and ``gdx`` = G dx."""
+    mi = z.shape[1]
+    out = np.empty((len(z), 2 * mi))
+    ds = np.subtract(nrg, gdx, out=out[:, :mi])
+    np.divide(-rc - z * ds, s, out=out[:, mi:])
+    return out
+
+
 class _Stacked:
     """The constraint operators of a batch of same-shape QPs, one dense
     array per element: the matvecs and Newton systems of ``_ipm``.  Its
-    vectors have no pad rows (``pad``), so each mean is a row mean."""
+    vectors have no pad rows (``pad``), so each mean is a row mean.  ``qp``
+    flags the elements whose Q is nonzero, which take one step length."""
 
     pad = None
     mean = staticmethod(_row_mean)
 
-    def __init__(self, Q, A, AT, G, GT):
+    def __init__(self, Q, A, AT, G, GT, qp=None):
         self.data = (Q, A, AT, G, GT)
+        self.qp = Q.any(axis=(1, 2)) if qp is None else qp
         self.Qx, self.Ax, self.ATy, self.Gx, self.GTz = (partial(_mv, m) for m in self.data)
 
     def take(self, keep: np.ndarray) -> "_Stacked":
-        return _Stacked(*(m[keep] for m in self.data))
+        return _Stacked(*(m[keep] for m in self.data), self.qp[keep])
 
     def newton(self, z, s, rd, rp, rg):
         """The Newton step at an iterate with slacks s, multipliers z and
         residuals (rd, rp, rg): a function of the complementarity target
-        rc that returns (dx, dy, ds, dz)."""
+        rc that returns (dx, dy, [ds | dz]) (``_slack_steps``)."""
         Q, A, AT, G, GT = self.data
         K = _kkt_matrix(Q, A, AT, G, GT, z / s)
         n = Q.shape[-1]
         me = A.shape[1]
         rhs = np.empty((Q.shape[0], n + me))
         rhs[:, n:] = -rp
+        zrg, nrg = z * rg, -rg  # the same in both steps
 
         def step(rc):
-            rhs[:, :n] = -(rd + self.GTz((z * rg - rc) / s))
+            rhs[:, :n] = -(rd + self.GTz((zrg - rc) / s))
             d = _solve_kkt(K, rhs, n, me)
             dx, dy = d[:, :n], d[:, n:]
-            ds = -rg - self.Gx(dx)
-            return dx, dy, ds, (-rc - z * ds) / s
+            return dx, dy, _slack_steps(nrg, self.Gx(dx), rc, z, s)
         return step
 
 
@@ -1385,18 +1418,23 @@ class _Mixed:
     vectors padded to ``width`` = (n, me, mi), the widest shape's.  Every
     product is zero in the pad columns.  ``pad`` is 1 on each element's
     own inequality rows and 0 on its pad rows, and ``mean`` averages each
-    element's own rows only, so an element's arithmetic is the same as in
-    a batch of its shape alone."""
+    element's own rows only (``own`` of them), so an element's arithmetic is
+    the same as in a batch of its shape alone; ``qp`` is the parts' flags,
+    row by row."""
 
     def __init__(self, parts: list[_Stacked], rows: list[slice],
                  width: tuple[int, int, int], pad: np.ndarray):
         self.parts, self.rows, self.width, self.pad = parts, rows, width, pad
+        self.qp = np.concatenate([part.qp for part in parts])
+        self.own = np.repeat([float(part.data[3].shape[1]) for part in parts],
+                             [r.stop - r.start for r in rows])
 
     def _apply(self, which: int, v: np.ndarray, width: int) -> np.ndarray:
         out = np.zeros((len(v), width))
         for part, rows in zip(self.parts, self.rows):
             m = part.data[which]
-            np.matmul(m, v[rows, :m.shape[2], None], out=out[rows, :m.shape[1], None])
+            if m.size:  # an empty product leaves its zeros
+                np.matmul(m, v[rows, :m.shape[2], None], out=out[rows, :m.shape[1], None])
         return out
 
     def Qx(self, x):
@@ -1415,10 +1453,11 @@ class _Mixed:
         return self._apply(4, z, self.width[0])
 
     def mean(self, v: np.ndarray) -> np.ndarray:
+        """``_row_mean`` of each element's own rows."""
         out = np.empty(len(v))
         for part, rows in zip(self.parts, self.rows):
-            out[rows] = v[rows, :part.data[3].shape[1]].mean(axis=1)
-        return out
+            np.add.reduce(v[rows, :part.data[3].shape[1]], axis=1, out=out[rows])
+        return out / self.own
 
     def take(self, keep: np.ndarray) -> "_Mixed":
         """The rows where the boolean ``keep`` holds."""
@@ -1443,15 +1482,16 @@ class _Mixed:
             rhs[:, n:] = -rp[rows, :me]
             systems.append((_kkt_matrix(Q, A, AT, G, GT, w[rows, :G.shape[1]]), rhs, n, me))
 
+        zrg, nrg = z * rg, -rg
+
         def step(rc):
-            r = -(rd + self.GTz((z * rg - rc) / s))
+            r = -(rd + self.GTz((zrg - rc) / s))
             dx, dy = np.zeros_like(rd), np.zeros_like(rp)
             for rows, (K, rhs, n, me) in zip(self.rows, systems):
                 rhs[:, :n] = r[rows, :n]
                 d = _solve_kkt(K, rhs, n, me)
                 dx[rows, :n], dy[rows, :me] = d[:, :n], d[:, n:]
-            ds = -rg - self.Gx(dx)
-            return dx, dy, ds, (-rc - z * ds) / s
+            return dx, dy, _slack_steps(nrg, self.Gx(dx), rc, z, s)
         return step
 
 
@@ -1466,10 +1506,13 @@ def _kkt_matrix(Q, A, AT, G, GT, w, reg=_REG):
     """Batched quasi-definite matrices [[Q + G'WG + reg, A'], [A, -_REG]]."""
     n = Q.shape[-1]
     me = A.shape[1]
-    K = np.zeros((Q.shape[0], n + me, n + me))
-    K[:, :n, :n] = Q + (GT * w[:, None, :]) @ G
-    K[:, :n, n:] = AT
-    K[:, n:, :n] = A
+    # A new C-ordered array (the diagonal below is a view), whole when me = 0.
+    K = np.add(Q, (GT * w[:, None, :]) @ G, order="C")
+    if me:
+        top, K = K, np.zeros((Q.shape[0], n + me, n + me))
+        K[:, :n, :n] = top
+        K[:, :n, n:] = AT
+        K[:, n:, :n] = A
     diag = K.reshape(len(K), -1)[:, ::n + me + 1]  # a view of the diagonals
     diag[:, :n] += reg
     diag[:, n:] -= _REG
@@ -1503,55 +1546,76 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
     start (Yildirim & Wright, 2002).  Without ``z_init`` the start is cold:
     zero multipliers and a floor of 1.
 
+    Step lengths.  The affine predictor's primal and dual lengths only set
+    sigma, and stay separate.  The corrector step moves the primal pair
+    (x, s) by 0.995 alpha_p and the dual pair (z, y) by 0.995 alpha_d for
+    an LP element (Q = 0), as in Mehrotra's LP method, and both pairs by
+    0.995 min(alpha_p, alpha_d) for an element whose Q is nonzero
+    (``ops.qp``): in a QP, x enters the dual residual Qx + c + G'z + A'y,
+    so separate lengths do not reduce it (Nocedal & Wright, Numerical
+    Optimization, section 16.6).  On them, warm solves of random N = 200
+    instances cycled for about 100 iterations before their cold retry.
+
     An element leaves the loop once it converges, fails or stalls (no
     improvement of its residual for 30 iterations), keeping its last
     iterate.  From then on the data and iterates of the live elements are
     gathered into smaller arrays and only those are factorized; while every
     element is live the full arrays are used as they are.  Every rule is
     per element and all elements start at iteration 0, so an element's
-    result does not depend on which others share its batch.
+    result does not depend on which others share its batch.  Each element's
+    iterate is one row [x | s | z | y] and its direction one row of the
+    same layout, so a step is one update per pair, and the finiteness
+    test, the best-iterate copy and the gather of the live rows are one
+    operation each.
     """
     B, n = c.shape
-    me = b.shape[1]
-    x = x0.copy()
-    slack = h - ops.Gx(x)
+    me, mi = b.shape[1], h.shape[1]
+    data = np.concatenate([c, b, h], axis=1)  # gathered as one
+    c, b, h = data[:, :n], data[:, n:n + me], data[:, n + me:]
+    slack = h - ops.Gx(x0)
     if z_init is None:  # cold: floor 1, zero multipliers
         floor, z_init = 1.0, np.zeros_like(slack)
     else:  # the largest violation of G x0 <= h (0 if none), clipped to [1e-3, 1]
         floor = np.clip(-slack.min(axis=1, initial=0.0), 1e-3, 1.0)[:, None]
     if ops.pad is not None:  # pad rows start, and stay, at s = 1 and z = 0
         floor = floor * ops.pad
-    s = np.maximum(slack, floor)
-    z = np.maximum(z_init, floor)
-    y = np.zeros((B, me))
+    v = np.concatenate([x0, np.maximum(slack, floor), np.maximum(z_init, floor),
+                        np.zeros((B, me))], axis=1)
+    cut, sz = n + mi, slice(n, n + 2 * mi)  # the primal pair ends at cut; s and z
+    sides = (cut, v.shape[1] - cut)  # columns per pair, for np.repeat of its length
+
+    def parts(v):
+        """Views of x, s, z and y in the iterates ``v``."""
+        return v[:, :n], v[:, n:cut], v[:, cut:cut + mi], v[:, cut + mi:]
+
     iters = np.full(B, -1, dtype=int)
     res = np.full(B, np.inf)
     best_res = np.full(B, np.inf)
-    best_x, best_y, best_z = x.copy(), y.copy(), z.copy()
+    best = v.copy()
     last_improve = np.zeros(B, dtype=int)
     stuck = np.zeros(B, dtype=bool)  # elements whose last direction was not finite
-    # The whole batch's iterates; x, y, z and s below hold the live ones.
-    x_all, y_all, z_all = x, y, z
+    v_all = v  # the whole batch's iterates; v below holds the live ones
     live = np.arange(B)
     it = 0
     while True:
-        rd = ops.Qx(x) + c + ops.GTz(z) + ops.ATy(y)
-        rp = ops.Ax(x) - b
+        x, s, z, y = parts(v)
         gx = ops.Gx(x)
-        rg = gx + s - h
+        # The residuals [rd | rp | rg | z (h - Gx)], gathered as one.
+        r = np.concatenate([ops.Qx(x) + c + ops.GTz(z) + ops.ATy(y), ops.Ax(x) - b,
+                            gx + s - h, z * (h - gx)], axis=1)
         comp = s * z
-        res_live = _reduce_rows(np.maximum,
-                                np.abs(np.concatenate([rd, rp, rg, z * (h - gx)], axis=1)), 0.0)
+        res_live = _reduce_rows(np.maximum, np.abs(r), 0.0)
         res[live] = res_live
-        improved = np.isfinite(res_live) & (res_live < 0.999 * best_res[live])
+        # res_live is >= 0, +inf or NaN, so where it is not finite it
+        # neither improves nor converges.
+        best_live = best_res[live]
+        improved = res_live < 0.999 * best_live
         if improved.any():
             k = live[improved]
             best_res[k] = res_live[improved]
-            best_x[k] = x[improved]
-            best_y[k] = y[improved]
-            best_z[k] = z[improved]
+            best[k] = v[improved]
             last_improve[k] = it
-        converged = (res_live <= tol) & np.isfinite(res_live)
+        converged = res_live <= tol
         iters[live[converged]] = it
         # Ill-conditioning near a degenerate optimum can blow up late
         # iterates; an element stops on divergence or a long stall, and
@@ -1563,53 +1627,51 @@ def _ipm(ops, c, b, h, x0, tol, max_iter, z_init=None):
             break
         it += 1
         mu = ops.mean(comp)
+        # An improved element's residual is below its best, so the best
+        # from before this iteration's update gives the same divergence test.
         active &= np.isfinite(mu) & (mu <= 1e18) & np.isfinite(res_live) & ~stuck \
-            & ~((res_live > 1e4 * best_res[live]) & (res_live > 1.0))
+            & ~((res_live > 1e4 * best_live) & (res_live > 1.0))
         if not active.any():
             break
         if not active.all():
             # Converged and failed elements leave the loop with their last
             # iterate; the live ones are gathered and step on alone.
-            gone = live[~active]
-            x_all[gone], y_all[gone], z_all[gone] = x[~active], y[~active], z[~active]
+            gone = ~active
+            v_all[live[gone]] = v[gone]
             live = live[active]
             ops = ops.take(active)
-            c, b, h, x, y, z, s, rd, rp, rg, comp, mu = (
-                v[active] for v in (c, b, h, x, y, z, s, rd, rp, rg, comp, mu))
+            data, v, r, comp, mu = (a[active] for a in (data, v, r, comp, mu))
+            c, b, h = data[:, :n], data[:, n:n + me], data[:, n + me:]
+            x, s, z, y = parts(v)
+        rd, rp, rg = r[:, :n], r[:, n:n + me], r[:, n + me:n + me + mi]
         newton = ops.newton(z, s, rd, rp, rg)
-        dx, dy, ds, dz = newton(comp)
-        ap = _max_step(s, ds)
-        ad = _max_step(z, dz)
-        mu_aff = ops.mean((s + ap[:, None] * ds) * (z + ad[:, None] * dz))
+        _, _, dsz = newton(comp)
+        ds, dz = dsz[:, :mi], dsz[:, mi:]
+        aff = v[:, sz] + np.repeat(_step_lengths(v[:, sz], dsz), mi, axis=1) * dsz
+        mu_aff = ops.mean(aff[:, :mi] * aff[:, mi:])
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.clip((mu_aff / mu) ** 3, 1e-10, 0.99)
+            sigma = np.minimum(np.maximum((mu_aff / mu) ** 3, 1e-10), 0.99)  # a clip
         sigma = np.where(np.isfinite(sigma), sigma, 0.5)
         target = (sigma * mu)[:, None]
         if ops.pad is not None:
             target = target * ops.pad
         rc_vec = comp + ds * dz - target
-        dx, dy, ds, dz = newton(rc_vec)
-        ap = 0.995 * _max_step(s, ds)
-        ad = 0.995 * _max_step(z, dz)
-        stuck = ~_reduce_rows(np.logical_and,
-                              np.isfinite(np.concatenate([dx, dz, dy, ds], axis=1)), True)
+        dx, dy, dsz = newton(rc_vec)
+        d = np.concatenate([dx, dsz, dy], axis=1)
+        stuck = ~_reduce_rows(np.logical_and, np.isfinite(d), True)
         if stuck.any():
             # A non-finite direction must not reach the iterate (0 * inf is
             # NaN): the element keeps its iterate and leaves at the check.
-            for d in (dx, dy, ds, dz):
-                d[stuck] = 0.0
-        x += ap[:, None] * dx
-        s += ap[:, None] * ds
-        y += ad[:, None] * dy
-        z += ad[:, None] * dz
-    x_all[live], y_all[live], z_all[live] = x, y, z
-    x, y, z = x_all, y_all, z_all
+            d[stuck] = 0.0
+        a = 0.995 * _step_lengths(v[:, sz], d[:, sz])
+        a = np.where(ops.qp[:, None], np.minimum(a[:, :1], a[:, 1:]), a)  # a QP: one length
+        v += np.repeat(a, sides, axis=1) * d
+    v_all[live] = v
     unconverged = iters < 0
     if unconverged.any():
-        x[unconverged] = best_x[unconverged]
-        y[unconverged] = best_y[unconverged]
-        z[unconverged] = best_z[unconverged]
+        v_all[unconverged] = best[unconverged]
         res = np.minimum(res, best_res)
+    x, _, z, y = parts(v_all)
     return x, y, z, iters, res
 
 

@@ -347,18 +347,22 @@ class TestBatch:
 
 
 def shape_forms(rng, count, n, m_in, m_eq, pinned) -> list[QpStandardForm]:
-    """``count`` feasible QPs of one shape: a PSD cost, box rows (the
-    ``pinned`` variables fixed), ``m_in`` inequality rows and ``m_eq``
-    equality rows, all anchored at a point inside the box."""
+    """``count`` feasible QPs of one shape: a PSD cost, zero in about a
+    quarter of them (LPs, which take separate primal and dual step
+    lengths), box rows (the ``pinned`` variables fixed), ``m_in``
+    inequality rows and ``m_eq`` equality rows, all anchored at a point
+    inside the box."""
     forms = []
     for _ in range(count):
+        lp = rng.random() < 0.25
         basis = rng.normal(size=(n, n))
         lb = rng.uniform(-2.0, 0.0, n)
         ub = np.where(pinned, lb, lb + rng.uniform(0.5, 2.0, n))
         inside = lb + rng.uniform(0.2, 0.8, n) * (ub - lb)
         a_in = rng.normal(size=(m_in, n))
         a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-        forms.append(box_form(basis.T @ basis / n, rng.normal(size=n), lb, ub,
+        forms.append(box_form(np.zeros((n, n)) if lp else basis.T @ basis / n,
+                              rng.normal(size=n), lb, ub,
                               A_in=a_in if m_in else None,
                               b_in=a_in @ inside + rng.uniform(0.0, 1.0, m_in) if m_in else None,
                               A_eq=a_eq, b_eq=a_eq @ inside if m_eq else None))
@@ -485,6 +489,25 @@ class TestBatchMembership:
             for k, (sol, ref) in enumerate(zip(batch.solve(tol=1e-9), refs)):
                 assert_same_solution(sol, ref)
                 assert sol.kkt_residual == kkt_residuals(batch._effective_form(k), sol).max
+
+    def test_lp_and_qp_elements_of_one_shape(self):
+        """An LP element (Q = 0, separate primal and dual step lengths) and
+        a QP element (one step length) of the same shape share one batch,
+        and each is bit-identical to its solve alone, cold and across three
+        warm re-solves."""
+        lp = box_form(np.zeros((2, 2)), [-1.0, -2.0], [-3.0, -3.0], [3.0, 3.0],
+                      A_in=[[1.0, 1.0]], b_in=[1.0])
+        qp = projection_forms([(2.0, 1.0)], [1.0])[0]
+        batch = QpBatch([lp, qp])
+        alone = [QpBatch([lp]), QpBatch([qp])]
+        assert len(batch.shapes) == 1 and batch._ops.qp.tolist() == [False, True]
+        for rhs in (1.0, 1.2, 4.0, 0.9):  # at 4.0 the QP element's row goes inactive
+            batch.b_in[:, 0] = rhs
+            for single in alone:
+                single.b_in[0, 0] = rhs
+            for sol, single in zip(batch.solve(tol=1e-9), alone):
+                assert_same_solution(sol, single.solve(tol=1e-9)[0])
+                assert sol.kkt_residual <= 1e-9
 
 
 def projection_forms(targets, rhs) -> list[QpStandardForm]:
@@ -935,6 +958,27 @@ class TestRegressions:
         trace = run(problem, build_graph("cycle", 200), cfg)
         assert trace.status == "max-iters" and len(trace.snapshots) == 31
 
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_random_200_warm_solves_need_no_cold_retry(self, seed, monkeypatch):
+        """random 200 x 2 x 2 on a cycle (M = 50, gamma0 = 0.1, p = 0.6),
+        30 updates: the cold interior point runs once, in round 0, and no
+        warm solve falls back to it.  With separate primal and dual step
+        lengths for QP elements, warm solves cycled until the stall rule
+        sent them cold: 8, 4, 2 and 1 times on seeds 0, 1, 3 and 7."""
+        problem = build_random_instance(200, 2, 2, seed)
+        cfg = AlgorithmConfig(M=50.0, schedule=harmonic_schedule(0.1, 0.6),
+                              max_iters=30, enable_early_stop=False)
+        cold = []
+        orig_ipm = qp_solver._ipm
+
+        def ipm(*args, **kwargs):
+            cold.append(kwargs.get("z_init") is None)
+            return orig_ipm(*args, **kwargs)
+
+        monkeypatch.setattr(qp_solver, "_ipm", ipm)
+        run(problem, build_graph("cycle", 200), cfg)
+        assert [k for k, c in enumerate(cold) if c] == [0]
+
     def test_random_1000_runs_30_updates(self):
         """random 1000 x 2 x 2 seed 1 on a cycle (M = 50, gamma0 = 0.1,
         p = 0.6) runs 30 updates; with cold starts only (no warm interior
@@ -969,19 +1013,15 @@ class TestBatchValidation:
         QpBatch([good, box_form(np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])])
 
 
-@st.composite
-def coupled_forms(draw):
-    """1-12 agents of mixed shapes joined by 1-3 coupling rows, stacked by
-    ``_coupled_form``: PSD costs of any rank, hinge terms, an optional
-    local equality row and pinned variable, and coupling rows that come in
-    +/- pairs (an equality written as two rows) or hold with a margin at a
-    point inside every local set.  Half the draws add the trailing
-    relaxation variable, priced as in the relaxed oracle."""
-    n_agents = draw(st.integers(1, 12))
-    n_rows = draw(st.integers(1, 3))
-    paired = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
-    with_v = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def coupled_form(n_agents, n_rows, paired, with_v, rng) -> CoupledForm:
+    """``n_agents`` agents of mixed shapes joined by ``n_rows`` coupling
+    rows, stacked by ``_coupled_form``: PSD costs of any rank, hinge terms,
+    an optional local equality row and pinned variable, and coupling rows
+    that come in +/- pairs where ``paired`` (an equality written as two
+    rows) or else hold with a margin at a point inside every local set.
+    ``with_v`` adds the trailing relaxation variable, priced as in the
+    relaxed oracle."""
+    paired = np.asarray(paired, dtype=bool)
     agents, points = [], []
     for _ in range(n_agents):
         dim = int(rng.integers(1, 4))
@@ -1011,6 +1051,18 @@ def coupled_forms(draw):
     return _coupled_form(agents, [lift_hinges(a) for a in agents], extra)[0]
 
 
+@st.composite
+def coupled_forms(draw):
+    """``coupled_form`` of 1-12 agents and 1-3 coupling rows, each row
+    paired or not; half the draws add the trailing relaxation variable."""
+    n_agents = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, 3))
+    paired = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    with_v = draw(st.booleans())
+    return coupled_form(n_agents, n_rows, paired, with_v,
+                        np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
 class TestCoupledSolve:
     @settings(max_examples=100, deadline=None)
     @given(coupled_forms())
@@ -1028,6 +1080,19 @@ class TestCoupledSolve:
         assert sol.kkt_residual <= tol
         assert sol.kkt_residual == pytest.approx(kkt_residuals(dense, sol).max,
                                                  rel=1e-9, abs=1e-13)
+
+    def test_paired_draw_solves_without_overflow(self):
+        """The ``coupled_form`` of 3 agents and 2 coupling rows, the second
+        a +/- pair, with no v (``default_rng(6133)``), solved dense at tol
+        1e-10: with separate primal and dual step lengths its Newton step
+        overflowed (a RuntimeWarning, an error here).  The pair leaves no
+        strict interior, so the interior point runs to its cap and the
+        polish certifies the solution."""
+        form = coupled_form(3, 2, [False, True], False, np.random.default_rng(6133))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_qp(form.dense(), 1e-10)
+        assert sol.kkt_residual <= 1e-10
 
     def test_large_stack_is_block_eliminated(self):
         """Past ``_DENSE_MAX`` stacked variables ``solve_qp`` eliminates the

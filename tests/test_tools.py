@@ -1,7 +1,10 @@
-"""Smoke test of tools/ab.py: this checkout timed against itself."""
+"""Smoke tests of tools/ab.py: this checkout timed against itself and
+against a copy whose trajectories differ."""
 
 from __future__ import annotations
 
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +37,29 @@ def test_ab_times_a_checkout_against_itself():
         assert ratio > 0 and 0 <= won <= int(fields[1])
         assert identical == "yes"
     assert tree_state(ROOT) == before
+
+
+def test_ab_says_how_far_differing_traces_end_apart(tmp_path):
+    """Against a copy whose local solves stop at a looser tolerance, the
+    random-3 traces differ slightly: the row reads NO, and
+    the line after it gives each side's round count and the largest |dx|
+    and |dmu| between the final rounds."""
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src" / "rsdd", change / "src" / "rsdd",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    core = change / "src" / "rsdd" / "core.py"
+    text = core.read_text()
+    assert text.count("\n_SOLVER_TOL = 1e-9\n") == 1
+    core.write_text(text.replace("\n_SOLVER_TOL = 1e-9\n", "\n_SOLVER_TOL = 1e-8\n"))
+    proc = subprocess.run([sys.executable, "tools/ab.py", ".", str(change), "--seconds", "0",
+                           "--workload", "random-3"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, row, difference = proc.stdout.strip().splitlines()
+    assert row.split()[0] == "random-3" and row.split()[-1] == "NO"
+    found = re.fullmatch(r"\s*random-3 traces differ: rounds (\d+) / (\d+), "
+                         r"final round max \|dx\| (\S+), max \|dmu\| (\S+)", difference)
+    assert found, difference
+    assert int(found[1]) >= 1 and int(found[2]) >= 1
+    dx, dmu = float(found[3]), float(found[4])
+    assert 0.0 < max(dx, dmu) < 1e-6

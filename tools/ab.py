@@ -15,6 +15,10 @@ alternating order, until ``--seconds`` have passed (and at least
 ``MIN_PAIRS`` pairs have run), then prints each side's median and
 quartiles, the median of the paired ratios CHANGE / BASE and the pairs
 CHANGE won, and whether the two sides' last traces are equal bit for bit.
+When they are not, a second line gives each side's round count and the
+largest |dx| and |dmu| between the two sides' final rounds: a change that
+moves trajectories at solver tolerance shows by how much, and whether the
+stopping round moved.
 Separate benchmark processes on a shared host drift apart by more than
 the gains they are meant to show; two sides timed in alternation in one
 process share every phase of the host.
@@ -84,6 +88,16 @@ def _same(a, b) -> bool:
                     for f in ("t", "x", "rho", "mu", "lam")))
 
 
+def _difference(a, b) -> str:
+    """How far traces ``a`` (base) and ``b`` (change) end apart: each one's
+    round count, and the largest |dx| and |dmu| between their final rounds."""
+    import numpy as np
+    dx, dmu = (float(np.abs(getattr(a.snapshots, f)[-1] - getattr(b.snapshots, f)[-1]).max())
+               for f in ("x", "mu"))
+    return (f"rounds {len(a.snapshots)} / {len(b.snapshots)}, final round "
+            f"max |dx| {dx:.3g}, max |dmu| {dmu:.3g}")
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
@@ -105,7 +119,7 @@ def compare(sides, wl, seconds: float) -> dict:
     return {"pairs": pair, "base": _quartiles(times[0]), "change": _quartiles(times[1]),
             "ratio": statistics.median(ratios),
             "won": sum(r < 1.0 for r in ratios),
-            "identical": _same(*traces)}
+            "difference": None if _same(*traces) else _difference(*traces)}
 
 
 def main(argv=None) -> int:
@@ -130,8 +144,10 @@ def main(argv=None) -> int:
                 base, change = ("{:.5f} / {:.5f} / {:.5f}".format(*r[s])
                                 for s in ("base", "change"))
                 print(f"{name:<12} {r['pairs']:>5}  {base}  {change}  "
-                      f"{r['ratio']:.3f}  {r['won']:>3}  {'yes' if r['identical'] else 'NO'}",
+                      f"{r['ratio']:.3f}  {r['won']:>3}  {'NO' if r['difference'] else 'yes'}",
                       flush=True)
+                if r["difference"]:
+                    print(f"  {name} traces differ: {r['difference']}", flush=True)
         finally:
             sys.path.remove(tmp)
     return 0
